@@ -38,7 +38,6 @@ from .errors import NilfourierError, NonConvergence
 from .fourier import (
     QuadratureSpec,
     SchwartzFunction,
-    _flat_algebra,
     invert,
     plancherel,
 )
@@ -332,7 +331,7 @@ def _cmd_fourier_demo(args) -> int:
     ]
     rng = np.random.default_rng(args.seed)
     coeffs = 0.25 * rng.standard_normal(basis.dim)
-    shifted = _element_from_flat(basis, coeffs)
+    shifted = exp_t(basis.algebra_element(coeffs))
     points.append(("random_shift", shifted))
 
     def run_points(q: QuadratureSpec, tol: float | None) -> tuple[list[dict], float]:
@@ -383,10 +382,6 @@ def _cmd_fourier_demo(args) -> int:
     }
     _emit(args, "fourier-demo", payload, {"fourier-demo-convergence": table})
     return 0
-
-
-def _element_from_flat(basis: LayeredBasis, flat: np.ndarray) -> GradedElement:
-    return exp_t(_flat_algebra(basis, np.asarray(flat, dtype=float)))
 
 
 def _cmd_plancherel_check(args) -> int:

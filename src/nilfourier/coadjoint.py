@@ -181,13 +181,9 @@ def coadjoint_apply(g: GradedElement, ell: Functional) -> Functional:
     return Functional(basis, mat.T @ ell.flat)
 
 
-def _layer_dims(spec: GroupSpec) -> list[int]:
-    return spec.layer_dims()
-
-
 def _dim_km_raw(spec: GroupSpec, k: int, m: int) -> int:
     """Generic block rank formula without the quotient-label bound on ``m``."""
-    dims = _layer_dims(spec)
+    dims = spec.layer_dims()
     if 2 * k == spec.N:
         cap = dims[k - 1] if dims[k - 1] % 2 == 0 else dims[k - 1] - 1
         return min(cap, m)
@@ -202,7 +198,7 @@ def dim_km(spec: GroupSpec, k: int, m: int) -> int:
     middle layer of an even ``N`` pairs skew with itself, so odd full ranks
     are rounded down.
     """
-    dims = _layer_dims(spec)
+    dims = spec.layer_dims()
     N = spec.N
     if not 1 <= k <= N - 1:
         raise IndexOutOfRange(f"need 1 <= k <= {N - 1}, got k={k}")
@@ -217,7 +213,7 @@ def b_matrix(ell: Functional, k: int, m: int) -> np.ndarray:
     """Pairing block ``B[i, j] = ell([X_i^(k), X_j^(N-k)])``, shape ``(m_k, m)``."""
     basis = ell.basis
     spec = basis.spec
-    dims = _layer_dims(spec)
+    dims = spec.layer_dims()
     if not 1 <= k <= spec.N - 1:
         raise IndexOutOfRange(f"need 1 <= k <= {spec.N - 1}, got k={k}")
     if not 1 <= m <= dims[spec.N - k - 1]:
@@ -233,7 +229,7 @@ def b_matrix(ell: Functional, k: int, m: int) -> np.ndarray:
 def b_matrix_ranks(ell: Functional) -> dict[int, int]:
     """Rank of the full pairing block for each ``k = 1 .. floor(N/2)``."""
     spec = ell.spec
-    dims = _layer_dims(spec)
+    dims = spec.layer_dims()
     out = {}
     for k in range(1, spec.N // 2 + 1):
         out[k] = _rank(b_matrix(ell, k, dims[spec.N - k - 1]), GENERIC_RANK_RTOL)
@@ -253,7 +249,7 @@ def is_generic(ell: Functional) -> bool:
         scale = float(np.max(np.abs(ell.flat))) if ell.flat.size else 0.0
         cutoff = max(GENERIC_RANK_RTOL * scale, RANK_FLOOR)
         return abs(ell.coord(3, 1)) > cutoff
-    dims = _layer_dims(spec)
+    dims = spec.layer_dims()
     for k in range(1, spec.N // 2 + 1):
         m_full = dims[spec.N - k - 1]
         if m_full == 0 or dims[k - 1] == 0:
@@ -272,7 +268,7 @@ def orbit_dim_quotient_generic(spec: GroupSpec, k: int, m: int) -> int:
     """
     if k == 0:
         return 0
-    dims = _layer_dims(spec)
+    dims = spec.layer_dims()
     if not 1 <= k <= spec.N - 1:
         raise IndexOutOfRange(f"need 0 <= k <= {spec.N - 1}, got k={k}")
     total = 0
@@ -284,7 +280,7 @@ def orbit_dim_quotient_generic(spec: GroupSpec, k: int, m: int) -> int:
 def quotient_prefix_len(basis: LayeredBasis, k: int, m: int) -> int:
     """Flat Malcev prefix length corresponding to the quotient label ``(k, m)``."""
     spec = basis.spec
-    dims = _layer_dims(spec)
+    dims = spec.layer_dims()
     if k == 0:
         if not 0 <= m <= dims[spec.N - 1]:
             raise IndexOutOfRange(f"need 0 <= m <= {dims[spec.N - 1]} in the top layer")
@@ -333,7 +329,7 @@ def orbit_dim_numeric_all(
     """
     basis = ell.basis
     spec = basis.spec
-    dims = _layer_dims(spec)
+    dims = spec.layer_dims()
     rng = np.random.default_rng(seed)
     labels: list[tuple[int, int]] = [(0, dims[spec.N - 1])]
     for k in range(1, spec.N):
@@ -427,7 +423,7 @@ def jump_sets(basis: LayeredBasis) -> JumpData:
     ``k <= N-1``, the first ``dim_km(k, m_k)`` indices.
     """
     spec = basis.spec
-    dims = _layer_dims(spec)
+    dims = spec.layer_dims()
     dim_table = {
         (k, m): dim_km(spec, k, m)
         for k in range(1, spec.N)

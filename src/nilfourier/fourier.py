@@ -14,7 +14,9 @@ reframing of the ``H`` integral that keeps sheared integrands inside a fixed
 box -- exact by translation invariance), shifted traces, the square-rooted
 skew determinant (a Pfaffian) over the jump indices, the inversion integral
 over the transverse frequency plane, and both sides of the Plancherel
-identity.
+identity. Kernels, characters and traces compose group elements with the
+flat-coordinate group law :meth:`LayeredBasis.bch_coords`; Lie-membership is
+certified only where elements enter as dense tensors.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -37,6 +39,7 @@ from .errors import (
     DegenerateSpec,
     DimensionMismatch,
     NegativeDeterminant,
+    NilfourierError,
     NonConvergence,
     NotGeneric,
     QuadratureUnderflow,
@@ -47,7 +50,6 @@ from .tensor_algebra import (
     GradedElement,
     Role,
     exp_t,
-    group_inverse,
     mul,
     scaled_exponential,
 )
@@ -80,12 +82,15 @@ _FRAME_STEP = 1e-3
 
 
 def thread_count() -> int:
-    """Worker count from the NILFOURIER_THREADS environment variable (>= 1)."""
+    """Worker count from NILFOURIER_THREADS, which must be an integer >= 1."""
     raw = os.environ.get("NILFOURIER_THREADS", "1")
     try:
-        return max(1, int(raw))
+        count = int(raw)
     except ValueError:
-        return 1
+        count = 0
+    if count < 1:
+        raise NilfourierError(f"NILFOURIER_THREADS must be an integer >= 1, got {raw!r}")
+    return count
 
 
 # ---------------------------------------------------------------------------
@@ -130,37 +135,16 @@ class QuadratureSpec:
         return QuadratureSpec(h_nodes=12, section_nodes=12, t_nodes=16)
 
     def to_json_dict(self) -> dict:
-        return {
-            "h_nodes": self.h_nodes,
-            "h_halfwidth": self.h_halfwidth,
-            "section_nodes": self.section_nodes,
-            "section_halfwidth": self.section_halfwidth,
-            "t_nodes": self.t_nodes,
-            "t_halfwidth": self.t_halfwidth,
-            "section_scale_cap": self.section_scale_cap,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @staticmethod
     def from_json_dict(obj: dict) -> "QuadratureSpec":
-        known = {
-            "h_nodes",
-            "h_halfwidth",
-            "section_nodes",
-            "section_halfwidth",
-            "t_nodes",
-            "t_halfwidth",
-            "section_scale_cap",
-        }
-        unknown = set(obj) - known
+        # Each field is cast to the type of its default (int or float).
+        casts = {f.name: type(f.default) for f in fields(QuadratureSpec)}
+        unknown = set(obj) - set(casts)
         if unknown:
             raise DimensionMismatch(f"unknown quadrature fields: {sorted(unknown)}")
-        defaults = QuadratureSpec()
-        kwargs = {}
-        for name in known:
-            if name in obj:
-                cast = int if name.endswith("nodes") else float
-                kwargs[name] = cast(obj[name])
-        return replace(defaults, **kwargs)
+        return QuadratureSpec(**{name: casts[name](value) for name, value in obj.items()})
 
 
 def _axis(nodes: int, halfwidth: float) -> tuple[np.ndarray, np.ndarray]:
@@ -280,17 +264,8 @@ class MalcevChart:
         self.W = np.stack(h_cols + s_cols, axis=-1) if (h_cols or s_cols) else np.zeros((n, 0))
         if self.q_h != sub.dim or self.q_h + self.q != n:
             raise NotGeneric("subalgebra is not layer-graded enough to chart")
-        self._elements = [self._element_of(self.W[:, j]) for j in range(n)]
+        self._elements = [basis.algebra_element(self.W[:, j]) for j in range(n)]
         self._validate_prefix_ideals()
-
-    def _element_of(self, flat: np.ndarray) -> GradedElement:
-        basis = self.basis
-        spec = basis.spec
-        levels = [np.zeros((s,)) for s in spec.tensor_level_sizes()]
-        for k in range(1, spec.N + 1):
-            if basis.layers[k - 1].dim:
-                levels[k] = basis.embed_coords(k, flat[basis.layer_slice(k)])
-        return GradedElement(spec, tuple(levels), Role.ALGEBRA)
 
     def _validate_prefix_ideals(self, tol: float = 1e-10) -> None:
         basis = self.basis
@@ -307,9 +282,6 @@ class MalcevChart:
                 raise NotGeneric(f"chart prefix {p} does not span an ideal")
 
     # -- chart maps ---------------------------------------------------------
-
-    def chart_element(self, j: int) -> GradedElement:
-        return self._elements[j]
 
     def gamma(self, alpha: np.ndarray) -> GradedElement:
         """Ordered exponential product over all chart coordinates (batched)."""
@@ -341,6 +313,47 @@ class MalcevChart:
         for j in range(self.basis.dim - 1, self.q_h - 1, -1):
             g = mul(g, scaled_exponential(self._elements[j], y[..., j - self.q_h]))
         return g
+
+    # -- flat-coordinate counterparts (log coordinates in, log coordinates out)
+
+    def _product_coords(self, coeffs: np.ndarray, first: int) -> np.ndarray:
+        """Log of ``exp(c_{m-1} W_{first+m-1}) ... exp(c_0 W_first)`` (batched).
+
+        The first factor and central (top-layer) factors just add."""
+        z = np.zeros(coeffs.shape[:-1] + (self.basis.dim,))
+        lower = [a for a, (k, _) in enumerate(self.basis.malcev_order) if k < self.basis.spec.N]
+        for j in range(coeffs.shape[-1] - 1, -1, -1):
+            term = coeffs[..., j, None] * self.W[:, first + j]
+            if j < coeffs.shape[-1] - 1 and self.W[lower, first + j].any():
+                z = self.basis.bch_coords(z, term)
+            else:
+                z = z + term
+        return z
+
+    def gamma_h_coords(self, a: np.ndarray) -> np.ndarray:
+        """Flat coordinates of ``log gamma_h(a)`` (batched)."""
+        a = np.asarray(a, dtype=float)
+        if a.shape[-1] != self.q_h:
+            raise DimensionMismatch(f"gamma_h needs {self.q_h} coordinates")
+        return self._product_coords(a, 0)
+
+    def section_coords(self, y: np.ndarray) -> np.ndarray:
+        """Flat coordinates of ``log section(y)`` (batched)."""
+        y = np.asarray(y, dtype=float)
+        if y.shape[-1] != self.q:
+            raise DimensionMismatch(f"section needs {self.q} coordinates")
+        return self._product_coords(y, self.q_h)
+
+    def decompose_coords(self, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`decompose` on flat log coordinates: returns the section
+        coordinates and the log coordinates of the subgroup remainder."""
+        cur = np.asarray(c, dtype=float)
+        sec = np.empty(cur.shape[:-1] + (self.q,))
+        for j in range(self.basis.dim - 1, self.q_h - 1, -1):
+            coeff = cur @ self.W[:, j]
+            sec[..., j - self.q_h] = coeff
+            cur = self.basis.bch_coords(-coeff[..., None] * self.W[:, j], cur)
+        return sec, cur
 
     def log_chart_coords(self, g: GradedElement) -> np.ndarray:
         """Chart-basis coordinates of ``log g`` (batched)."""
@@ -374,8 +387,7 @@ def chart_for(ell: Functional) -> MalcevChart:
 
 def character(ell: Functional, chart: MalcevChart, a: np.ndarray) -> np.ndarray:
     """Unitary character ``exp(i ell(log gamma_h(a)))`` of the subgroup (batched)."""
-    g = chart.gamma_h(a)
-    return np.exp(1j * (_log_coords(chart.basis, g) @ ell.flat))
+    return np.exp(1j * (chart.gamma_h_coords(a) @ ell.flat))
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +461,9 @@ def kernel_values(
     ``a -> exp-coords(x gamma_h(a) y^-1)`` at ``a = 0`` and ``a*`` recenters
     the integrand. The substitution is exact (the subgroup's Haar measure is
     Lebesgue in its chart), and it keeps the effective integrand inside the
-    fixed box even when large section values shear it.
+    fixed box even when large section values shear it. Every product is
+    formed on flat coordinates with :meth:`LayeredBasis.bch_coords`, with
+    ``log y^-1 = -log y``.
     """
     _check_h_box(f, qspec)
     basis = chart.basis
@@ -468,28 +482,22 @@ def kernel_values(
     bpts, bw = _tensor_grid([(qspec.h_nodes, qspec.h_halfwidth)] * q_h)
     M = bpts.shape[0]
     ell_h = (ell.flat @ chart.W)[:q_h]
+    bch = basis.bch_coords
 
-    # Perturbation subgroup points for the frame Jacobian, shared by all pairs.
-    probes = []
-    for j in range(q_h):
-        e = np.zeros(q_h)
-        e[j] = _FRAME_STEP
-        probes.append((chart.gamma_h(e), chart.gamma_h(-e)))
+    # log gamma_h(+-step e_j) for the frame Jacobian, shared by all pairs.
+    probes = _FRAME_STEP * chart.W[:, :q_h].T
 
     out = np.empty(P, dtype=complex)
     chunk = max(1, _CHUNK_BUDGET // max(M, 1))
     for lo in range(0, P, chunk):
         hi = min(P, lo + chunk)
-        gx = chart.section(xs[lo:hi])
-        gyi = group_inverse(chart.section(ys[lo:hi]))
-        c0 = _log_coords(basis, mul(gx, gyi))
+        cx = chart.section_coords(xs[lo:hi])[:, None]
+        cyi = -chart.section_coords(ys[lo:hi])[:, None]
+        c0 = bch(cx, cyi)[:, 0]
         if q_h:
-            cols = []
-            for up, um in probes:
-                mp = _log_coords(basis, mul(mul(gx, up.broadcast_to((hi - lo,))), gyi))
-                mm = _log_coords(basis, mul(mul(gx, um.broadcast_to((hi - lo,))), gyi))
-                cols.append((mp - mm) / (2.0 * _FRAME_STEP))
-            jac = np.stack(cols, axis=-1)  # (C, n, q_h)
+            mp = bch(bch(cx, probes), cyi)
+            mm = bch(bch(cx, -probes), cyi)
+            jac = np.swapaxes(mp - mm, -1, -2) / (2.0 * _FRAME_STEP)  # (C, n, q_h)
             qmat, rmat = np.linalg.qr(jac)
             diag = np.abs(np.diagonal(rmat, axis1=-2, axis2=-1))
             bad = np.min(diag, axis=-1) <= 1e-12 * np.maximum(np.max(diag, axis=-1), 1.0)
@@ -501,11 +509,8 @@ def kernel_values(
             rinv = np.linalg.inv(rmat)
             astar = -np.einsum("pij,pj->pi", rinv, np.einsum("pni,pn->pi", qmat, c0))
             det_r = np.abs(np.prod(np.diagonal(rmat, axis1=-2, axis2=-1), axis=-1))
-            apts = astar[:, None, :] + np.einsum("pij,mj->pmi", rinv, bpts)
-            u = chart.gamma_h(apts)
-            inner = mul(mul(gx.expand_batch(1), u), gyi.expand_batch(1))
-            coords = _log_coords(basis, inner)
-            fvals = f(coords)
+            apts = astar[:, None, :] + bpts @ np.swapaxes(rinv, -1, -2)
+            fvals = f(bch(bch(cx, chart.gamma_h_coords(apts)), cyi))
             phase = np.exp(1j * (apts @ ell_h))
             out[lo:hi] = (fvals * phase) @ bw / det_r
         else:
@@ -577,10 +582,11 @@ def trace_shifted(
         jump = jump_sets(ell.basis)
     scale = _section_scale(ell, jump, qspec)
     ys, wy = _tensor_grid([(qspec.section_nodes, qspec.section_halfwidth * scale)] * chart.q)
-    gy = chart.section(ys)
-    gxy = mul(x.broadcast_to((ys.shape[0],)), gy)
-    ws, rem = chart.decompose(gxy)
-    twist = np.exp(-1j * (_log_coords(chart.basis, rem) @ ell.flat))
+    basis = chart.basis
+    ws, rem = chart.decompose_coords(
+        basis.bch_coords(_log_coords(basis, x), chart.section_coords(ys))
+    )
+    twist = np.exp(-1j * (rem @ ell.flat))
     kv = kernel_values(f, ell, chart, qspec, ws, ys)
     return complex(np.sum(wy * twist * kv))
 
@@ -675,8 +681,8 @@ def _map_nodes(worker, count: int):
     Results are reduced in index order either way, so the output does not
     depend on the worker count.
     """
-    workers = thread_count()
-    if workers == 1:
+    workers = min(thread_count(), count)
+    if workers <= 1:
         return [worker(i) for i in range(count)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, range(count)))
@@ -865,7 +871,7 @@ def haar_invariance_check(
         phi = observable(g)
         base_sum += float(np.sum(phi))
         # one-shot exponential parametrization of the same coordinates
-        phi_exp = observable(exp_t(_flat_algebra(basis, alpha)))
+        phi_exp = observable(exp_t(basis.algebra_element(alpha)))
         diff = phi_exp - phi
         exp_sum += float(np.sum(diff))
         exp_sq += float(np.sum(diff * diff))
@@ -901,7 +907,3 @@ def haar_invariance_check(
         "passed": bool(ok and exp_ok),
     }
 
-
-def _flat_algebra(basis: LayeredBasis, flat: np.ndarray) -> GradedElement:
-    """Algebra element with the given flat Malcev coordinates (batched)."""
-    return basis.algebra_element(flat)

@@ -15,9 +15,12 @@ expansion of arbitrary tensors in the embedded basis.
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -342,6 +345,7 @@ class LayeredBasis:
         ]
         self._flat_of = {ki: a for a, ki in enumerate(self.malcev_order)}
         self._sc: np.ndarray | None = None
+        self._bch: list[tuple] | None = None
 
     # -- indexing ---------------------------------------------------------
 
@@ -449,6 +453,59 @@ class LayeredBasis:
         sc = self.structure_tensor
         return np.einsum("...a,...b,abt->...t", x, y, sc)
 
+    def bch_coords(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Flat coordinates of ``log(exp x exp y)`` (batched, broadcasting).
+
+        Sums the Baker-Campbell-Hausdorff series through degree ``N`` in the
+        Lyndon basis on two letters, evaluating each bracket word with the
+        graded sparse bracket of this basis. The law is compiled on first use.
+        """
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        if x.shape[-1] != self.dim or y.shape[-1] != self.dim:
+            raise DimensionMismatch(f"flat coordinates must have trailing size {self.dim}")
+        words = [x, y]
+        z = x + y
+        for left, right, coeff, a, b, table in self._bch_law():
+            words.append((words[left][..., a] * words[right][..., b]) @ table)
+            if coeff:
+                z += coeff * words[-1]
+        return z
+
+    def _bch_law(self) -> list[tuple]:
+        """The compiled group law, built on first use and cached on the basis.
+
+        One step per bracket word of the series (or factor of one), in order
+        of degree: the positions of its two factors among the evaluated words,
+        its series coefficient, and the nonzero bracket pairs ``(a, b)`` with
+        their structure constants. A factor of degree ``p`` has no component
+        below layer ``p``, and ``[layer i, layer j]`` lands in layer ``i + j``,
+        so only pairs the grading allows are kept.
+        """
+        if self._bch is None:
+            sc = self.structure_tensor
+            layer = np.array([k for k, _ in self.malcev_order])
+            nonzero = np.any(sc != 0.0, axis=-1)
+            coeffs = dict(_bch_series(self.spec.N))
+            needed = set()
+            stack = [lyndon_bracket(w) for w in coeffs if len(w) > 1]
+            while stack:
+                tree = stack.pop()
+                needed.add(tree.foliage())
+                stack.extend(t for t in (tree.left, tree.right) if not t.is_leaf)
+            position = {(1,): 0, (2,): 1}
+            steps = []
+            for w in sorted(needed, key=lambda w: (len(w), w)):
+                tree = lyndon_bracket(w)
+                u, v = tree.left.foliage(), tree.right.foliage()
+                allowed = (layer[:, None] >= len(u)) & (layer[None, :] >= len(v)) & nonzero
+                a, b = np.nonzero(allowed)
+                coeff = float(coeffs.get(w, 0))
+                steps.append((position[u], position[v], coeff, a, b, sc[a, b]))
+                position[w] = len(position)
+            self._bch = steps
+        return self._bch
+
     def ad_matrix(self, x: np.ndarray) -> np.ndarray:
         """Matrix of ``ad(x) = [x, .]`` acting on flat Malcev coordinates."""
         sc = self.structure_tensor
@@ -506,6 +563,59 @@ class LayeredBasis:
             for layer in obj["layers"]
         }
         return _basis_from_trees(spec, trees)
+
+
+def _word_product(a: dict, b: dict, N: int) -> dict:
+    """Product of two noncommutative polynomials (word -> coefficient), truncated at length N."""
+    out: dict = {}
+    for u, cu in a.items():
+        for v, cv in b.items():
+            if len(u) + len(v) <= N:
+                out[u + v] = out.get(u + v, 0) + cu * cv
+    return out
+
+
+def _add_words(a: dict, b: dict, scale) -> dict:
+    out = dict(a)
+    for w, c in b.items():
+        out[w] = out.get(w, 0) + scale * c
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _bch_series(N: int) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
+    """Nonzero coefficients of ``log(e^X e^Y) = sum_w c_w P_w`` through degree N.
+
+    ``w`` runs over the Lyndon words in ``X = 1 < Y = 2`` and ``P_w`` is the
+    standard bracketing of ``w``. The series is read off one Lyndon word at a
+    time: ``P_w`` is ``w`` plus lexicographically larger words, so taking the
+    words in increasing order makes the extraction triangular (Casas and
+    Murua, arXiv:0810.2656). It is formed in exact rational arithmetic on
+    words so that a vanishing coefficient is exactly zero and the remainder
+    after extraction is exactly zero, which certifies a Lie element.
+    """
+    g = {
+        (1,) * i + (2,) * j: Fraction(1, math.factorial(i) * math.factorial(j))
+        for i in range(N + 1)
+        for j in range(N + 1 - i)
+        if i + j
+    }
+    z: dict = {}
+    power: dict = {(): Fraction(1)}
+    for k in range(1, N + 1):
+        power = _word_product(power, g, N)
+        z = _add_words(z, power, Fraction((-1) ** (k + 1), k))
+    series = []
+    for words in lyndon_words(2, N).values():
+        for w in words:
+            c = z.get(w, 0)
+            if c:
+                series.append((w, c))
+                bracket = lyndon_bracket(w).embed(2)
+                words_k = _full_tensor_words(2, len(w))
+                z = _add_words(z, {u: int(v) for u, v in zip(words_k, bracket) if v}, -c)
+    assert not any(z.values()), "the BCH series is a Lie element"
+    return tuple(series)
 
 
 def _full_tensor_words(d: int, k: int) -> list[tuple[int, ...]]:

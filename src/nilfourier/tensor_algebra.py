@@ -13,10 +13,8 @@ adjoint action are exact finite series thanks to nilpotency.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
@@ -93,9 +91,6 @@ class GradedElement:
     def with_role(self, role: Role) -> "GradedElement":
         return GradedElement(self.spec, self.levels, role)
 
-    def astype_role(self) -> Role:
-        return self.role
-
     def broadcast_to(self, batch: tuple[int, ...]) -> "GradedElement":
         levels = tuple(
             np.broadcast_to(lv, batch + lv.shape[-1:]) for lv in self.levels
@@ -105,11 +100,6 @@ class GradedElement:
     def take(self, idx) -> "GradedElement":
         """Index into the batch axes (e.g. ``elt.take(3)`` or ``elt.take((i, j))``)."""
         levels = tuple(lv[idx] for lv in self.levels)
-        return GradedElement(self.spec, levels, self.role)
-
-    def expand_batch(self, axis: int) -> "GradedElement":
-        """Insert a length-1 batch axis (position counted among batch axes)."""
-        levels = tuple(np.expand_dims(lv, axis) for lv in self.levels)
         return GradedElement(self.spec, levels, self.role)
 
     # -- linear operations ----------------------------------------------------
@@ -329,17 +319,3 @@ def scaled_exponential(x: GradedElement, t: np.ndarray) -> GradedElement:
         levels.append(np.tensordot(tj, stack, axes=([-1], [0])))
     return GradedElement(spec, tuple(levels), Role.GROUP)
 
-
-def assert_close(a: GradedElement, b: GradedElement, tol: float, what: str = "elements") -> None:
-    """Raise AssertionError when two elements differ beyond ``tol`` in sup norm."""
-    diff = a.max_abs_diff(b)
-    if not diff <= tol:
-        raise AssertionError(f"{what} differ by {diff:.3e} > {tol:.1e}")
-
-
-def level_sizes(spec: GroupSpec) -> list[int]:
-    return spec.tensor_level_sizes()
-
-
-def factorial_reciprocals(n: int) -> list[float]:
-    return [1.0 / math.factorial(k) for k in range(n + 1)]

@@ -41,6 +41,7 @@ from nilfourier import (
 )
 from nilfourier.errors import (
     DimensionMismatch,
+    NilfourierError,
     NonConvergence,
     NotGeneric,
     QuadratureUnderflow,
@@ -51,6 +52,7 @@ from nilfourier.fourier import (
     _resolvable_rate,
     _section_scale,
     haar_invariance_check,
+    thread_count,
 )
 from nilfourier.tensor_algebra import exp_t, group_inverse, log_t, mul
 
@@ -200,6 +202,28 @@ def test_chart_decompose_is_left_equivariant_over_the_subgroup():
     assert np.allclose(sec, w, atol=1e-10)
     rem_h = chart.log_chart_coords(rem)
     assert np.max(np.abs(rem_h[..., chart.q_h :])) < 1e-10
+
+
+@pytest.mark.parametrize("d,N", [(2, 2), (3, 3), (2, 3)])
+def test_flat_chart_maps_match_tensor_chart_maps(d, N):
+    # (2, 3) takes the prefix-radical route (see test_chart_for_routes_by_genericity)
+    basis = _basis(d, N)
+    chart = chart_for(sample_generic(basis, np.random.default_rng(11)))
+    rng = np.random.default_rng(30 + N)
+    a = 0.7 * rng.standard_normal((6, chart.q_h))
+    y = 0.7 * rng.standard_normal((6, chart.q))
+
+    def close(flat, element):
+        oracle = _log_coords(basis, element)
+        assert np.max(np.abs(flat - oracle)) <= 1e-12 * (1.0 + np.max(np.abs(oracle)))
+
+    close(chart.gamma_h_coords(a), chart.gamma_h(a))
+    close(chart.section_coords(y), chart.section(y))
+    g = chart.gamma(0.7 * rng.standard_normal((6, basis.dim)))
+    sec, rem = chart.decompose(g)
+    sec_flat, rem_flat = chart.decompose_coords(_log_coords(basis, g))
+    assert np.max(np.abs(sec_flat - sec)) <= 1e-12 * (1.0 + np.max(np.abs(sec)))
+    close(rem_flat, rem)
 
 
 def test_chart_rejects_orders_without_nested_ideals():
@@ -527,6 +551,13 @@ def test_thread_env_does_not_change_results(monkeypatch):
     monkeypatch.setenv("NILFOURIER_THREADS", "3")
     threaded = invert(f, ident, basis, q)
     assert serial == threaded  # byte-identical ordered reduction
+
+
+@pytest.mark.parametrize("raw", ["abc", "0"])
+def test_malformed_thread_env_is_rejected(monkeypatch, raw):
+    monkeypatch.setenv("NILFOURIER_THREADS", raw)
+    with pytest.raises(NilfourierError, match=f"NILFOURIER_THREADS.*{raw!r}"):
+        thread_count()
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Layered basis construction: dimensions, brackets, embeddings, JSON."""
 
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,6 +19,9 @@ from nilfourier import (
     lyndon_words,
     witt_dimension,
 )
+from nilfourier.coadjoint import _log_coords
+from nilfourier.lie_basis import _bch_series
+from nilfourier.tensor_algebra import exp_t, mul
 
 from oracles import WITT_EXAMPLES, brute_force_lyndon
 
@@ -103,6 +107,35 @@ def test_brackets_respect_grading():
             for t in range(n):
                 if abs(br[t]) > 1e-12:
                     assert basis.layer_of_flat(t)[0] == ka + kb
+
+
+@pytest.mark.parametrize("d,N", [(2, 2), (3, 2), (2, 3), (3, 3), (2, 4)])
+def test_bch_coords_matches_tensor_route(d, N):
+    basis = build_layered_basis(GroupSpec(d, N))
+    rng = np.random.default_rng(10 * d + N)
+    x = rng.standard_normal((6, 1, basis.dim))
+    y = rng.standard_normal((1, 5, basis.dim))
+    z = basis.bch_coords(x, y)
+    assert z.shape == (6, 5, basis.dim)
+    oracle = _log_coords(
+        basis, mul(exp_t(basis.algebra_element(x)), exp_t(basis.algebra_element(y)))
+    )
+    assert np.max(np.abs(z - oracle)) <= 1e-12 * (1.0 + np.max(np.abs(oracle)))
+    # unbatched against batched, and the inverse is the negative
+    np.testing.assert_allclose(basis.bch_coords(x[2, 0], y[0, 3]), z[2, 3], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(basis.bch_coords(x, -x), 0.0, rtol=0, atol=1e-12)
+
+
+def test_bch_series_has_the_casas_murua_coefficients():
+    # log(e^X e^Y) through degree 4 in the Lyndon basis on X = 1 < Y = 2
+    assert dict(_bch_series(4)) == {
+        (1,): 1,
+        (2,): 1,
+        (1, 2): Fraction(1, 2),
+        (1, 1, 2): Fraction(1, 12),
+        (1, 2, 2): Fraction(1, 12),
+        (1, 1, 2, 2): Fraction(1, 24),
+    }
 
 
 def test_malcev_order_prefixes_are_ideals():

@@ -163,3 +163,11 @@ def test_read_path_csv_ragged_rejected():
 def test_read_path_csv_wrong_width_rejected():
     with pytest.raises(DimensionMismatch):
         read_path_csv(io.StringIO("1,2\n3,4\n"), d=3)
+
+
+def test_signatures_never_compile_the_group_law():
+    basis = build_layered_basis(GroupSpec(2, 4))
+    path = _random_path(np.random.default_rng(2), 2, 6)
+    path_signature(basis.spec, path)
+    log_signature(path, basis)
+    assert basis._bch is None
