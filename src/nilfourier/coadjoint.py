@@ -156,12 +156,12 @@ def _log_coords(basis: LayeredBasis, g: GradedElement) -> np.ndarray:
 
 
 def _ad_exponential(basis: LayeredBasis, x_flat: np.ndarray) -> np.ndarray:
-    """Matrix of ``Ad(exp x) = sum_k ad(x)^k / k!`` on flat coordinates."""
-    n = basis.dim
+    """Matrix of ``Ad(exp x) = sum_k ad(x)^k / k!`` on flat coordinates
+    (batched: ``(..., n) -> (..., n, n)``)."""
     ad = basis.ad_matrix(x_flat)
-    result = np.eye(n)
-    term = np.eye(n)
-    for k in range(1, basis.spec.N):
+    result = np.eye(basis.dim) + ad
+    term = ad
+    for k in range(2, basis.spec.N):
         term = (ad @ term) / k
         result = result + term
     return result

@@ -61,4 +61,4 @@ class NonConvergence(NilfourierError):
 
 
 class NegativeDeterminant(NilfourierError):
-    """A skew form determinant that must be a perfect square came out negative."""
+    """Kept exported; nothing raises it, as ``sqrt_det_d`` takes a Pfaffian."""

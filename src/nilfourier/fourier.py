@@ -16,7 +16,10 @@ skew determinant (a Pfaffian) over the jump indices, the inversion integral
 over the transverse frequency plane, and both sides of the Plancherel
 identity. Kernels, characters and traces compose group elements with the
 flat-coordinate group law :meth:`LayeredBasis.bch_coords`; Lie-membership is
-certified only where elements enter as dense tensors.
+certified only where elements enter as dense tensors. Kernel integrands use
+the conjugation form ``log(x u y^-1) = bch(Ad_x log u, log(x y^-1))`` with a
+per-pair adjoint matrix, so each point costs one group-law pass, and the
+subgroup character is separable over the axes of the tensor grid.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import numpy as np
 from .coadjoint import (
     Functional,
     JumpData,
+    _ad_exponential,
     _log_coords,
     is_generic,
     jump_sets,
@@ -38,7 +42,6 @@ from .coadjoint import (
 from .errors import (
     DegenerateSpec,
     DimensionMismatch,
-    NegativeDeterminant,
     NilfourierError,
     NonConvergence,
     NotGeneric,
@@ -49,7 +52,6 @@ from .polarization import Subalgebra, generic_polarization, vergne_polarization
 from .tensor_algebra import (
     GradedElement,
     Role,
-    exp_t,
     mul,
     scaled_exponential,
 )
@@ -74,8 +76,10 @@ __all__ = [
     "thread_count",
 ]
 
-#: Elements processed per vectorized chunk in kernel evaluation.
-_CHUNK_BUDGET = 400_000
+#: Integrand coordinates (points times algebra dimension) per vectorized
+#: chunk in kernel evaluation. Arrays much above a megabyte measured slower
+#: per point: each chunk then page-faults its fresh temporaries.
+_CHUNK_BUDGET = 150_000
 
 #: Finite-difference step for the per-pair frame Jacobian.
 _FRAME_STEP = 1e-3
@@ -266,6 +270,9 @@ class MalcevChart:
             raise NotGeneric("subalgebra is not layer-graded enough to chart")
         self._elements = [basis.algebra_element(self.W[:, j]) for j in range(n)]
         self._validate_prefix_ideals()
+        brackets = np.einsum("ai,abt,bj->ijt", self.W, basis.structure_tensor, self.W)
+        self._commutes = ~np.any(np.abs(brackets) > 1e-12, axis=-1)  # [W_i, W_j] = 0
+        self.h_abelian = bool(self._commutes[: self.q_h, : self.q_h].all())
 
     def _validate_prefix_ideals(self, tol: float = 1e-10) -> None:
         basis = self.basis
@@ -319,15 +326,17 @@ class MalcevChart:
     def _product_coords(self, coeffs: np.ndarray, first: int) -> np.ndarray:
         """Log of ``exp(c_{m-1} W_{first+m-1}) ... exp(c_0 W_first)`` (batched).
 
-        The first factor and central (top-layer) factors just add."""
-        z = np.zeros(coeffs.shape[:-1] + (self.basis.dim,))
-        lower = [a for a, (k, _) in enumerate(self.basis.malcev_order) if k < self.basis.spec.N]
-        for j in range(coeffs.shape[-1] - 1, -1, -1):
-            term = coeffs[..., j, None] * self.W[:, first + j]
-            if j < coeffs.shape[-1] - 1 and self.W[lower, first + j].any():
-                z = self.basis.bch_coords(z, term)
-            else:
-                z = z + term
+        Factors that commute with every other factor just add, and so does the
+        leftmost of the rest; the others are composed with
+        :meth:`LayeredBasis.bch_coords`, last column first."""
+        span = slice(first, first + coeffs.shape[-1])
+        cols = self.W[:, span]
+        adds = self._commutes[span, span].all(axis=1)
+        rest = np.flatnonzero(~adds)[::-1]
+        adds[rest[:1]] = True
+        z = coeffs[..., adds] @ cols[:, adds].T
+        for j in rest[1:]:
+            z = self.basis.bch_coords(z, coeffs[..., j, None] * cols[:, j])
         return z
 
     def gamma_h_coords(self, a: np.ndarray) -> np.ndarray:
@@ -461,9 +470,14 @@ def kernel_values(
     ``a -> exp-coords(x gamma_h(a) y^-1)`` at ``a = 0`` and ``a*`` recenters
     the integrand. The substitution is exact (the subgroup's Haar measure is
     Lebesgue in its chart), and it keeps the effective integrand inside the
-    fixed box even when large section values shear it. Every product is
-    formed on flat coordinates with :meth:`LayeredBasis.bch_coords`, with
-    ``log y^-1 = -log y``.
+    fixed box even when large section values shear it.
+
+    Points use the conjugation form ``log(x gamma_h(a) y^-1) = bch(Ad_x log
+    gamma_h(a), log(x y^-1))``: one :meth:`LayeredBasis.bch_coords` pass per
+    point after a per-pair matrix ``Ad_x``. On an abelian subgroup ``log
+    gamma_h`` is linear, so ``Ad_x W_h R^-1`` maps the grid straight to the
+    conjugated points. The character ``exp(i a . ell_h)`` factors over the
+    grid axes, and the values are contracted one axis at a time.
     """
     _check_h_box(f, qspec)
     basis = chart.basis
@@ -479,42 +493,54 @@ def kernel_values(
         raise DimensionMismatch("xs and ys must pair up with the section dimension")
     P = xs.shape[0]
 
-    bpts, bw = _tensor_grid([(qspec.h_nodes, qspec.h_halfwidth)] * q_h)
-    M = bpts.shape[0]
-    ell_h = (ell.flat @ chart.W)[:q_h]
+    nodes, weights = _axis(qspec.h_nodes, qspec.h_halfwidth)
+    M = nodes.size**q_h
+    # The grid points b, coordinates first; the weights enter per axis below.
+    grid = np.array(np.meshgrid(*[nodes] * q_h, indexing="ij")).reshape(q_h, M)
+    w_h = chart.W[:, :q_h]
+    ell_h = ell.flat @ w_h
     bch = basis.bch_coords
 
     # log gamma_h(+-step e_j) for the frame Jacobian, shared by all pairs.
-    probes = _FRAME_STEP * chart.W[:, :q_h].T
+    probes = _FRAME_STEP * w_h.T
 
     out = np.empty(P, dtype=complex)
-    chunk = max(1, _CHUNK_BUDGET // max(M, 1))
+    chunk = max(1, _CHUNK_BUDGET // (M * n))
     for lo in range(0, P, chunk):
         hi = min(P, lo + chunk)
-        cx = chart.section_coords(xs[lo:hi])[:, None]
-        cyi = -chart.section_coords(ys[lo:hi])[:, None]
-        c0 = bch(cx, cyi)[:, 0]
-        if q_h:
-            mp = bch(bch(cx, probes), cyi)
-            mm = bch(bch(cx, -probes), cyi)
-            jac = np.swapaxes(mp - mm, -1, -2) / (2.0 * _FRAME_STEP)  # (C, n, q_h)
-            qmat, rmat = np.linalg.qr(jac)
-            diag = np.abs(np.diagonal(rmat, axis1=-2, axis2=-1))
-            bad = np.min(diag, axis=-1) <= 1e-12 * np.maximum(np.max(diag, axis=-1), 1.0)
-            if np.any(bad):
-                rmat = rmat.copy()
-                qmat = qmat.copy()
-                rmat[bad] = np.eye(q_h)
-                qmat[bad] = np.eye(n, q_h)
-            rinv = np.linalg.inv(rmat)
-            astar = -np.einsum("pij,pj->pi", rinv, np.einsum("pni,pn->pi", qmat, c0))
-            det_r = np.abs(np.prod(np.diagonal(rmat, axis1=-2, axis2=-1), axis=-1))
-            apts = astar[:, None, :] + bpts @ np.swapaxes(rinv, -1, -2)
-            fvals = f(bch(bch(cx, chart.gamma_h_coords(apts)), cyi))
-            phase = np.exp(1j * (apts @ ell_h))
-            out[lo:hi] = (fvals * phase) @ bw / det_r
+        cx = chart.section_coords(xs[lo:hi])
+        c0 = bch(cx, -chart.section_coords(ys[lo:hi]))[:, None]
+        if not q_h:
+            out[lo:hi] = f(c0[:, 0])
+            continue
+        ad_x = _ad_exponential(basis, cx)  # (C, n, n)
+        conj = probes @ np.swapaxes(ad_x, -1, -2)
+        mp, mm = bch(np.stack((conj, -conj)), c0)
+        jac = np.swapaxes(mp - mm, -1, -2) / (2.0 * _FRAME_STEP)
+        qmat, rmat = np.linalg.qr(jac)  # jac: (C, n, q_h)
+        diag = np.abs(np.diagonal(rmat, axis1=-2, axis2=-1))
+        bad = np.min(diag, axis=-1) <= 1e-12 * np.maximum(np.max(diag, axis=-1), 1.0)
+        if np.any(bad):
+            rmat = rmat.copy()
+            qmat = qmat.copy()
+            rmat[bad] = np.eye(q_h)
+            qmat[bad] = np.eye(n, q_h)
+        rinv = np.linalg.inv(rmat)
+        astar = -np.einsum("pij,pj->pi", rinv, np.einsum("pni,pn->pi", qmat, c0[:, 0]))
+        det_r = np.abs(np.prod(np.diagonal(rmat, axis1=-2, axis2=-1), axis=-1))
+        # u is coordinates-first, (C, n, M), so elementwise steps run over the grid
+        if chart.h_abelian:
+            frame = ad_x @ w_h  # Ad_x W_h: (C, n, q_h)
+            u = frame @ astar[..., None] + (frame @ rinv) @ grid
         else:
-            out[lo:hi] = f(c0)
+            apts = np.swapaxes(astar[..., None] + rinv @ grid, -1, -2)
+            u = ad_x @ np.swapaxes(chart.gamma_h_coords(apts), -1, -2)
+        vals = f(bch(np.swapaxes(u, -1, -2), c0))
+        # exp(i a . ell_h) = exp(i a* . ell_h) prod_k exp(i b_k (R^-T ell_h)_k)
+        phases = weights * np.exp(1j * (ell_h @ rinv)[..., None] * nodes)  # (C, q_h, nodes)
+        for k in range(q_h - 1, -1, -1):
+            vals = (vals.reshape(hi - lo, -1, nodes.size) @ phases[:, k, :, None])[..., 0]
+        out[lo:hi] = vals[:, 0] * np.exp(1j * (astar @ ell_h)) / det_r
     return out
 
 
@@ -631,9 +657,8 @@ def sqrt_det_d(ell: Functional, jump: JumpData | None = None) -> float:
     """``sqrt(det D)`` via the absolute Pfaffian of the jump-index skew matrix.
 
     Tridiagonalizes the skew matrix orthogonally and multiplies the odd
-    superdiagonal entries; the square of that (up to sign) is the
-    determinant. Raises :class:`NegativeDeterminant` when the determinant is
-    genuinely negative, which a valid skew pairing can never produce.
+    superdiagonal entries; the square of that is the determinant, which is
+    never negative for a real skew matrix.
     """
     dmat = d_matrix(ell, jump)
     m = dmat.shape[0]
@@ -641,12 +666,6 @@ def sqrt_det_d(ell: Functional, jump: JumpData | None = None) -> float:
         return 1.0
     if m % 2 == 1:
         return 0.0
-    scale = float(np.max(np.abs(dmat)))
-    det = float(np.linalg.det(dmat))
-    if det < 0 and abs(det) > 1e-10 * max(scale, 1.0) ** m:
-        raise NegativeDeterminant(
-            f"jump-index pairing has negative determinant {det:.3e}"
-        )
     tri = _skew_tridiagonalize(dmat)
     pf = 1.0
     for i in range(0, m - 1, 2):
@@ -848,16 +867,11 @@ def haar_invariance_check(
     chart = MalcevChart(basis)  # identity chart: plain Malcev ordering
     n = basis.dim
 
-    def observable(g: GradedElement) -> np.ndarray:
-        coords = _log_coords(basis, g)
+    def observable(coords: np.ndarray) -> np.ndarray:
         return np.exp(-0.5 * np.sum(coords * coords, axis=-1))
 
-    translates = [
-        scaled_exponential(
-            basis.algebra_element(rng.standard_normal(basis.dim)), translate_scale
-        )
-        for _ in range(n_translates)
-    ]
+    # log coordinates of the translates exp(translate_scale * v)
+    translates = [translate_scale * rng.standard_normal(n) for _ in range(n_translates)]
     base_sum = 0.0
     trans_sum = np.zeros(n_translates)
     trans_sq = np.zeros(n_translates)
@@ -867,16 +881,15 @@ def haar_invariance_check(
     while done < n_samples:
         m = min(chunk, n_samples - done)
         alpha = rng.uniform(-box, box, size=(m, n))
-        g = chart.gamma(alpha)
-        phi = observable(g)
+        c = chart._product_coords(alpha, 0)
+        phi = observable(c)
         base_sum += float(np.sum(phi))
         # one-shot exponential parametrization of the same coordinates
-        phi_exp = observable(exp_t(basis.algebra_element(alpha)))
-        diff = phi_exp - phi
+        diff = observable(alpha) - phi
         exp_sum += float(np.sum(diff))
         exp_sq += float(np.sum(diff * diff))
-        for t, g0 in enumerate(translates):
-            phi_t = observable(mul(g0.broadcast_to((m,)), g))
+        for t, c0 in enumerate(translates):
+            phi_t = observable(basis.bch_coords(c0, c))
             diff = phi_t - phi
             trans_sum[t] += float(np.sum(diff))
             trans_sq[t] += float(np.sum(diff * diff))

@@ -464,13 +464,17 @@ class LayeredBasis:
         y = np.asarray(y, dtype=float)
         if x.shape[-1] != self.dim or y.shape[-1] != self.dim:
             raise DimensionMismatch(f"flat coordinates must have trailing size {self.dim}")
-        words = [x, y]
-        z = x + y
+        # Coordinates first, so that every step runs over the batch.
+        nd = max(x.ndim, y.ndim)
+        front = (nd - 1,) + tuple(range(nd - 1))
+        words = [v.reshape((1,) * (nd - v.ndim) + v.shape).transpose(front) for v in (x, y)]
+        z = words[0] + words[1]
         for left, right, coeff, a, b, table in self._bch_law():
-            words.append((words[left][..., a] * words[right][..., b]) @ table)
+            prod = words[left][a] * words[right][b]
+            words.append((table @ prod.reshape(a.size, -1)).reshape((-1,) + prod.shape[1:]))
             if coeff:
                 z += coeff * words[-1]
-        return z
+        return z.transpose(tuple(range(1, nd)) + (0,))
 
     def _bch_law(self) -> list[tuple]:
         """The compiled group law, built on first use and cached on the basis.
@@ -478,7 +482,7 @@ class LayeredBasis:
         One step per bracket word of the series (or factor of one), in order
         of degree: the positions of its two factors among the evaluated words,
         its series coefficient, and the nonzero bracket pairs ``(a, b)`` with
-        their structure constants. A factor of degree ``p`` has no component
+        their structure constants (as columns). A factor of degree ``p`` has no component
         below layer ``p``, and ``[layer i, layer j]`` lands in layer ``i + j``,
         so only pairs the grading allows are kept.
         """
@@ -501,15 +505,15 @@ class LayeredBasis:
                 allowed = (layer[:, None] >= len(u)) & (layer[None, :] >= len(v)) & nonzero
                 a, b = np.nonzero(allowed)
                 coeff = float(coeffs.get(w, 0))
-                steps.append((position[u], position[v], coeff, a, b, sc[a, b]))
+                steps.append((position[u], position[v], coeff, a, b, sc[a, b].T))
                 position[w] = len(position)
             self._bch = steps
         return self._bch
 
     def ad_matrix(self, x: np.ndarray) -> np.ndarray:
-        """Matrix of ``ad(x) = [x, .]`` acting on flat Malcev coordinates."""
+        """Matrix of ``ad(x) = [x, .]`` acting on flat Malcev coordinates (batched)."""
         sc = self.structure_tensor
-        return np.einsum("a,abt->tb", np.asarray(x, dtype=float), sc)
+        return np.einsum("...a,abt->...tb", np.asarray(x, dtype=float), sc)
 
     def skew_form(self, ell_flat: np.ndarray) -> np.ndarray:
         """Skew matrix ``M[a, b] = ell([X_a, X_b])`` for a flat functional."""

@@ -16,9 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
+from .coadjoint import _log_coords
 from .errors import DimensionMismatch, SpecMismatch
 from .lie_basis import Flavor, GroupSpec, LayeredBasis
-from .tensor_algebra import GradedElement, exp_t, log_t, mul
+from .tensor_algebra import GradedElement, exp_t, mul
 
 __all__ = [
     "PiecewiseLinearPath",
@@ -105,13 +106,7 @@ def log_signature(path: PiecewiseLinearPath, basis: LayeredBasis) -> np.ndarray:
     spec = basis.spec
     if spec.flavor is not Flavor.FREE_NILPOTENT:
         raise SpecMismatch("log-signature coordinates need the free nilpotent flavor")
-    x = log_t(path_signature(spec, path))
-    flat = np.zeros(basis.dim)
-    for k in range(1, spec.N + 1):
-        if basis.layers[k - 1].dim == 0:
-            continue
-        flat[basis.layer_slice(k)] = basis.expand_layer(k, x.levels[k])
-    return flat
+    return _log_coords(basis, path_signature(spec, path))
 
 
 def read_path_csv(source: str | Path | io.TextIOBase, d: int | None = None) -> PiecewiseLinearPath:

@@ -3,6 +3,9 @@
 Everything here is computed by definition-level brute force (enumeration,
 fine Riemann sums, closed forms worked out by hand) without touching the
 package's own algorithms, so tests compare two genuinely different routes.
+The one exception is :func:`tensor_route_kernel`, which composes group
+elements in the package's dense tensor algebra instead of its flat-coordinate
+group law.
 """
 
 from __future__ import annotations
@@ -10,6 +13,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from nilfourier.coadjoint import _log_coords
+from nilfourier.tensor_algebra import group_inverse, mul
 
 # ---------------------------------------------------------------------------
 # Lyndon words by definition: strictly smaller than all proper rotations.
@@ -190,3 +196,53 @@ FULL_ORBIT_DIMS = {
     (3, 3): 6,
     (2, 5): 6,
 }
+
+
+# ---------------------------------------------------------------------------
+# Kernel values through the dense tensor algebra.
+# ---------------------------------------------------------------------------
+
+
+def tensor_route_kernel(f, ell, chart, qspec, xs, ys, step):
+    """``K_f(section(x), section(y))`` one pair at a time, on dense tensors.
+
+    Uses the same per-pair frame as the package (central differences of
+    ``a -> log(x gamma_h(a) y^-1)`` at ``a = 0`` with step ``step``, QR,
+    recentering, identity frame when ``R`` is rank deficient) and the same
+    trapezoid grid, but composes every integrand point with ``mul``,
+    ``group_inverse`` and ``_log_coords``, and takes the character as the
+    per-point ``exp(i ell(log gamma_h(a)))``.
+    """
+    basis = chart.basis
+    n, q_h = basis.dim, chart.q_h
+    nodes = np.linspace(-qspec.h_halfwidth, qspec.h_halfwidth, qspec.h_nodes)
+    w = np.full(nodes.size, nodes[1] - nodes[0])
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    bpts = np.stack([m.ravel() for m in np.meshgrid(*[nodes] * q_h, indexing="ij")], axis=-1)
+    bw = np.ones(1)
+    for _ in range(q_h):
+        bw = np.outer(bw, w).ravel()
+    out = []
+    for x, y in zip(xs, ys):
+        gx = chart.section(x)
+        gyi = group_inverse(chart.section(y))
+
+        def log_point(a):
+            m = a.shape[0]
+            g = mul(mul(gx.broadcast_to((m,)), chart.gamma_h(a)), gyi.broadcast_to((m,)))
+            return _log_coords(basis, g)
+
+        c0 = log_point(np.zeros((1, q_h)))[0]
+        probes = step * np.eye(q_h)
+        jac = (log_point(probes) - log_point(-probes)).T / (2.0 * step)
+        qmat, rmat = np.linalg.qr(jac)
+        diag = np.abs(np.diag(rmat))
+        if diag.min() <= 1e-12 * max(diag.max(), 1.0):
+            qmat, rmat = np.eye(n, q_h), np.eye(q_h)
+        rinv = np.linalg.inv(rmat)
+        apts = -rinv @ (qmat.T @ c0) + bpts @ rinv.T
+        phase = np.exp(1j * (_log_coords(basis, chart.gamma_h(apts)) @ ell.flat))
+        total = np.sum(bw * f(log_point(apts)) * phase)
+        out.append(total / abs(np.prod(np.diag(rmat))))
+    return np.array(out)

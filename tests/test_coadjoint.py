@@ -21,6 +21,7 @@ from nilfourier import (
     quotient_prefix_len,
     sample_generic,
 )
+from nilfourier.coadjoint import _ad_exponential
 from nilfourier.errors import IndexOutOfRange
 
 from oracles import FULL_ORBIT_DIMS, JUMP_SET_EXAMPLES
@@ -246,3 +247,36 @@ def test_sample_generic_is_generic():
         rng = np.random.default_rng(9)
         for _ in range(3):
             assert is_generic(sample_generic(basis, rng))
+
+
+# ---------------------------------------------------------------------------
+# the adjoint matrix in the conjugation form of the group law
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("d,N", [(2, 2), (3, 2), (2, 3), (3, 3), (2, 4)])
+def test_adjoint_matrix_conjugates_the_group_law(d, N):
+    # x u y^-1 = (x u x^-1)(x y^-1), so bch(Ad_x u, bch(x, -y)) = bch(bch(x, u), -y)
+    basis = _basis(d, N)
+    rng = np.random.default_rng(40 + 10 * d + N)
+    x = rng.standard_normal((5, 1, basis.dim))
+    y = rng.standard_normal((5, 1, basis.dim))
+    u = rng.standard_normal((5, 7, basis.dim))
+    ad_x = _ad_exponential(basis, x[:, 0])
+    conj = basis.bch_coords(np.einsum("pij,pmj->pmi", ad_x, u), basis.bch_coords(x, -y))
+    direct = basis.bch_coords(basis.bch_coords(x, u), -y)
+    assert np.max(np.abs(conj - direct)) <= 1e-12 * (1.0 + np.max(np.abs(direct)))
+    # an unbatched left factor broadcasts against a batch on the right
+    np.testing.assert_allclose(
+        basis.bch_coords(x[0, 0], u[0]), basis.bch_coords(x[0], u[0]), rtol=0, atol=1e-12
+    )
+
+
+@pytest.mark.parametrize("d,N", [(2, 3), (3, 3)])
+def test_batched_ad_exponential_stacks_unbatched_ones(d, N):
+    basis = _basis(d, N)
+    x = np.random.default_rng(d + N).standard_normal((3, 4, basis.dim))
+    batched = _ad_exponential(basis, x)
+    assert batched.shape == (3, 4, basis.dim, basis.dim)
+    stacked = np.array([[_ad_exponential(basis, xi) for xi in row] for row in x])
+    np.testing.assert_allclose(batched, stacked, rtol=0, atol=1e-12)

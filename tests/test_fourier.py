@@ -47,6 +47,7 @@ from nilfourier.errors import (
     QuadratureUnderflow,
 )
 from nilfourier.fourier import (
+    _FRAME_STEP,
     _h_phase_rate,
     _log_coords,
     _resolvable_rate,
@@ -61,6 +62,7 @@ from oracles import (
     heisenberg_hs_sq,
     heisenberg_kernel,
     heisenberg_trace,
+    tensor_route_kernel,
 )
 
 
@@ -226,6 +228,21 @@ def test_flat_chart_maps_match_tensor_chart_maps(d, N):
     close(rem_flat, rem)
 
 
+@pytest.mark.parametrize("d,N,abelian", [(2, 2, True), (3, 3, True), (2, 4, True), (3, 2, False), (2, 3, False)])
+def test_abelian_subgroup_chart_is_linear(d, N, abelian):
+    basis = _basis(d, N)
+    chart = chart_for(sample_generic(basis, np.random.default_rng(11)))
+    assert chart.h_abelian is abelian
+    if not abelian:
+        return
+    a = 0.7 * np.random.default_rng(d + N).standard_normal((6, chart.q_h))
+    flat = chart.gamma_h_coords(a)
+    linear = a @ chart.W[:, : chart.q_h].T
+    oracle = _log_coords(basis, chart.gamma_h(a))
+    assert np.max(np.abs(flat - linear)) <= 1e-12 * (1.0 + np.max(np.abs(linear)))
+    assert np.max(np.abs(flat - oracle)) <= 1e-12 * (1.0 + np.max(np.abs(oracle)))
+
+
 def test_chart_rejects_orders_without_nested_ideals():
     basis = _basis(2, 2)
     # span of the first generator alone: the chart order it induces puts that
@@ -319,6 +336,28 @@ def test_kernel_conjugates_under_frequency_sign_flip():
     kp = kernel_values(f, _heisenberg_functional(0.9), chart_for(_heisenberg_functional(0.9)), q, xs, ys)
     km = kernel_values(f, _heisenberg_functional(-0.9), chart_for(_heisenberg_functional(-0.9)), q, xs, ys)
     assert np.allclose(km, np.conj(kp), atol=1e-12)
+
+
+@pytest.mark.parametrize("d,N,complex_f", [(2, 2, True), (3, 2, False), (2, 3, True)])
+def test_kernel_matches_tensor_route_oracle(d, N, complex_f):
+    # (2, 2) has an abelian subgroup; (3, 2) and the prefix-radical (2, 3) do not
+    basis = _basis(d, N)
+    ell = sample_generic(basis, np.random.default_rng(7))
+    chart = chart_for(ell)
+    f = SchwartzFunction.gaussian(basis.dim)
+    if complex_f:
+        freq = np.linspace(-0.6, 0.9, basis.dim)
+        gauss = f
+        f = SchwartzFunction(
+            basis.dim, lambda c: gauss(c) * np.exp(1j * (c @ freq)), gauss.decay_box
+        )
+    q = _low_res()
+    rng = np.random.default_rng(9)
+    xs = 0.8 * rng.standard_normal((3, chart.q))
+    ys = 0.8 * rng.standard_normal((3, chart.q))
+    kv = kernel_values(f, ell, chart, q, xs, ys)
+    oracle = tensor_route_kernel(f, ell, chart, q, xs, ys, _FRAME_STEP)
+    assert np.max(np.abs(kv - oracle)) <= 1e-10 * np.max(np.abs(oracle))
 
 
 def test_operator_is_linear_in_the_function():
