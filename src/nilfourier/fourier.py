@@ -79,7 +79,7 @@ __all__ = [
 #: Integrand coordinates (points times algebra dimension) per vectorized
 #: chunk in kernel evaluation. Arrays much above a megabyte measured slower
 #: per point: each chunk then page-faults its fresh temporaries.
-_CHUNK_BUDGET = 150_000
+_CHUNK_BUDGET = 100_000
 
 #: Finite-difference step for the per-pair frame Jacobian.
 _FRAME_STEP = 1e-3

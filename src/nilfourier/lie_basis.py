@@ -471,7 +471,9 @@ class LayeredBasis:
         z = words[0] + words[1]
         for left, right, coeff, a, b, table in self._bch_law():
             prod = words[left][a] * words[right][b]
-            words.append((table @ prod.reshape(a.size, -1)).reshape((-1,) + prod.shape[1:]))
+            # Explicit sizes: a step may have no allowed pairs (a.size == 0).
+            flat = prod.reshape(a.size, math.prod(prod.shape[1:]))
+            words.append((table @ flat).reshape(table.shape[:1] + prod.shape[1:]))
             if coeff:
                 z += coeff * words[-1]
         return z.transpose(tuple(range(1, nd)) + (0,))

@@ -126,6 +126,18 @@ def test_bch_coords_matches_tensor_route(d, N):
     np.testing.assert_allclose(basis.bch_coords(x, -x), 0.0, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("N", [2, 3])
+def test_bch_coords_on_one_letter_is_addition(N):
+    # d = 1: every bracket vanishes, so the compiled steps have no pairs
+    basis = build_layered_basis(GroupSpec(1, N))
+    rng = np.random.default_rng(N)
+    x = rng.standard_normal((4, 1, basis.dim))
+    y = rng.standard_normal((3, basis.dim))
+    np.testing.assert_array_equal(basis.bch_coords(x, y), x + y)
+    np.testing.assert_array_equal(basis.bch_coords(x[0, 0], y[1]), x[0, 0] + y[1])
+    assert basis.bch_coords(np.zeros((0, basis.dim)), y[0]).shape == (0, basis.dim)
+
+
 def test_bch_series_has_the_casas_murua_coefficients():
     # log(e^X e^Y) through degree 4 in the Lyndon basis on X = 1 < Y = 2
     assert dict(_bch_series(4)) == {
