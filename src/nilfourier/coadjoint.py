@@ -294,24 +294,26 @@ def quotient_prefix_len(basis: LayeredBasis, k: int, m: int) -> int:
     return basis.flat_index(spec.N - k, m) + 1
 
 
-def _dual_flow(basis: LayeredBasis, ell_flat: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Image of ``ell`` under the group element ``exp(sum_a t_a X_a)``."""
-    mat = _ad_exponential(basis, -t)
-    return mat.T @ ell_flat
-
-
 def _dual_jacobian(basis: LayeredBasis, ell_flat: np.ndarray, t0: np.ndarray, step: float) -> np.ndarray:
-    n = basis.dim
-    cols = np.empty((n, n))
-    for a in range(n):
-        tp = t0.copy()
-        tm = t0.copy()
-        tp[a] += step
-        tm[a] -= step
-        cols[:, a] = (_dual_flow(basis, ell_flat, tp) - _dual_flow(basis, ell_flat, tm)) / (
-            2.0 * step
-        )
-    return cols
+    """Central-difference Jacobian at ``t0`` of the dual flow ``t -> exp(t) . ell``."""
+    shifts = step * np.eye(basis.dim)
+    mats = _ad_exponential(basis, -np.stack((t0 + shifts, t0 - shifts)))  # (2, n, n, n)
+    flows = np.swapaxes(mats, -1, -2) @ ell_flat  # flows[s, a] = image at t0 +- step e_a
+    return (flows[0] - flows[1]).T / (2.0 * step)
+
+
+def _orbit_ranks(
+    ell: Functional, prefix_lens: list[int], samples: int, step: float, seed: int
+) -> list[int]:
+    """Per prefix length ``p``, the maximum over ``samples`` random group
+    points of the rank of the first ``p`` rows of the dual-flow Jacobian."""
+    basis = ell.basis
+    rng = np.random.default_rng(seed)
+    best = [0] * len(prefix_lens)
+    for _ in range(samples):
+        jac = _dual_jacobian(basis, ell.flat, rng.standard_normal(basis.dim), step)
+        best = [max(b, _rank(jac[:p, :], NUMERIC_RANK_RTOL)) for b, p in zip(best, prefix_lens)]
+    return best
 
 
 def orbit_dim_numeric_all(
@@ -330,21 +332,11 @@ def orbit_dim_numeric_all(
     basis = ell.basis
     spec = basis.spec
     dims = spec.layer_dims()
-    rng = np.random.default_rng(seed)
-    labels: list[tuple[int, int]] = [(0, dims[spec.N - 1])]
-    for k in range(1, spec.N):
-        for m in range(1, dims[spec.N - k - 1] + 1):
-            labels.append((k, m))
-    best = {label: 0 for label in labels}
-    for _ in range(samples):
-        t0 = rng.standard_normal(basis.dim)
-        jac = _dual_jacobian(basis, ell.flat, t0, step)
-        for label in labels:
-            p = quotient_prefix_len(basis, label[0], label[1])
-            r = _rank(jac[:p, :], NUMERIC_RANK_RTOL)
-            if r > best[label]:
-                best[label] = r
-    return best
+    labels = [(0, dims[spec.N - 1])] + [
+        (k, m) for k in range(1, spec.N) for m in range(1, dims[spec.N - k - 1] + 1)
+    ]
+    prefix_lens = [quotient_prefix_len(basis, k, m) for k, m in labels]
+    return dict(zip(labels, _orbit_ranks(ell, prefix_lens, samples, step, seed)))
 
 
 def orbit_dim_numeric(
@@ -373,13 +365,7 @@ def orbit_dim_numeric(
             prefix_len = quotient_prefix_len(basis, k, m)
     if not 0 <= prefix_len <= basis.dim:
         raise IndexOutOfRange(f"prefix length {prefix_len} outside 0..{basis.dim}")
-    rng = np.random.default_rng(seed)
-    best = 0
-    for _ in range(samples):
-        t0 = rng.standard_normal(basis.dim)
-        jac = _dual_jacobian(basis, ell.flat, t0, step)
-        best = max(best, _rank(jac[:prefix_len, :], NUMERIC_RANK_RTOL))
-    return best
+    return _orbit_ranks(ell, [prefix_len], samples, step, seed)[0]
 
 
 def full_orbit_dim(ell: Functional) -> int:

@@ -28,6 +28,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -268,7 +269,6 @@ class MalcevChart:
         self.W = np.stack(h_cols + s_cols, axis=-1) if (h_cols or s_cols) else np.zeros((n, 0))
         if self.q_h != sub.dim or self.q_h + self.q != n:
             raise NotGeneric("subalgebra is not layer-graded enough to chart")
-        self._elements = [basis.algebra_element(self.W[:, j]) for j in range(n)]
         self._validate_prefix_ideals()
         brackets = np.einsum("ai,abt,bj->ijt", self.W, basis.structure_tensor, self.W)
         self._commutes = ~np.any(np.abs(brackets) > 1e-12, axis=-1)  # [W_i, W_j] = 0
@@ -290,36 +290,40 @@ class MalcevChart:
 
     # -- chart maps ---------------------------------------------------------
 
+    @cached_property
+    def _elements(self) -> list[GradedElement]:
+        """Chart columns as dense tensor elements, for the tensor route only."""
+        return [self.basis.algebra_element(self.W[:, j]) for j in range(self.basis.dim)]
+
+    def _product(self, coeffs: np.ndarray, first: int) -> GradedElement:
+        """Tensor-route :meth:`_product_coords`: ``exp(c_{m-1} W_{first+m-1})
+        ... exp(c_0 W_first)`` composed with :func:`mul` (batched)."""
+        g = GradedElement.identity(self.basis.spec, coeffs.shape[:-1])
+        for j in range(coeffs.shape[-1] - 1, -1, -1):
+            g = mul(g, scaled_exponential(self._elements[first + j], coeffs[..., j]))
+        return g
+
     def gamma(self, alpha: np.ndarray) -> GradedElement:
         """Ordered exponential product over all chart coordinates (batched)."""
         alpha = np.asarray(alpha, dtype=float)
         n = self.basis.dim
         if alpha.shape[-1] != n:
             raise DimensionMismatch(f"gamma needs {n} coordinates")
-        g = GradedElement.identity(self.basis.spec, alpha.shape[:-1])
-        for j in range(n - 1, -1, -1):
-            g = mul(g, scaled_exponential(self._elements[j], alpha[..., j]))
-        return g
+        return self._product(alpha, 0)
 
     def gamma_h(self, a: np.ndarray) -> GradedElement:
         """Ordered exponential product over the subalgebra coordinates only."""
         a = np.asarray(a, dtype=float)
         if a.shape[-1] != self.q_h:
             raise DimensionMismatch(f"gamma_h needs {self.q_h} coordinates")
-        g = GradedElement.identity(self.basis.spec, a.shape[:-1])
-        for j in range(self.q_h - 1, -1, -1):
-            g = mul(g, scaled_exponential(self._elements[j], a[..., j]))
-        return g
+        return self._product(a, 0)
 
     def section(self, y: np.ndarray) -> GradedElement:
         """Section embedding: chart point with zero subalgebra coordinates."""
         y = np.asarray(y, dtype=float)
         if y.shape[-1] != self.q:
             raise DimensionMismatch(f"section needs {self.q} coordinates")
-        g = GradedElement.identity(self.basis.spec, y.shape[:-1])
-        for j in range(self.basis.dim - 1, self.q_h - 1, -1):
-            g = mul(g, scaled_exponential(self._elements[j], y[..., j - self.q_h]))
-        return g
+        return self._product(y, self.q_h)
 
     # -- flat-coordinate counterparts (log coordinates in, log coordinates out)
 
@@ -680,31 +684,42 @@ def c_norm(basis: LayeredBasis, jump: JumpData | None = None) -> float:
     return (2.0 * math.pi) ** (-(basis.dim - len(jump.S) / 2.0))
 
 
-def _t_plane_grid(
-    basis: LayeredBasis, jump: JumpData, qspec: QuadratureSpec, t_nodes: int | None = None
-) -> tuple[list[Functional], np.ndarray]:
-    nodes = t_nodes if t_nodes is not None else qspec.t_nodes
-    pts, w = _tensor_grid([(nodes, qspec.t_halfwidth)] * len(jump.T))
-    ells = []
-    for row in pts:
-        flat = np.zeros(basis.dim)
-        for (k, i), val in zip(jump.T, row):
-            flat[basis.flat_index(k, i)] = val
-        ells.append(Functional(basis, flat))
-    return ells, w
+def _frequency_plane(
+    basis: LayeredBasis, jump: JumpData, qspec: QuadratureSpec, t_nodes: int, integrand
+) -> list:
+    """Weighted parts ``w * sqrt(det D) * integrand(ell, chart)`` of an integral
+    over the transverse frequency plane, in node order.
 
-
-def _map_nodes(worker, count: int):
-    """Run ``worker(i)`` for each node index, honoring NILFOURIER_THREADS.
-
-    Results are reduced in index order either way, so the output does not
-    depend on the worker count.
+    The plane carries a trapezoid grid of ``t_nodes`` per transverse axis.
+    Non-generic nodes (a null set) and nodes with ``sqrt(det D) = 0``
+    contribute zero, as do nodes whose subgroup phase rate the grid cannot
+    resolve (see :func:`_h_phase_rate`; at the reference resolution no node
+    is dropped). Nodes run on NILFOURIER_THREADS workers; the parts come back
+    in node order either way, so reductions do not depend on the count.
     """
-    workers = min(thread_count(), count)
+    pts, wts = _tensor_grid([(t_nodes, qspec.t_halfwidth)] * len(jump.T))
+    t_idx = [basis.flat_index(k, i) for (k, i) in jump.T]
+    rate_limit = _resolvable_rate(qspec)
+
+    def node(i: int):
+        flat = np.zeros(basis.dim)
+        flat[t_idx] = pts[i]
+        ell = Functional(basis, flat)
+        if not is_generic(ell):
+            return 0.0
+        sd = sqrt_det_d(ell, jump)
+        if sd <= 0.0:
+            return 0.0
+        chart = chart_for(ell)
+        if _h_phase_rate(ell, chart) > rate_limit:
+            return 0.0
+        return wts[i] * sd * integrand(ell, chart)
+
+    workers = min(thread_count(), len(wts))
     if workers <= 1:
-        return [worker(i) for i in range(count)]
+        return [node(i) for i in range(len(wts))]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, range(count)))
+        return list(pool.map(node, range(len(wts))))
 
 
 def invert(
@@ -717,37 +732,21 @@ def invert(
     """Reconstruct ``f(x)`` from its operator-valued transform.
 
     Integrates ``sqrt(det D) * trace_shifted`` over the transverse frequency
-    plane and applies the ``(2 pi)`` normalization. Non-generic grid points
-    (a null set) contribute zero, as do nodes whose subgroup phase rate the
-    grid cannot resolve (see :func:`_h_phase_rate`; at the reference
-    resolution no node is dropped). With ``convergence_tol`` set, the
-    frequency grid is rerun at doubled node count and a relative change
-    beyond the tolerance raises :class:`NonConvergence`.
+    plane (:func:`_frequency_plane`) and applies the ``(2 pi)``
+    normalization. With ``convergence_tol`` set, the frequency grid is rerun
+    at doubled node count and a relative change beyond the tolerance raises
+    :class:`NonConvergence`.
     """
     if qspec is None:
         qspec = QuadratureSpec.reference()
     jump = jump_sets(basis)
     norm = c_norm(basis, jump)
-    rate_limit = _resolvable_rate(qspec)
+
+    def integrand(ell: Functional, chart: MalcevChart) -> complex:
+        return trace_shifted(f, ell, chart, qspec, x, jump)
 
     def run(t_nodes: int) -> complex:
-        ells, wts = _t_plane_grid(basis, jump, qspec, t_nodes)
-
-        def node(i: int) -> complex:
-            ell = ells[i]
-            if not is_generic(ell):
-                return 0.0 + 0.0j
-            sd = sqrt_det_d(ell, jump)
-            if sd <= 0.0:
-                return 0.0 + 0.0j
-            chart = chart_for(ell)
-            if _h_phase_rate(ell, chart) > rate_limit:
-                return 0.0 + 0.0j
-            tr = trace_shifted(f, ell, chart, qspec, x, jump)
-            return wts[i] * sd * tr
-
-        parts = _map_nodes(node, len(ells))
-        return norm * sum(parts)
+        return norm * sum(_frequency_plane(basis, jump, qspec, t_nodes, integrand), 0j)
 
     value = run(qspec.t_nodes)
     if convergence_tol is not None:
@@ -814,30 +813,19 @@ def plancherel(
 
     The left side is the direct squared norm; the right side integrates the
     squared Hilbert-Schmidt norms of the transform over the frequency plane
-    with the same ``sqrt(det D)`` density and normalization as inversion.
+    (:func:`_frequency_plane`) with the same ``sqrt(det D)`` density and
+    normalization as inversion.
     """
     if qspec is None:
         qspec = QuadratureSpec.reference()
     jump = jump_sets(basis)
-    norm = c_norm(basis, jump)
-    rate_limit = _resolvable_rate(qspec)
     lhs = norm_sq_direct(f, basis, qspec)
-    ells, wts = _t_plane_grid(basis, jump, qspec)
 
-    def node(i: int) -> float:
-        ell = ells[i]
-        if not is_generic(ell):
-            return 0.0
-        sd = sqrt_det_d(ell, jump)
-        if sd <= 0.0:
-            return 0.0
-        chart = chart_for(ell)
-        if _h_phase_rate(ell, chart) > rate_limit:
-            return 0.0
-        return wts[i] * sd * hs_norm_sq(f, ell, chart, qspec, jump)
+    def integrand(ell: Functional, chart: MalcevChart) -> float:
+        return hs_norm_sq(f, ell, chart, qspec, jump)
 
-    parts = _map_nodes(node, len(ells))
-    rhs = norm * math.fsum(parts)
+    parts = _frequency_plane(basis, jump, qspec, qspec.t_nodes, integrand)
+    rhs = c_norm(basis, jump) * math.fsum(parts)
     return {"lhs": lhs, "rhs": rhs, "ratio": rhs / lhs if lhs else math.inf}
 
 

@@ -44,7 +44,6 @@ __all__ = [
     "lyndon_bracket",
     "build_layered_basis",
     "left_normed_degree3_words",
-    "expand_in_basis",
 ]
 
 #: Relative residual tolerance for membership in the embedded Lie image.
@@ -362,8 +361,11 @@ class LayeredBasis:
         return self.malcev_order[a]
 
     def layer_slice(self, k: int) -> slice:
-        """Slice of flat Malcev coordinates occupied by layer ``k``."""
-        start = self.flat_index(k, 1)
+        """Slice of flat Malcev coordinates occupied by layer ``k`` (empty for
+        an empty layer)."""
+        if not 1 <= k <= self.spec.N:
+            raise IndexOutOfRange(f"no layer {k}")
+        start = sum(layer.dim for layer in self.layers[k:])
         return slice(start, start + self.layers[k - 1].dim)
 
     # -- expansion --------------------------------------------------------
@@ -699,8 +701,3 @@ def build_layered_basis(
         return _basis_from_trees(spec, trees)
 
     raise DependentBasis(f"unknown basis mode {mode!r}")
-
-
-def expand_in_basis(basis: LayeredBasis, k: int, tensors: np.ndarray) -> np.ndarray:
-    """Module-level convenience wrapper around :meth:`LayeredBasis.expand_layer`."""
-    return basis.expand_layer(k, tensors)

@@ -51,6 +51,20 @@ def _orthonormal_rows(vectors: np.ndarray, rtol: float = 1e-12) -> np.ndarray:
     return vt[keep]
 
 
+def _nested_null_rows(skew: np.ndarray) -> np.ndarray:
+    """Null vectors of every leading ``m x m`` block of a skew matrix, as
+    rows zero-padded to its full size, for ``m = 1 .. size``."""
+    size = skew.shape[0]
+    rows = []
+    for m in range(1, size + 1):
+        _, s, vt = np.linalg.svd(skew[:m, :m])
+        for v in vt[s <= max(GENERIC_RANK_RTOL * s[0], RANK_FLOOR)]:
+            e = np.zeros(size)
+            e[:m] = v
+            rows.append(e)
+    return np.asarray(rows).reshape(-1, size)
+
+
 @dataclass(frozen=True, eq=False)
 class Subalgebra:
     """A subspace of the Lie algebra given by orthonormal rows over the
@@ -132,32 +146,15 @@ def generic_polarization(ell: Functional) -> Subalgebra:
     if not is_generic(ell):
         raise NotGeneric("generic_polarization needs a generic functional")
     n = basis.dim
-    rows = []
-    half = spec.N / 2.0
-    for k in range(1, spec.N + 1):
-        if k > half:
-            sl = basis.layer_slice(k)
-            for a in range(sl.start, sl.stop):
-                e = np.zeros(n)
-                e[a] = 1.0
-                rows.append(e)
+    upper = range(spec.N // 2 + 1, spec.N + 1)  # the layers above the middle
+    rows = np.concatenate([np.eye(n)[basis.layer_slice(k)] for k in upper])
     if spec.N % 2 == 0:
-        mid = spec.N // 2
-        m_mid = basis.layers[mid - 1].dim
-        skew = basis.skew_form(ell.flat)
-        sl = basis.layer_slice(mid)
-        block_full = skew[sl, sl]
-        for m in range(1, m_mid + 1):
-            block = block_full[:m, :m]
-            u, s, vt = np.linalg.svd(block)
-            cutoff = max(GENERIC_RANK_RTOL * (s[0] if s.size else 0.0), RANK_FLOOR)
-            null_rows = vt[s <= cutoff] if s.size else np.eye(m)
-            for v in null_rows:
-                e = np.zeros(n)
-                e[sl.start : sl.start + m] = v
-                rows.append(e)
-    vectors = _orthonormal_rows(np.asarray(rows).reshape(-1, n))
-    sub = Subalgebra(basis, vectors)
+        sl = basis.layer_slice(spec.N // 2)
+        null_rows = _nested_null_rows(basis.skew_form(ell.flat)[sl, sl])
+        middle = np.zeros((null_rows.shape[0], n))
+        middle[:, sl] = null_rows
+        rows = np.concatenate((rows, middle))
+    sub = Subalgebra(basis, _orthonormal_rows(rows))
     expected = basis.dim - full_orbit_dim(ell) // 2
     if sub.dim != expected or not is_subordinate(sub, ell) or not sub.is_bracket_closed():
         raise NotGeneric(
@@ -174,21 +171,8 @@ def vergne_polarization(ell: Functional) -> Subalgebra:
     skew form of ``ell`` restricted to that prefix. Works for arbitrary
     functionals; for the zero functional it returns the whole algebra.
     """
-    basis = ell.basis
-    n = basis.dim
-    skew = basis.skew_form(ell.flat)
-    rows = []
-    for j in range(1, n + 1):
-        block = skew[:j, :j]
-        u, s, vt = np.linalg.svd(block)
-        cutoff = max(GENERIC_RANK_RTOL * (s[0] if s.size else 0.0), RANK_FLOOR)
-        null_rows = vt[s <= cutoff] if s.size else np.eye(j)
-        for v in null_rows:
-            e = np.zeros(n)
-            e[:j] = v
-            rows.append(e)
-    vectors = _orthonormal_rows(np.asarray(rows).reshape(-1, n))
-    return Subalgebra(basis, vectors)
+    skew = ell.basis.skew_form(ell.flat)
+    return Subalgebra(ell.basis, _orthonormal_rows(_nested_null_rows(skew)))
 
 
 def polarization_check(sub: Subalgebra, ell: Functional) -> dict:

@@ -25,7 +25,6 @@ from nilfourier import (
     c_norm,
     commutator,
     exp_t,
-    expand_in_basis,
     full_orbit_dim,
     generic_polarization,
     group_inverse,
@@ -101,7 +100,7 @@ def test_bracket_expansion_in_word_basis_has_unit_coefficients():
     x3 = BracketTree(index=3)
     x12 = BracketTree(left=BracketTree(index=1), right=BracketTree(index=2))
     tensor = BracketTree(left=x3, right=x12).embed(3)
-    coords = expand_in_basis(basis, 3, tensor)
+    coords = basis.expand_layer(3, tensor)
     assert len(coords) == len(basis.layers[2].elements) == 8
     for tree, value in zip(basis.layers[2].elements, coords):
         word = tuple(tree.foliage())

@@ -16,6 +16,7 @@ from nilfourier import (
     full_orbit_dim,
     is_generic,
     jump_sets,
+    orbit_dim_numeric,
     orbit_dim_numeric_all,
     orbit_dim_quotient_generic,
     quotient_prefix_len,
@@ -130,7 +131,19 @@ def test_generic_formula_matches_numeric_orbit_dims(d, N):
         )
         assert flagged == matches
         n_ok += int(flagged)
+        # the single-quotient entry point samples the same Jacobians
+        for (k, m), value in numeric.items():
+            assert orbit_dim_numeric(ell, k, m, samples=3, seed=7) == value
+            prefix = quotient_prefix_len(basis, k, m)
+            assert orbit_dim_numeric(ell, prefix_len=prefix, samples=3, seed=7) == value
+        if flagged:
+            assert orbit_dim_numeric(ell, samples=3, seed=7) == full_orbit_dim(ell)
     assert n_ok > 0  # random functionals are generic almost surely
+    with pytest.raises(IndexOutOfRange):
+        orbit_dim_numeric(ell, 1)
+    for bad in (-1, basis.dim + 1):
+        with pytest.raises(IndexOutOfRange):
+            orbit_dim_numeric(ell, prefix_len=bad)
 
 
 def test_full_orbit_dims_of_generic_functionals():

@@ -539,21 +539,37 @@ def test_invert_flags_unconverged_frequency_grids():
 
 
 def test_invert_abelian_line_is_classical_fourier_inversion():
-    basis = _basis(1, 1)
-    f = SchwartzFunction.gaussian(basis.dim)
-    q = _low_res(h_nodes=48, section_nodes=16, t_nodes=48)
-    for x in (0.0, 0.4, -1.2):
-        g = basis.algebra_element(np.array([x]))
-        v = invert(f, exp_t(g), basis, q)
-        assert abs(v - np.exp(-0.5 * x * x)) < 1e-8
+    # N = 2 has an empty second layer (d = 1): the same group, charted again
+    for N in (1, 2):
+        basis = _basis(1, N)
+        f = SchwartzFunction.gaussian(basis.dim)
+        q = _low_res(h_nodes=48, section_nodes=16, t_nodes=48)
+        for x in (0.0, 0.4, -1.2):
+            g = basis.algebra_element(np.array([x]))
+            v = invert(f, exp_t(g), basis, q)
+            assert abs(v - np.exp(-0.5 * x * x)) < 1e-8
 
 
 def test_plancherel_abelian_line_is_parseval():
-    basis = _basis(1, 1)
+    for N in (1, 2):
+        basis = _basis(1, N)
+        f = SchwartzFunction.gaussian(basis.dim)
+        q = _low_res(h_nodes=48, section_nodes=48, t_nodes=48)
+        res = plancherel(f, basis, q)
+        assert res["ratio"] == pytest.approx(1.0, abs=1e-6)
+
+
+def test_transforms_are_zero_when_every_frequency_node_is_skipped():
+    basis = _basis(2, 2)
     f = SchwartzFunction.gaussian(basis.dim)
-    q = _low_res(h_nodes=48, section_nodes=48, t_nodes=48)
+    q = _low_res(t_halfwidth=10.0)
+    # the frequency plane is the top coordinate, whose smallest node (the
+    # grid has no zero) already oscillates faster than the subgroup grid samples
+    assert q.t_halfwidth / (q.t_nodes - 1) > _resolvable_rate(q)
+    v = invert(f, GradedElement.identity(basis.spec), basis, q)
+    assert isinstance(v, complex) and v == 0
     res = plancherel(f, basis, q)
-    assert res["ratio"] == pytest.approx(1.0, abs=1e-6)
+    assert res["rhs"] == 0.0 and res["ratio"] == 0.0
 
 
 def test_plancherel_demo_preset_is_close():

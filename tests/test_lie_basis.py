@@ -11,10 +11,10 @@ from nilfourier import (
     DegreeMismatch,
     Flavor,
     GroupSpec,
+    IndexOutOfRange,
     LayeredBasis,
     NotInLieImage,
     build_layered_basis,
-    expand_in_basis,
     left_normed_degree3_words,
     lyndon_words,
     witt_dimension,
@@ -160,6 +160,21 @@ def test_malcev_order_prefixes_are_ideals():
         assert np.max(np.abs(block)) < 1e-12
 
 
+@pytest.mark.parametrize("d,N", [(2, 4), (1, 2), (1, 3)])
+def test_layer_slices_tile_the_malcev_order(d, N):
+    # with d = 1 every layer above the first is empty and gets an empty slice
+    basis = build_layered_basis(GroupSpec(d, N))
+    stop = 0
+    for k in range(N, 0, -1):
+        sl = basis.layer_slice(k)
+        assert (sl.start, sl.stop) == (stop, stop + basis.layers[k - 1].dim)
+        stop = sl.stop
+    assert stop == basis.dim
+    for k in (0, N + 1):
+        with pytest.raises(IndexOutOfRange):
+            basis.layer_slice(k)
+
+
 def test_heisenberg_structure_table():
     basis = build_layered_basis(GroupSpec(2, 2))
     # Malcev order: bracket, first, second. [X_1, X_2] = bracket element.
@@ -189,7 +204,7 @@ def test_degree3_word_basis_expansion():
     x3 = BracketTree(index=3)
     x12 = BracketTree(left=BracketTree(index=1), right=BracketTree(index=2))
     tensor = BracketTree(left=x3, right=x12).embed(3)
-    coords = expand_in_basis(basis, 3, tensor)
+    coords = basis.expand_layer(3, tensor)
     got = {tuple(t.foliage()): c for t, c in zip(basis.layers[2].elements, coords)}
     for word, value in got.items():
         if word == (2, 1, 3):
@@ -211,7 +226,7 @@ def test_non_lie_tensor_rejected():
     bad = np.zeros(4)
     bad[0] = 1.0  # e1 (x) e1 is symmetric, not in the bracket image
     with pytest.raises(NotInLieImage):
-        expand_in_basis(basis, 2, bad)
+        basis.expand_layer(2, bad)
 
 
 def test_expand_round_trip():
@@ -221,7 +236,7 @@ def test_expand_round_trip():
         m = basis.layers[k - 1].dim
         coords = rng.standard_normal(m)
         tensor = basis.embed_coords(k, coords)
-        back = expand_in_basis(basis, k, tensor)
+        back = basis.expand_layer(k, tensor)
         np.testing.assert_allclose(back, coords, atol=1e-10)
 
 
