@@ -18,6 +18,7 @@ import io
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -307,14 +308,11 @@ def _ladder_rungs(qspec: QuadratureSpec) -> list[QuadratureSpec]:
     """Coarser copies of a quadrature spec for convergence tables."""
     rungs = []
     for factor in (0.5, 0.75, 1.0):
-        rung = QuadratureSpec(
+        rung = replace(
+            qspec,
             h_nodes=max(8, round(qspec.h_nodes * factor)),
-            h_halfwidth=qspec.h_halfwidth,
             section_nodes=max(8, round(qspec.section_nodes * factor)),
-            section_halfwidth=qspec.section_halfwidth,
             t_nodes=max(8, round(qspec.t_nodes * factor)),
-            t_halfwidth=qspec.t_halfwidth,
-            section_scale_cap=qspec.section_scale_cap,
         )
         if not rungs or rung != rungs[-1]:
             rungs.append(rung)

@@ -118,9 +118,6 @@ class Functional:
             total = total + coords @ self.flat[self.basis.layer_slice(k)]
         return total
 
-    def layer_coords(self, k: int) -> np.ndarray:
-        return self.flat[self.basis.layer_slice(k)]
-
     def to_json_dict(self) -> dict:
         coords = [
             [k, i, float(self.flat[self.basis.flat_index(k, i)])]
@@ -190,14 +187,8 @@ def _dim_km_raw(spec: GroupSpec, k: int, m: int) -> int:
     return min(dims[k - 1], dims[spec.N - k - 1], m)
 
 
-def dim_km(spec: GroupSpec, k: int, m: int) -> int:
-    """Generic rank of the pairing block between layers ``k`` and ``N-k``,
-    restricted to the first ``m`` columns.
-
-    For complementary distinct layers this is ``min(m_k, m_{N-k}, m)``; the
-    middle layer of an even ``N`` pairs skew with itself, so odd full ranks
-    are rounded down.
-    """
+def _check_km(spec: GroupSpec, k: int, m: int) -> None:
+    """Raise unless ``1 <= k <= N-1`` and ``1 <= m <= m_{N-k}``."""
     dims = spec.layer_dims()
     N = spec.N
     if not 1 <= k <= N - 1:
@@ -206,6 +197,17 @@ def dim_km(spec: GroupSpec, k: int, m: int) -> int:
         raise IndexOutOfRange(
             f"need 1 <= m <= {dims[N - k - 1]} for layer {N - k}, got m={m}"
         )
+
+
+def dim_km(spec: GroupSpec, k: int, m: int) -> int:
+    """Generic rank of the pairing block between layers ``k`` and ``N-k``,
+    restricted to the first ``m`` columns.
+
+    For complementary distinct layers this is ``min(m_k, m_{N-k}, m)``; the
+    middle layer of an even ``N`` pairs skew with itself, so odd full ranks
+    are rounded down.
+    """
+    _check_km(spec, k, m)
     return _dim_km_raw(spec, k, m)
 
 
@@ -213,13 +215,7 @@ def b_matrix(ell: Functional, k: int, m: int) -> np.ndarray:
     """Pairing block ``B[i, j] = ell([X_i^(k), X_j^(N-k)])``, shape ``(m_k, m)``."""
     basis = ell.basis
     spec = basis.spec
-    dims = spec.layer_dims()
-    if not 1 <= k <= spec.N - 1:
-        raise IndexOutOfRange(f"need 1 <= k <= {spec.N - 1}, got k={k}")
-    if not 1 <= m <= dims[spec.N - k - 1]:
-        raise IndexOutOfRange(
-            f"need 1 <= m <= {dims[spec.N - k - 1]} for layer {spec.N - k}, got m={m}"
-        )
+    _check_km(spec, k, m)
     skew = basis.skew_form(ell.flat)
     rows = basis.layer_slice(k)
     cols = basis.layer_slice(spec.N - k)
@@ -436,7 +432,8 @@ def jump_sets(basis: LayeredBasis) -> JumpData:
     data = JumpData(spec, s_sorted, t_sorted, dim_table, degenerate=False)
     assert len(data.S) % 2 == 0, "jump sets always pair up"
     if spec.N % 2 == 1:
-        expected = 2 * sum(dims[k - 1] for k in range(1, (spec.N + 1) // 2))
+        half = range(1, (spec.N + 1) // 2)
+        expected = 2 * sum(_dim_km_raw(spec, k, dims[spec.N - k - 1]) for k in half)
         assert len(data.S) == expected
     return data
 

@@ -14,12 +14,13 @@ reframing of the ``H`` integral that keeps sheared integrands inside a fixed
 box -- exact by translation invariance), shifted traces, the square-rooted
 skew determinant (a Pfaffian) over the jump indices, the inversion integral
 over the transverse frequency plane, and both sides of the Plancherel
-identity. Kernels, characters and traces compose group elements with the
-flat-coordinate group law :meth:`LayeredBasis.bch_coords`; Lie-membership is
-certified only where elements enter as dense tensors. Kernel integrands use
-the conjugation form ``log(x u y^-1) = bch(Ad_x log u, log(x y^-1))`` with a
-per-pair adjoint matrix, so each point costs one group-law pass, and the
-subgroup character is separable over the axes of the tensor grid.
+identity. Charts, kernels, characters and traces compose group elements in
+flat Malcev log coordinates with the group law :meth:`LayeredBasis.bch_coords`;
+Lie-membership is certified only where elements enter as dense tensors (the
+point ``x`` of a shifted trace). Kernel integrands use the conjugation form
+``log(x u y^-1) = bch(Ad_x log u, log(x y^-1))`` with a per-pair adjoint
+matrix, so each point costs one group-law pass, and the subgroup character is
+separable over the axes of the tensor grid.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
-from functools import cached_property
 
 import numpy as np
 
@@ -50,12 +50,7 @@ from .errors import (
 )
 from .lie_basis import LayeredBasis
 from .polarization import Subalgebra, generic_polarization, vergne_polarization
-from .tensor_algebra import (
-    GradedElement,
-    Role,
-    mul,
-    scaled_exponential,
-)
+from .tensor_algebra import GradedElement, Role
 
 __all__ = [
     "QuadratureSpec",
@@ -84,6 +79,9 @@ _CHUNK_BUDGET = 100_000
 
 #: Finite-difference step for the per-pair frame Jacobian.
 _FRAME_STEP = 1e-3
+
+#: Monte Carlo samples per vectorized chunk in :func:`haar_invariance_check`.
+_HAAR_CHUNK = 250_000
 
 
 def thread_count() -> int:
@@ -233,6 +231,9 @@ class MalcevChart:
     ``gamma(alpha) = exp(alpha_n W_n) ... exp(alpha_1 W_1)`` is a global chart
     that pushes Lebesgue measure to Haar measure, and leading coordinates can
     be peeled off one exponential at a time.
+
+    The chart maps take and return flat Malcev log coordinates, composed with
+    :meth:`LayeredBasis.bch_coords`.
     """
 
     def __init__(self, basis: LayeredBasis, sub: Subalgebra | None = None):
@@ -288,46 +289,9 @@ class MalcevChart:
             if block.size and float(np.max(np.abs(resid))) > tol * scale:
                 raise NotGeneric(f"chart prefix {p} does not span an ideal")
 
-    # -- chart maps ---------------------------------------------------------
+    # -- chart maps (flat log coordinates in, flat log coordinates out) ------
 
-    @cached_property
-    def _elements(self) -> list[GradedElement]:
-        """Chart columns as dense tensor elements, for the tensor route only."""
-        return [self.basis.algebra_element(self.W[:, j]) for j in range(self.basis.dim)]
-
-    def _product(self, coeffs: np.ndarray, first: int) -> GradedElement:
-        """Tensor-route :meth:`_product_coords`: ``exp(c_{m-1} W_{first+m-1})
-        ... exp(c_0 W_first)`` composed with :func:`mul` (batched)."""
-        g = GradedElement.identity(self.basis.spec, coeffs.shape[:-1])
-        for j in range(coeffs.shape[-1] - 1, -1, -1):
-            g = mul(g, scaled_exponential(self._elements[first + j], coeffs[..., j]))
-        return g
-
-    def gamma(self, alpha: np.ndarray) -> GradedElement:
-        """Ordered exponential product over all chart coordinates (batched)."""
-        alpha = np.asarray(alpha, dtype=float)
-        n = self.basis.dim
-        if alpha.shape[-1] != n:
-            raise DimensionMismatch(f"gamma needs {n} coordinates")
-        return self._product(alpha, 0)
-
-    def gamma_h(self, a: np.ndarray) -> GradedElement:
-        """Ordered exponential product over the subalgebra coordinates only."""
-        a = np.asarray(a, dtype=float)
-        if a.shape[-1] != self.q_h:
-            raise DimensionMismatch(f"gamma_h needs {self.q_h} coordinates")
-        return self._product(a, 0)
-
-    def section(self, y: np.ndarray) -> GradedElement:
-        """Section embedding: chart point with zero subalgebra coordinates."""
-        y = np.asarray(y, dtype=float)
-        if y.shape[-1] != self.q:
-            raise DimensionMismatch(f"section needs {self.q} coordinates")
-        return self._product(y, self.q_h)
-
-    # -- flat-coordinate counterparts (log coordinates in, log coordinates out)
-
-    def _product_coords(self, coeffs: np.ndarray, first: int) -> np.ndarray:
+    def _product(self, coeffs: np.ndarray, first: int) -> np.ndarray:
         """Log of ``exp(c_{m-1} W_{first+m-1}) ... exp(c_0 W_first)`` (batched).
 
         Factors that commute with every other factor just add, and so does the
@@ -343,48 +307,42 @@ class MalcevChart:
             z = self.basis.bch_coords(z, coeffs[..., j, None] * cols[:, j])
         return z
 
-    def gamma_h_coords(self, a: np.ndarray) -> np.ndarray:
-        """Flat coordinates of ``log gamma_h(a)`` (batched)."""
+    def gamma(self, alpha: np.ndarray) -> np.ndarray:
+        """Log coordinates of the ordered product over all chart coordinates."""
+        alpha = np.asarray(alpha, dtype=float)
+        n = self.basis.dim
+        if alpha.shape[-1] != n:
+            raise DimensionMismatch(f"gamma needs {n} coordinates")
+        return self._product(alpha, 0)
+
+    def gamma_h(self, a: np.ndarray) -> np.ndarray:
+        """Log coordinates of the ordered product over the subalgebra coordinates."""
         a = np.asarray(a, dtype=float)
         if a.shape[-1] != self.q_h:
             raise DimensionMismatch(f"gamma_h needs {self.q_h} coordinates")
-        return self._product_coords(a, 0)
+        return self._product(a, 0)
 
-    def section_coords(self, y: np.ndarray) -> np.ndarray:
-        """Flat coordinates of ``log section(y)`` (batched)."""
+    def section(self, y: np.ndarray) -> np.ndarray:
+        """Log coordinates of the section point: zero subalgebra coordinates."""
         y = np.asarray(y, dtype=float)
         if y.shape[-1] != self.q:
             raise DimensionMismatch(f"section needs {self.q} coordinates")
-        return self._product_coords(y, self.q_h)
+        return self._product(y, self.q_h)
 
-    def decompose_coords(self, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`decompose` on flat log coordinates: returns the section
-        coordinates and the log coordinates of the subgroup remainder."""
+    def decompose(self, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Split ``exp(c) = section(y) * h`` with ``h`` in the subalgebra's subgroup.
+
+        Peels the section coordinates top-down: the leading chart coordinate
+        of the current log is exact because the remaining chart prefix spans
+        an ideal. Returns the section coordinates and the log coordinates of
+        the subgroup remainder.
+        """
         cur = np.asarray(c, dtype=float)
         sec = np.empty(cur.shape[:-1] + (self.q,))
         for j in range(self.basis.dim - 1, self.q_h - 1, -1):
             coeff = cur @ self.W[:, j]
             sec[..., j - self.q_h] = coeff
             cur = self.basis.bch_coords(-coeff[..., None] * self.W[:, j], cur)
-        return sec, cur
-
-    def log_chart_coords(self, g: GradedElement) -> np.ndarray:
-        """Chart-basis coordinates of ``log g`` (batched)."""
-        return _log_coords(self.basis, g) @ self.W
-
-    def decompose(self, g: GradedElement) -> tuple[np.ndarray, GradedElement]:
-        """Split ``g = section(y) * h`` with ``h`` in the subalgebra's subgroup.
-
-        Peels the section coordinates top-down: the leading chart coordinate
-        of ``log g`` is exact because the remaining chart prefix spans an
-        ideal. Returns the section coordinates and the subgroup remainder.
-        """
-        cur = g
-        sec = np.empty(g.batch_shape + (self.q,))
-        for j in range(self.basis.dim - 1, self.q_h - 1, -1):
-            coeff = self.log_chart_coords(cur)[..., j]
-            sec[..., j - self.q_h] = coeff
-            cur = mul(scaled_exponential(self._elements[j], -coeff), cur)
         return sec, cur
 
 
@@ -400,7 +358,7 @@ def chart_for(ell: Functional) -> MalcevChart:
 
 def character(ell: Functional, chart: MalcevChart, a: np.ndarray) -> np.ndarray:
     """Unitary character ``exp(i ell(log gamma_h(a)))`` of the subgroup (batched)."""
-    return np.exp(1j * (chart.gamma_h_coords(a) @ ell.flat))
+    return np.exp(1j * (chart.gamma_h(a) @ ell.flat))
 
 
 # ---------------------------------------------------------------------------
@@ -512,8 +470,8 @@ def kernel_values(
     chunk = max(1, _CHUNK_BUDGET // (M * n))
     for lo in range(0, P, chunk):
         hi = min(P, lo + chunk)
-        cx = chart.section_coords(xs[lo:hi])
-        c0 = bch(cx, -chart.section_coords(ys[lo:hi]))[:, None]
+        cx = chart.section(xs[lo:hi])
+        c0 = bch(cx, -chart.section(ys[lo:hi]))[:, None]
         if not q_h:
             out[lo:hi] = f(c0[:, 0])
             continue
@@ -538,7 +496,7 @@ def kernel_values(
             u = frame @ astar[..., None] + (frame @ rinv) @ grid
         else:
             apts = np.swapaxes(astar[..., None] + rinv @ grid, -1, -2)
-            u = ad_x @ np.swapaxes(chart.gamma_h_coords(apts), -1, -2)
+            u = ad_x @ np.swapaxes(chart.gamma_h(apts), -1, -2)
         vals = f(bch(np.swapaxes(u, -1, -2), c0))
         # exp(i a . ell_h) = exp(i a* . ell_h) prod_k exp(i b_k (R^-T ell_h)_k)
         phases = weights * np.exp(1j * (ell_h @ rinv)[..., None] * nodes)  # (C, q_h, nodes)
@@ -560,13 +518,6 @@ class KernelOperator:
 
     def trace_grid(self) -> complex:
         return complex(np.sum(self.weights * np.diagonal(self.matrix)))
-
-    def hs_sq_grid(self) -> float:
-        return float(
-            np.real(
-                np.sum(self.weights[:, None] * self.weights[None, :] * np.abs(self.matrix) ** 2)
-            )
-        )
 
     def hermitian_defect(self) -> float:
         return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
@@ -613,8 +564,8 @@ def trace_shifted(
     scale = _section_scale(ell, jump, qspec)
     ys, wy = _tensor_grid([(qspec.section_nodes, qspec.section_halfwidth * scale)] * chart.q)
     basis = chart.basis
-    ws, rem = chart.decompose_coords(
-        basis.bch_coords(_log_coords(basis, x), chart.section_coords(ys))
+    ws, rem = chart.decompose(
+        basis.bch_coords(_log_coords(basis, x), chart.section(ys))
     )
     twist = np.exp(-1j * (rem @ ell.flat))
     kv = kernel_values(f, ell, chart, qspec, ws, ys)
@@ -841,7 +792,6 @@ def haar_invariance_check(
     n_samples: int = 1_000_000,
     box: float = 12.0,
     translate_scale: float = 0.3,
-    chunk: int = 250_000,
 ) -> dict:
     """Monte Carlo check that the chart pushes Lebesgue measure to Haar measure.
 
@@ -867,9 +817,9 @@ def haar_invariance_check(
     exp_sq = 0.0
     done = 0
     while done < n_samples:
-        m = min(chunk, n_samples - done)
+        m = min(_HAAR_CHUNK, n_samples - done)
         alpha = rng.uniform(-box, box, size=(m, n))
-        c = chart._product_coords(alpha, 0)
+        c = chart.gamma(alpha)
         phi = observable(c)
         base_sum += float(np.sum(phi))
         # one-shot exponential parametrization of the same coordinates

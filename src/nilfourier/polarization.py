@@ -62,7 +62,7 @@ def _nested_null_rows(skew: np.ndarray) -> np.ndarray:
             e = np.zeros(size)
             e[:m] = v
             rows.append(e)
-    return np.asarray(rows).reshape(-1, size)
+    return np.asarray(rows).reshape(len(rows), size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,9 +130,10 @@ def is_subordinate(sub: Subalgebra, ell: Functional, tol: float = CLOSURE_TOL) -
 def generic_polarization(ell: Functional) -> Subalgebra:
     """Layer-built polarization at a generic functional.
 
-    Odd depth: the span of all layers above the middle. Even depth: those
-    layers plus the span of the union of the kernels of the nested leading
-    skew blocks of the middle layer. Verifies subordination, closure, and
+    The span of all layers above the middle and of every layer whose
+    complementary layer is empty (``d = 1``); at even depth also the span of
+    the union of the kernels of the nested leading skew blocks of the middle
+    layer. Verifies subordination, closure, and
     the expected dimension a posteriori and raises :class:`NotGeneric` if the
     kernel union fails to polarize (it never does on the tested families).
     """
@@ -146,8 +147,10 @@ def generic_polarization(ell: Functional) -> Subalgebra:
     if not is_generic(ell):
         raise NotGeneric("generic_polarization needs a generic functional")
     n = basis.dim
-    upper = range(spec.N // 2 + 1, spec.N + 1)  # the layers above the middle
-    rows = np.concatenate([np.eye(n)[basis.layer_slice(k)] for k in upper])
+    dims = spec.layer_dims()
+    # the layers above the middle, and those that pair with an empty layer
+    kept = [k for k in range(1, spec.N + 1) if 2 * k > spec.N or dims[spec.N - k - 1] == 0]
+    rows = np.concatenate([np.eye(n)[basis.layer_slice(k)] for k in kept])
     if spec.N % 2 == 0:
         sl = basis.layer_slice(spec.N // 2)
         null_rows = _nested_null_rows(basis.skew_form(ell.flat)[sl, sl])

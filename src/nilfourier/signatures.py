@@ -50,10 +50,6 @@ class PiecewiseLinearPath:
     def d(self) -> int:
         return self.points.shape[1]
 
-    @property
-    def num_segments(self) -> int:
-        return self.points.shape[0] - 1
-
     def increments(self) -> np.ndarray:
         return np.diff(self.points, axis=0)
 

@@ -152,11 +152,6 @@ class GradedElement:
     # -- constructors ---------------------------------------------------------
 
     @staticmethod
-    def zero(spec: GroupSpec, batch: tuple[int, ...] = ()) -> "GradedElement":
-        levels = tuple(np.zeros(batch + (s,)) for s in spec.tensor_level_sizes())
-        return GradedElement(spec, levels, Role.ALGEBRA)
-
-    @staticmethod
     def identity(spec: GroupSpec, batch: tuple[int, ...] = ()) -> "GradedElement":
         levels = [np.zeros(batch + (s,)) for s in spec.tensor_level_sizes()]
         levels[0] = np.ones(batch + (1,))

@@ -3,9 +3,10 @@
 Everything here is computed by definition-level brute force (enumeration,
 fine Riemann sums, closed forms worked out by hand) without touching the
 package's own algorithms, so tests compare two genuinely different routes.
-The one exception is :func:`tensor_route_kernel`, which composes group
-elements in the package's dense tensor algebra instead of its flat-coordinate
-group law.
+The exceptions are the chart maps :func:`tensor_chart_product` and
+:func:`tensor_chart_decompose` and the kernel :func:`tensor_route_kernel`
+built on them, which compose group elements in the package's dense tensor
+algebra instead of its flat-coordinate group law.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 import numpy as np
 
 from nilfourier.coadjoint import _log_coords
-from nilfourier.tensor_algebra import group_inverse, mul
+from nilfourier.tensor_algebra import GradedElement, group_inverse, mul, scaled_exponential
 
 # ---------------------------------------------------------------------------
 # Lyndon words by definition: strictly smaller than all proper rotations.
@@ -199,8 +200,34 @@ FULL_ORBIT_DIMS = {
 
 
 # ---------------------------------------------------------------------------
-# Kernel values through the dense tensor algebra.
+# Chart maps and kernel values through the dense tensor algebra.
 # ---------------------------------------------------------------------------
+
+
+def tensor_chart_product(chart, coeffs, first):
+    """``exp(c_{m-1} W_{first+m-1}) ... exp(c_0 W_first)`` as a dense tensor
+    group element (batched): ``gamma`` from ``first = 0`` with all chart
+    coordinates, ``gamma_h`` with the subgroup ones, ``section`` from
+    ``first = chart.q_h``."""
+    basis = chart.basis
+    coeffs = np.asarray(coeffs, dtype=float)
+    g = GradedElement.identity(basis.spec, coeffs.shape[:-1])
+    for j in range(coeffs.shape[-1] - 1, -1, -1):
+        column = basis.algebra_element(chart.W[:, first + j])
+        g = mul(g, scaled_exponential(column, coeffs[..., j]))
+    return g
+
+
+def tensor_chart_decompose(chart, g):
+    """Split the dense group element ``g = section(y) h`` by peeling the
+    section coordinates top-down with ``mul``; returns ``y`` and ``h``."""
+    basis = chart.basis
+    sec = np.empty(g.batch_shape + (chart.q,))
+    for j in range(basis.dim - 1, chart.q_h - 1, -1):
+        coeff = _log_coords(basis, g) @ chart.W[:, j]
+        sec[..., j - chart.q_h] = coeff
+        g = mul(scaled_exponential(basis.algebra_element(chart.W[:, j]), -coeff), g)
+    return sec, g
 
 
 def tensor_route_kernel(f, ell, chart, qspec, xs, ys, step):
@@ -225,12 +252,13 @@ def tensor_route_kernel(f, ell, chart, qspec, xs, ys, step):
         bw = np.outer(bw, w).ravel()
     out = []
     for x, y in zip(xs, ys):
-        gx = chart.section(x)
-        gyi = group_inverse(chart.section(y))
+        gx = tensor_chart_product(chart, x, q_h)
+        gyi = group_inverse(tensor_chart_product(chart, y, q_h))
 
         def log_point(a):
             m = a.shape[0]
-            g = mul(mul(gx.broadcast_to((m,)), chart.gamma_h(a)), gyi.broadcast_to((m,)))
+            gh = tensor_chart_product(chart, a, 0)
+            g = mul(mul(gx.broadcast_to((m,)), gh), gyi.broadcast_to((m,)))
             return _log_coords(basis, g)
 
         c0 = log_point(np.zeros((1, q_h)))[0]
@@ -242,7 +270,8 @@ def tensor_route_kernel(f, ell, chart, qspec, xs, ys, step):
             qmat, rmat = np.eye(n, q_h), np.eye(q_h)
         rinv = np.linalg.inv(rmat)
         apts = -rinv @ (qmat.T @ c0) + bpts @ rinv.T
-        phase = np.exp(1j * (_log_coords(basis, chart.gamma_h(apts)) @ ell.flat))
+        u = tensor_chart_product(chart, apts, 0)
+        phase = np.exp(1j * (_log_coords(basis, u) @ ell.flat))
         total = np.sum(bw * f(log_point(apts)) * phase)
         out.append(total / abs(np.prod(np.diag(rmat))))
     return np.array(out)

@@ -62,6 +62,8 @@ from oracles import (
     heisenberg_hs_sq,
     heisenberg_kernel,
     heisenberg_trace,
+    tensor_chart_decompose,
+    tensor_chart_product,
     tensor_route_kernel,
 )
 
@@ -184,11 +186,10 @@ def test_chart_decompose_reconstructs_group_element(d, N):
     sec, rem = chart.decompose(g)
     # the ordered-product coordinates split exactly at the subalgebra boundary
     assert np.allclose(sec, alpha[:, chart.q_h :], atol=1e-10)
-    rebuilt = mul(chart.section(sec), rem)
-    for lv, lv2 in zip(g.levels, rebuilt.levels):
-        assert np.allclose(lv, lv2, atol=1e-10)
+    rebuilt = basis.bch_coords(chart.section(sec), rem)
+    assert np.allclose(g, rebuilt, atol=1e-10)
     # the remainder lies in the subalgebra's image: no section components
-    rem_coords = chart.log_chart_coords(rem)
+    rem_coords = rem @ chart.W
     assert np.max(np.abs(rem_coords[..., chart.q_h :])) < 1e-10
 
 
@@ -199,16 +200,17 @@ def test_chart_decompose_is_left_equivariant_over_the_subgroup():
     rng = np.random.default_rng(8)
     w = rng.standard_normal((5, chart.q))
     a = rng.standard_normal((5, chart.q_h))
-    g = mul(chart.section(w), chart.gamma_h(a))
+    g = basis.bch_coords(chart.section(w), chart.gamma_h(a))
     sec, rem = chart.decompose(g)
     assert np.allclose(sec, w, atol=1e-10)
-    rem_h = chart.log_chart_coords(rem)
+    rem_h = rem @ chart.W
     assert np.max(np.abs(rem_h[..., chart.q_h :])) < 1e-10
 
 
-@pytest.mark.parametrize("d,N", [(2, 2), (3, 3), (2, 3)])
+@pytest.mark.parametrize("d,N", [(2, 2), (3, 3), (2, 3), (3, 2), (2, 4)])
 def test_flat_chart_maps_match_tensor_chart_maps(d, N):
-    # (2, 3) takes the prefix-radical route (see test_chart_for_routes_by_genericity)
+    # (2, 3) takes the prefix-radical route (see test_chart_for_routes_by_genericity);
+    # (3, 2) has a non-abelian subgroup on the layer-built route
     basis = _basis(d, N)
     chart = chart_for(sample_generic(basis, np.random.default_rng(11)))
     rng = np.random.default_rng(30 + N)
@@ -219,11 +221,13 @@ def test_flat_chart_maps_match_tensor_chart_maps(d, N):
         oracle = _log_coords(basis, element)
         assert np.max(np.abs(flat - oracle)) <= 1e-12 * (1.0 + np.max(np.abs(oracle)))
 
-    close(chart.gamma_h_coords(a), chart.gamma_h(a))
-    close(chart.section_coords(y), chart.section(y))
-    g = chart.gamma(0.7 * rng.standard_normal((6, basis.dim)))
-    sec, rem = chart.decompose(g)
-    sec_flat, rem_flat = chart.decompose_coords(_log_coords(basis, g))
+    close(chart.gamma_h(a), tensor_chart_product(chart, a, 0))
+    close(chart.section(y), tensor_chart_product(chart, y, chart.q_h))
+    alpha = 0.7 * rng.standard_normal((6, basis.dim))
+    g = tensor_chart_product(chart, alpha, 0)
+    close(chart.gamma(alpha), g)
+    sec, rem = tensor_chart_decompose(chart, g)
+    sec_flat, rem_flat = chart.decompose(_log_coords(basis, g))
     assert np.max(np.abs(sec_flat - sec)) <= 1e-12 * (1.0 + np.max(np.abs(sec)))
     close(rem_flat, rem)
 
@@ -236,9 +240,9 @@ def test_abelian_subgroup_chart_is_linear(d, N, abelian):
     if not abelian:
         return
     a = 0.7 * np.random.default_rng(d + N).standard_normal((6, chart.q_h))
-    flat = chart.gamma_h_coords(a)
+    flat = chart.gamma_h(a)
     linear = a @ chart.W[:, : chart.q_h].T
-    oracle = _log_coords(basis, chart.gamma_h(a))
+    oracle = _log_coords(basis, tensor_chart_product(chart, a, 0))
     assert np.max(np.abs(flat - linear)) <= 1e-12 * (1.0 + np.max(np.abs(linear)))
     assert np.max(np.abs(flat - oracle)) <= 1e-12 * (1.0 + np.max(np.abs(oracle)))
 
@@ -275,7 +279,7 @@ def test_character_is_unitary_and_multiplicative_on_the_subgroup():
     c1 = character(ell, chart, a1)
     c2 = character(ell, chart, a2)
     assert np.allclose(np.abs(c1), 1.0, atol=1e-12)
-    u12 = mul(chart.gamma_h(a1), chart.gamma_h(a2))
+    u12 = mul(tensor_chart_product(chart, a1, 0), tensor_chart_product(chart, a2, 0))
     expected = np.exp(1j * ell.evaluate(log_t(u12)))
     assert np.allclose(c1 * c2, expected, atol=1e-10)
 
@@ -317,11 +321,11 @@ def test_kernel_framed_quadrature_matches_plain_quadrature():
     a1, a2 = np.meshgrid(nodes, nodes, indexing="ij")
     apts = np.stack([a1.ravel(), a2.ravel()], axis=-1)
     ww = (w[:, None] * w[None, :]).ravel()
-    u = chart.gamma_h(apts)
+    u = tensor_chart_product(chart, apts, 0)
     phase = character(ell, chart, apts)
     for i in range(xs.shape[0]):
-        gx = chart.section(xs[i])
-        gyi = group_inverse(chart.section(ys[i]))
+        gx = tensor_chart_product(chart, xs[i], chart.q_h)
+        gyi = group_inverse(tensor_chart_product(chart, ys[i], chart.q_h))
         inner = mul(mul(gx.broadcast_to((apts.shape[0],)), u), gyi.broadcast_to((apts.shape[0],)))
         naive = np.sum(ww * f(_log_coords(basis, inner)) * phase)
         assert abs(framed[i] - naive) < 1e-8
@@ -539,8 +543,8 @@ def test_invert_flags_unconverged_frequency_grids():
 
 
 def test_invert_abelian_line_is_classical_fourier_inversion():
-    # N = 2 has an empty second layer (d = 1): the same group, charted again
-    for N in (1, 2):
+    # N >= 2 adds empty layers (d = 1): the same group, charted again
+    for N in (1, 2, 3, 4):
         basis = _basis(1, N)
         f = SchwartzFunction.gaussian(basis.dim)
         q = _low_res(h_nodes=48, section_nodes=16, t_nodes=48)
@@ -551,7 +555,7 @@ def test_invert_abelian_line_is_classical_fourier_inversion():
 
 
 def test_plancherel_abelian_line_is_parseval():
-    for N in (1, 2):
+    for N in (1, 2, 3, 4):
         basis = _basis(1, N)
         f = SchwartzFunction.gaussian(basis.dim)
         q = _low_res(h_nodes=48, section_nodes=48, t_nodes=48)
