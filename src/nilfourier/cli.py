@@ -55,7 +55,7 @@ from .polarization import (
     polarization_check,
     vergne_polarization,
 )
-from .signatures import log_signature, path_signature, read_path_csv
+from .signatures import path_signature, read_path_csv
 from .tensor_algebra import GradedElement, exp_t
 
 DEFAULT_SEED = 2024
@@ -183,7 +183,7 @@ def _cmd_signature(args) -> int:
     csvs = None
     if spec.flavor is Flavor.FREE_NILPOTENT:
         basis = _resolve_basis(args)
-        coords = log_signature(path, basis)
+        coords = _log_coords(basis, sig)
         payload["log_coordinates"] = [float(v) for v in coords]
         payload["malcev_order"] = [[k, i] for (k, i) in basis.malcev_order]
         rows = [

@@ -283,10 +283,7 @@ def quotient_prefix_len(basis: LayeredBasis, k: int, m: int) -> int:
         return m
     if not 1 <= k <= spec.N - 1:
         raise IndexOutOfRange(f"need 0 <= k <= {spec.N - 1}, got k={k}")
-    if not 1 <= m <= dims[spec.N - k - 1]:
-        raise IndexOutOfRange(
-            f"need 1 <= m <= {dims[spec.N - k - 1]} for layer {spec.N - k}, got m={m}"
-        )
+    _check_km(spec, k, m)
     return basis.flat_index(spec.N - k, m) + 1
 
 

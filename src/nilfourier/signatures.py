@@ -2,9 +2,11 @@
 
 The signature of a path up to level ``N`` is the group element obtained by
 multiplying segment exponentials (each straight segment contributes
-``exp`` of its increment placed in degree one). The log-signature expands the
-logarithm of the signature in a layered Lie basis, certifying on the way that
-it actually lies in the embedded free Lie algebra.
+``exp`` of its increment placed in degree one). All segment exponentials of a
+path are formed in one batched step from their closed form, and Chen's
+product is taken in log-depth rounds of batched pairwise products. The
+log-signature expands the logarithm of the signature in a layered Lie basis,
+certifying on the way that it actually lies in the embedded free Lie algebra.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 from .coadjoint import _log_coords
 from .errors import DimensionMismatch, SpecMismatch
 from .lie_basis import Flavor, GroupSpec, LayeredBasis
-from .tensor_algebra import GradedElement, exp_t, mul
+from .tensor_algebra import GradedElement, Role, mul
 
 __all__ = [
     "PiecewiseLinearPath",
@@ -28,6 +30,11 @@ __all__ = [
     "log_signature",
     "read_path_csv",
 ]
+
+#: Tensor coordinates of segment signatures per block of the Chen product.
+#: Long paths are multiplied out block by block, so the batched rounds never
+#: hold more than one block of segment signatures at a time.
+_BLOCK_BUDGET = 100_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,23 +80,59 @@ class PiecewiseLinearPath:
         return PiecewiseLinearPath(np.vstack([self.points, shifted[1:]]))
 
 
-def segment_signature(spec: GroupSpec, increment: np.ndarray) -> GradedElement:
-    """Signature of one straight segment: ``exp`` of the increment in degree 1."""
-    increment = np.asarray(increment, dtype=float)
-    if increment.shape != (spec.d,):
-        raise DimensionMismatch(f"increment must have shape ({spec.d},)")
-    return exp_t(GradedElement.from_level1(spec, increment))
+def segment_signature(spec: GroupSpec, increments: np.ndarray) -> GradedElement:
+    """Signatures of straight segments: ``exp`` of each increment in degree 1.
+
+    ``increments`` has shape ``(..., d)`` and the result has the batch shape
+    ``(...)``. Level ``k`` is the closed form ``v^{(x)k} / k!``, built by
+    repeated outer products; each row equals
+    ``exp_t(GradedElement.from_level1(spec, v))`` bit for bit.
+    """
+    v = np.asarray(increments, dtype=float)
+    if v.ndim == 0 or v.shape[-1] != spec.d:
+        raise DimensionMismatch(f"increments must have trailing size {spec.d}")
+    batch = v.shape[:-1]
+    levels = [np.ones(batch + (1,)), v]
+    for k in range(2, spec.N + 1):
+        outer = levels[-1][..., :, None] * v[..., None, :]
+        levels.append(outer.reshape(batch + (-1,)) * (1.0 / k))
+    return GradedElement(spec, tuple(levels), Role.GROUP)
+
+
+def _ordered_product(sig: GradedElement) -> GradedElement:
+    """Ordered product of a batch ``(m,)`` of group elements.
+
+    Each round multiplies neighbouring pairs in one batched ``mul``; an odd
+    last element is carried to the next round unchanged.
+    """
+    while (m := sig.batch_shape[0]) > 1:
+        paired = mul(sig.take(slice(0, m - 1, 2)), sig.take(slice(1, m, 2)))
+        if m % 2:
+            levels = tuple(
+                np.concatenate((p, lv[-1:])) for p, lv in zip(paired.levels, sig.levels)
+            )
+            paired = GradedElement(sig.spec, levels, Role.GROUP)
+        sig = paired
+    return sig.take(0)
 
 
 def path_signature(spec: GroupSpec, path: PiecewiseLinearPath) -> GradedElement:
-    """Signature of the whole path: the ordered product of segment signatures."""
+    """Signature of the whole path: the ordered product of segment signatures.
+
+    Segments are taken in blocks of about ``_BLOCK_BUDGET`` tensor
+    coordinates; each block is multiplied out by :func:`_ordered_product` and
+    the block products are folded left to right.
+    """
     if path.d != spec.d:
         raise DimensionMismatch(
             f"path lives in R^{path.d} but the spec says d={spec.d}"
         )
-    sig = GradedElement.identity(spec)
-    for inc in path.increments():
-        sig = mul(sig, segment_signature(spec, inc))
+    increments = path.increments()
+    block = max(1, _BLOCK_BUDGET // sum(spec.tensor_level_sizes()))
+    sig = None
+    for lo in range(0, len(increments), block):
+        part = _ordered_product(segment_signature(spec, increments[lo : lo + block]))
+        sig = part if sig is None else mul(sig, part)
     return sig
 
 

@@ -146,9 +146,6 @@ class GradedElement:
             for a, b in zip(self.levels, other.levels)
         )
 
-    def max_abs(self) -> float:
-        return max(float(np.max(np.abs(lv))) if lv.size else 0.0 for lv in self.levels)
-
     # -- constructors ---------------------------------------------------------
 
     @staticmethod

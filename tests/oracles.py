@@ -6,7 +6,9 @@ package's own algorithms, so tests compare two genuinely different routes.
 The exceptions are the chart maps :func:`tensor_chart_product` and
 :func:`tensor_chart_decompose` and the kernel :func:`tensor_route_kernel`
 built on them, which compose group elements in the package's dense tensor
-algebra instead of its flat-coordinate group law.
+algebra instead of its flat-coordinate group law, and
+:func:`left_fold_signature`, which multiplies segment exponentials one at a
+time instead of in batched rounds.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import math
 import numpy as np
 
 from nilfourier.coadjoint import _log_coords
-from nilfourier.tensor_algebra import GradedElement, group_inverse, mul, scaled_exponential
+from nilfourier.tensor_algebra import GradedElement, exp_t, group_inverse, mul, scaled_exponential
 
 # ---------------------------------------------------------------------------
 # Lyndon words by definition: strictly smaller than all proper rotations.
@@ -74,7 +76,8 @@ def bch_degree3(x, y, commutator):
 
 
 # ---------------------------------------------------------------------------
-# Iterated integrals of a piecewise linear path by cumulative Riemann sums.
+# Signatures of a piecewise linear path: cumulative Riemann sums of iterated
+# integrals, and the sequential Chen product of segment exponentials.
 # ---------------------------------------------------------------------------
 
 
@@ -103,6 +106,15 @@ def iterated_integral(points: np.ndarray, word: tuple[int, ...], per_segment: in
         mid = 0.5 * (f[:-1] + f[1:])
         f = np.concatenate([[0.0], np.cumsum(mid * dcomp)])
     return float(f[-1])
+
+
+def left_fold_signature(spec, path) -> GradedElement:
+    """Signature as the left fold ``((S_1 S_2) S_3) ...`` of segment exponentials,
+    each formed by ``exp_t`` of its increment in degree one."""
+    sig = GradedElement.identity(spec)
+    for inc in path.increments():
+        sig = mul(sig, exp_t(GradedElement.from_level1(spec, inc)))
+    return sig
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Coadjoint action, genericity, orbit dimensions, jump sets."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -213,6 +214,16 @@ def test_quotient_prefix_lengths():
     assert quotient_prefix_len(basis, 0, basis.spec.layer_dims()[-1]) == 3
     assert quotient_prefix_len(basis, 1, 1) == 4  # layer 4 (3 elts) + 1 of layer 3
     assert quotient_prefix_len(basis, 3, 2) == 8  # everything
+    bad = [
+        ((0, 4), "need 0 <= m <= 3 in the top layer"),
+        ((4, 1), "need 0 <= k <= 3, got k=4"),
+        ((-1, 1), "need 0 <= k <= 3, got k=-1"),
+        ((1, 3), "need 1 <= m <= 2 for layer 3, got m=3"),
+        ((3, 0), "need 1 <= m <= 2 for layer 1, got m=0"),
+    ]
+    for (k, m), message in bad:
+        with pytest.raises(IndexOutOfRange, match=f"^{re.escape(message)}$"):
+            quotient_prefix_len(basis, k, m)
 
 
 # ---------------------------------------------------------------------------

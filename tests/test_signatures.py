@@ -11,14 +11,20 @@ from nilfourier import (
     GroupSpec,
     PiecewiseLinearPath,
     build_layered_basis,
+    exp_t,
     group_inverse,
     log_signature,
     mul,
     path_signature,
     read_path_csv,
 )
+from nilfourier import signatures
+from nilfourier.signatures import segment_signature
 
-from oracles import iterated_integral
+from oracles import iterated_integral, left_fold_signature
+
+# The acceptance battery's groups, plus a deeper d = 1 group.
+COMBOS = [(1, 2), (2, 2), (3, 2), (2, 3), (3, 3), (2, 4), (3, 4), (1, 5)]
 
 
 def _random_path(rng, d, segments):
@@ -65,6 +71,67 @@ def test_identity_for_constant_path():
     p = PiecewiseLinearPath(np.zeros((3, 2)))
     sig = path_signature(spec, p)
     assert sig.max_abs_diff(GradedElement.identity(spec)) < 1e-15
+
+
+# ---------------------------------------------------------------------------
+# batched engine against the sequential oracle
+# ---------------------------------------------------------------------------
+
+
+def _brownian_path(rng, d, segments):
+    steps = rng.standard_normal((segments, d)) / np.sqrt(segments)
+    return PiecewiseLinearPath(np.vstack([np.zeros(d), np.cumsum(steps, axis=0)]))
+
+
+def _assert_matches_left_fold(spec, path):
+    sig = path_signature(spec, path)
+    ref = left_fold_signature(spec, path)
+    assert sig.batch_shape == () and sig.role is ref.role
+    scale = max(float(np.max(np.abs(lv))) for lv in ref.levels)
+    assert sig.max_abs_diff(ref) <= 1e-13 * (1.0 + scale)
+
+
+@pytest.mark.parametrize("d,N", COMBOS)
+def test_batched_segment_signatures_equal_exp_bit_for_bit(d, N):
+    spec = GroupSpec(d, N)
+    rng = np.random.default_rng(20 + 10 * d + N)
+    v = rng.standard_normal((4, 50, d))
+    got = segment_signature(spec, v)
+    ref = exp_t(GradedElement.from_level1(spec, v))
+    assert got.batch_shape == (4, 50) and got.role is ref.role
+    assert all(np.array_equal(a, b) for a, b in zip(got.levels, ref.levels))
+    single = segment_signature(spec, v[1, 7])
+    assert single.batch_shape == ()
+    assert all(np.array_equal(a, b) for a, b in zip(single.levels, ref.take((1, 7)).levels))
+
+
+def test_segment_signature_rejects_wrong_width():
+    with pytest.raises(DimensionMismatch):
+        segment_signature(GroupSpec(2, 3), np.ones((5, 3)))
+    with pytest.raises(DimensionMismatch):
+        segment_signature(GroupSpec(2, 3), 1.0)
+
+
+@pytest.mark.parametrize("d,N", COMBOS)
+def test_pairwise_chen_product_matches_left_fold(d, N):
+    spec = GroupSpec(d, N)
+    rng = np.random.default_rng(40 + 10 * d + N)
+    for segments in (1, 2, 3, 7, 64):
+        _assert_matches_left_fold(spec, _brownian_path(rng, d, segments))
+
+
+@pytest.mark.parametrize("d,N", COMBOS)
+def test_blocked_chen_product_folds_blocks_in_order(d, N, monkeypatch):
+    # Blocks of five segments: 23 segments make four full blocks and a short one.
+    spec = GroupSpec(d, N)
+    monkeypatch.setattr(signatures, "_BLOCK_BUDGET", 5 * sum(spec.tensor_level_sizes()))
+    _assert_matches_left_fold(spec, _brownian_path(np.random.default_rng(60 + d + N), d, 23))
+
+
+def test_path_longer_than_one_block_matches_left_fold():
+    spec = GroupSpec(3, 4)
+    block = signatures._BLOCK_BUDGET // sum(spec.tensor_level_sizes())
+    _assert_matches_left_fold(spec, _brownian_path(np.random.default_rng(7), 3, 2 * block + 3))
 
 
 # ---------------------------------------------------------------------------
