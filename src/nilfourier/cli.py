@@ -27,6 +27,7 @@ from . import __version__
 from .coadjoint import (
     Functional,
     _log_coords,
+    _quotient_labels,
     b_matrix_ranks,
     dim_km,
     full_orbit_dim,
@@ -218,17 +219,15 @@ def _cmd_generic_test(args) -> int:
             "coords": [[k, i, float(v)] for (k, i), v in sorted(ell.coords().items())],
         }
         if not basis.spec.degenerate:
-            ranks = b_matrix_ranks(ell)
             entry["pairing_ranks"] = [
                 {"k": k, "rank": r, "required": dim_km(basis.spec, k, basis.spec.layer_dims()[basis.spec.N - k - 1])}
-                for k, r in sorted(ranks.items())
+                for k, r in sorted(b_matrix_ranks(ell).items())
             ]
-            for item in entry["pairing_ranks"]:
-                table_rows.append(
-                    [idx, bool(generic), item["k"], item["rank"], item["required"]]
-                )
-        else:
-            table_rows.append([idx, bool(generic), "", "", ""])
+        rows = [
+            [idx, bool(generic), item["k"], item["rank"], item["required"]]
+            for item in entry.get("pairing_ranks", [])
+        ]
+        table_rows.extend(rows or [[idx, bool(generic), "", "", ""]])
         reports.append(entry)
     table = _csv_text(["functional", "generic", "k", "rank", "required"], table_rows)
     payload = {
@@ -246,16 +245,10 @@ def _cmd_orbit_dims(args) -> int:
     basis = _resolve_basis(args)
     spec = basis.spec
     dims = spec.layer_dims()
-    quotients = []
-    for k in range(1, spec.N):
-        for m in range(1, dims[spec.N - k - 1] + 1):
-            quotients.append(
-                {
-                    "k": k,
-                    "m": m,
-                    "generic_dim": orbit_dim_quotient_generic(spec, k, m),
-                }
-            )
+    quotients = [
+        {"k": k, "m": m, "generic_dim": orbit_dim_quotient_generic(spec, k, m)}
+        for k, m in _quotient_labels(spec)
+    ]
     table = _csv_text(
         ["k", "m", "generic_dim"],
         [[q["k"], q["m"], q["generic_dim"]] for q in quotients],
@@ -304,9 +297,15 @@ def _cmd_polarization(args) -> int:
     return 0
 
 
-def _ladder_rungs(qspec: QuadratureSpec) -> list[QuadratureSpec]:
-    """Coarser copies of a quadrature spec for convergence tables."""
-    rungs = []
+def _convergence_ladder(
+    name: str, qspec: QuadratureSpec, run, error_header: str
+) -> tuple[str, float, object, float]:
+    """Run ``run(rung, final)`` on coarser copies of ``qspec`` (node counts
+    scaled by 0.5 and 0.75, at least 8) and then on ``qspec`` itself; ``run``
+    returns ``(error, result)``. Gives the ladder as CSV, the final error and
+    result, and the elapsed time (also reported on stderr)."""
+    t0 = time.perf_counter()
+    rungs: list[QuadratureSpec] = []
     for factor in (0.5, 0.75, 1.0):
         rung = replace(
             qspec,
@@ -316,7 +315,15 @@ def _ladder_rungs(qspec: QuadratureSpec) -> list[QuadratureSpec]:
         )
         if not rungs or rung != rungs[-1]:
             rungs.append(rung)
-    return rungs
+    rungs[-1] = qspec
+    rows = []
+    for i, rung in enumerate(rungs):
+        err, result = run(rung, i == len(rungs) - 1)
+        rows.append([rung.h_nodes, rung.section_nodes, rung.t_nodes, repr(float(err))])
+    elapsed = time.perf_counter() - t0
+    print(f"{name} elapsed: {elapsed:.2f}s", file=sys.stderr)
+    table = _csv_text(["h_nodes", "section_nodes", "t_nodes", error_header], rows)
+    return table, err, result, elapsed
 
 
 def _cmd_fourier_demo(args) -> int:
@@ -332,11 +339,11 @@ def _cmd_fourier_demo(args) -> int:
     shifted = exp_t(basis.algebra_element(coeffs))
     points.append(("random_shift", shifted))
 
-    def run_points(q: QuadratureSpec, tol: float | None) -> tuple[list[dict], float]:
+    def run_points(q: QuadratureSpec, final: bool) -> tuple[float, list[dict]]:
         rows = []
         worst = 0.0
         for label, x in points:
-            value = invert(f, x, basis, q, convergence_tol=tol)
+            value = invert(f, x, basis, q, convergence_tol=args.convergence_tol if final else None)
             coords = _log_coords(basis, x)
             expected = float(np.real(f(coords)))
             err = float(abs(value - expected))
@@ -351,22 +358,10 @@ def _cmd_fourier_demo(args) -> int:
                     "abs_error": err,
                 }
             )
-        return rows, worst
+        return worst, rows
 
-    t0 = time.perf_counter()
-    ladder_rows: list[list] = []
-    rungs = _ladder_rungs(qspec)
-    for rung in rungs[:-1]:
-        _, worst = run_points(rung, None)
-        ladder_rows.append(
-            [rung.h_nodes, rung.section_nodes, rung.t_nodes, repr(float(worst))]
-        )
-    results, worst = run_points(qspec, args.convergence_tol)
-    ladder_rows.append([qspec.h_nodes, qspec.section_nodes, qspec.t_nodes, repr(float(worst))])
-    elapsed = time.perf_counter() - t0
-    print(f"fourier-demo elapsed: {elapsed:.2f}s", file=sys.stderr)
-    table = _csv_text(
-        ["h_nodes", "section_nodes", "t_nodes", "max_abs_error"], ladder_rows
+    table, worst, results, elapsed = _convergence_ladder(
+        "fourier-demo", qspec, run_points, "max_abs_error"
     )
     payload = {
         "spec": spec.to_json_dict(),
@@ -386,32 +381,13 @@ def _cmd_plancherel_check(args) -> int:
     basis = _resolve_basis(args)
     qspec = _load_quadrature(args)
     f = SchwartzFunction.gaussian(basis.dim, scale=args.scale)
-    t0 = time.perf_counter()
-    ladder_rows: list[list] = []
-    rungs = _ladder_rungs(qspec)
-    for rung in rungs[:-1]:
-        part = plancherel(f, basis, rung)
-        ladder_rows.append(
-            [
-                rung.h_nodes,
-                rung.section_nodes,
-                rung.t_nodes,
-                repr(float(abs(part["ratio"] - 1.0))),
-            ]
-        )
-    report = plancherel(f, basis, qspec)
-    ladder_rows.append(
-        [
-            qspec.h_nodes,
-            qspec.section_nodes,
-            qspec.t_nodes,
-            repr(float(abs(report["ratio"] - 1.0))),
-        ]
-    )
-    elapsed = time.perf_counter() - t0
-    print(f"plancherel-check elapsed: {elapsed:.2f}s", file=sys.stderr)
-    table = _csv_text(
-        ["h_nodes", "section_nodes", "t_nodes", "abs_ratio_error"], ladder_rows
+
+    def run(q: QuadratureSpec, final: bool) -> tuple[float, dict]:
+        report = plancherel(f, basis, q)
+        return abs(report["ratio"] - 1.0), report
+
+    table, _, report, elapsed = _convergence_ladder(
+        "plancherel-check", qspec, run, "abs_ratio_error"
     )
     payload = {
         "spec": basis.spec.to_json_dict(),
@@ -529,24 +505,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except NonConvergence as exc:
-        print(
-            json.dumps(
-                {"error": {"type": "NonConvergence", "message": str(exc)}},
-                sort_keys=True,
-                indent=2,
-            )
-        )
-        return 3
     except NilfourierError as exc:
-        print(
-            json.dumps(
-                {"error": {"type": type(exc).__name__, "message": str(exc)}},
-                sort_keys=True,
-                indent=2,
-            )
-        )
-        return 2
+        error = {"type": type(exc).__name__, "message": str(exc)}
+        print(json.dumps({"error": error}, sort_keys=True, indent=2))
+        return 3 if isinstance(exc, NonConvergence) else 2
 
 
 if __name__ == "__main__":

@@ -17,7 +17,6 @@ sets that parametrize generic orbits.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -127,9 +126,6 @@ class Functional:
         ]
         return {"spec": self.spec.to_json_dict(), "coords": coords}
 
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, **kwargs)
-
     @staticmethod
     def from_json_dict(obj: dict, basis: LayeredBasis | None = None) -> "Functional":
         spec = GroupSpec.from_json_dict(obj["spec"])
@@ -187,6 +183,12 @@ def _dim_km_raw(spec: GroupSpec, k: int, m: int) -> int:
     return min(dims[k - 1], dims[spec.N - k - 1], m)
 
 
+def _quotient_labels(spec: GroupSpec) -> list[tuple[int, int]]:
+    """Quotient labels ``(k, m)`` with ``1 <= k <= N-1`` and ``1 <= m <= m_{N-k}``."""
+    dims = spec.layer_dims()
+    return [(k, m) for k in range(1, spec.N) for m in range(1, dims[spec.N - k - 1] + 1)]
+
+
 def _check_km(spec: GroupSpec, k: int, m: int) -> None:
     """Raise unless ``1 <= k <= N-1`` and ``1 <= m <= m_{N-k}``."""
     dims = spec.layer_dims()
@@ -223,13 +225,17 @@ def b_matrix(ell: Functional, k: int, m: int) -> np.ndarray:
 
 
 def b_matrix_ranks(ell: Functional) -> dict[int, int]:
-    """Rank of the full pairing block for each ``k = 1 .. floor(N/2)``."""
-    spec = ell.spec
-    dims = spec.layer_dims()
-    out = {}
-    for k in range(1, spec.N // 2 + 1):
-        out[k] = _rank(b_matrix(ell, k, dims[spec.N - k - 1]), GENERIC_RANK_RTOL)
-    return out
+    """Rank of the full pairing block for each ``k = 1 .. floor(N/2)`` whose
+    layers ``k`` and ``N-k`` are both nonempty."""
+    basis = ell.basis
+    N = basis.spec.N
+    dims = basis.spec.layer_dims()
+    skew = basis.skew_form(ell.flat)
+    return {
+        k: _rank(skew[basis.layer_slice(k), basis.layer_slice(N - k)], GENERIC_RANK_RTOL)
+        for k in range(1, N // 2 + 1)
+        if dims[k - 1] and dims[N - k - 1]
+    }
 
 
 def is_generic(ell: Functional) -> bool:
@@ -246,13 +252,9 @@ def is_generic(ell: Functional) -> bool:
         cutoff = max(GENERIC_RANK_RTOL * scale, RANK_FLOOR)
         return abs(ell.coord(3, 1)) > cutoff
     dims = spec.layer_dims()
-    for k in range(1, spec.N // 2 + 1):
-        m_full = dims[spec.N - k - 1]
-        if m_full == 0 or dims[k - 1] == 0:
-            continue
-        if _rank(b_matrix(ell, k, m_full), GENERIC_RANK_RTOL) != dim_km(spec, k, m_full):
-            return False
-    return True
+    return all(
+        rank == dim_km(spec, k, dims[spec.N - k - 1]) for k, rank in b_matrix_ranks(ell).items()
+    )
 
 
 def orbit_dim_quotient_generic(spec: GroupSpec, k: int, m: int) -> int:
@@ -324,10 +326,7 @@ def orbit_dim_numeric_all(
     """
     basis = ell.basis
     spec = basis.spec
-    dims = spec.layer_dims()
-    labels = [(0, dims[spec.N - 1])] + [
-        (k, m) for k in range(1, spec.N) for m in range(1, dims[spec.N - k - 1] + 1)
-    ]
+    labels = [(0, spec.layer_dims()[spec.N - 1])] + _quotient_labels(spec)
     prefix_lens = [quotient_prefix_len(basis, k, m) for k, m in labels]
     return dict(zip(labels, _orbit_ranks(ell, prefix_lens, samples, step, seed)))
 
@@ -396,26 +395,14 @@ class JumpData:
 def jump_sets(basis: LayeredBasis) -> JumpData:
     """Compute the jump/transverse splitting of the dual basis indices.
 
-    For the degenerate (2, 3) algebra the sets come from the hand analysis of
-    its orbits (flagged via ``degenerate=True``); they happen to coincide with
-    the general pattern. Everywhere else ``S`` collects, for each layer
-    ``k <= N-1``, the first ``dim_km(k, m_k)`` indices.
+    ``S`` collects, for each layer ``k <= N-1``, the first ``dim_km(k, m_k)``
+    indices. For the degenerate (2, 3) algebra (flagged via
+    ``degenerate=True``) this is also what the hand analysis of its orbits
+    gives.
     """
     spec = basis.spec
     dims = spec.layer_dims()
-    dim_table = {
-        (k, m): dim_km(spec, k, m)
-        for k in range(1, spec.N)
-        for m in range(1, dims[spec.N - k - 1] + 1)
-    }
-    if spec.degenerate:
-        s_set = ((2, 1), (1, 1))
-        t_set = ((3, 1), (3, 2), (1, 2))
-        order = {ki: basis.flat_index(*ki) for ki in s_set + t_set}
-        s_sorted = tuple(sorted(s_set, key=lambda ki: order[ki]))
-        t_sorted = tuple(sorted(t_set, key=lambda ki: order[ki]))
-        return JumpData(spec, s_sorted, t_sorted, dim_table, degenerate=True)
-
+    dim_table = {(k, m): dim_km(spec, k, m) for k, m in _quotient_labels(spec)}
     in_S = []
     for k in range(1, spec.N):
         cap = _dim_km_raw(spec, k, dims[k - 1]) if dims[k - 1] >= 1 else 0
@@ -426,7 +413,7 @@ def jump_sets(basis: LayeredBasis) -> JumpData:
     t_sorted = tuple(
         ki for ki in basis.malcev_order if ki not in s_flagged
     )
-    data = JumpData(spec, s_sorted, t_sorted, dim_table, degenerate=False)
+    data = JumpData(spec, s_sorted, t_sorted, dim_table, degenerate=spec.degenerate)
     assert len(data.S) % 2 == 0, "jump sets always pair up"
     if spec.N % 2 == 1:
         half = range(1, (spec.N + 1) // 2)

@@ -270,24 +270,16 @@ class MalcevChart:
         self.W = np.stack(h_cols + s_cols, axis=-1) if (h_cols or s_cols) else np.zeros((n, 0))
         if self.q_h != sub.dim or self.q_h + self.q != n:
             raise NotGeneric("subalgebra is not layer-graded enough to chart")
-        self._validate_prefix_ideals()
-        brackets = np.einsum("ai,abt,bj->ijt", self.W, basis.structure_tensor, self.W)
+        brackets = basis.bracket_coords(self.W.T[:, None], self.W.T[None])  # [W_i, W_j]
+        # Every prefix spans an ideal exactly when no [W_i, W_j] has a chart
+        # coordinate k > j; column j is held to the scale of the prefix ending there.
+        leaks = np.abs(brackets @ self.W).max(axis=0)  # [j, k]: max over i
+        scale = 1.0 + np.maximum.accumulate(np.abs(brackets).max(axis=(0, 2)))
+        bad = np.flatnonzero(np.triu(leaks > 1e-10 * scale[:, None], 1).any(axis=1))
+        if bad.size:
+            raise NotGeneric(f"chart prefix {bad[0] + 1} does not span an ideal")
         self._commutes = ~np.any(np.abs(brackets) > 1e-12, axis=-1)  # [W_i, W_j] = 0
         self.h_abelian = bool(self._commutes[: self.q_h, : self.q_h].all())
-
-    def _validate_prefix_ideals(self, tol: float = 1e-10) -> None:
-        basis = self.basis
-        n = basis.dim
-        sc = basis.structure_tensor
-        # brackets[a, j, :] = [X_a, W_j] in flat coordinates
-        brackets = np.einsum("abt,bj->ajt", sc, self.W)
-        for p in range(1, n + 1):
-            wp = self.W[:, :p]
-            block = brackets[:, :p, :].reshape(-1, n)
-            resid = block - (block @ wp) @ wp.T
-            scale = 1.0 + float(np.max(np.abs(block))) if block.size else 1.0
-            if block.size and float(np.max(np.abs(resid))) > tol * scale:
-                raise NotGeneric(f"chart prefix {p} does not span an ideal")
 
     # -- chart maps (flat log coordinates in, flat log coordinates out) ------
 

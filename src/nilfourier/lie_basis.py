@@ -16,7 +16,6 @@ expansion of arbitrary tensors in the embedded basis.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -82,6 +81,7 @@ def _mobius(n: int) -> int:
     return -1 if count % 2 else 1
 
 
+@functools.cache
 def witt_dimension(d: int, k: int) -> int:
     """Dimension of the degree-``k`` layer of the free Lie algebra on ``d`` letters.
 
@@ -451,9 +451,8 @@ class LayeredBasis:
         return self._sc
 
     def bracket_coords(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Bracket of two flat Malcev coordinate vectors (batched on the left)."""
-        sc = self.structure_tensor
-        return np.einsum("...a,...b,abt->...t", x, y, sc)
+        """Bracket of two flat Malcev coordinate vectors (batched, broadcasting)."""
+        return (self.ad_matrix(x) @ np.asarray(y, dtype=float)[..., None])[..., 0]
 
     def bch_coords(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Flat coordinates of ``log(exp x exp y)`` (batched, broadcasting).
@@ -557,9 +556,6 @@ class LayeredBasis:
             "layers": layers,
             "structure": self.structure_table(),
         }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, **kwargs)
 
     @staticmethod
     def from_json_dict(obj: dict) -> "LayeredBasis":

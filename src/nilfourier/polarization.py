@@ -85,24 +85,23 @@ class Subalgebra:
     def dim(self) -> int:
         return self.vectors.shape[0]
 
-    def project_residual(self, w: np.ndarray) -> float:
-        """Sup-norm distance from ``w`` to the span of the rows."""
+    def project_residual(self, w: np.ndarray) -> np.ndarray:
+        """Sup-norm distance from ``w`` to the span of the rows (batched over
+        leading axes, with one least-squares solve for all vectors)."""
         v = self.vectors
-        if v.shape[0] == 0:
-            return float(np.max(np.abs(w))) if w.size else 0.0
-        proj = v.T @ np.linalg.lstsq(v.T, w, rcond=None)[0]
-        return float(np.max(np.abs(w - proj)))
+        w = np.asarray(w, dtype=float)
+        coef = np.linalg.lstsq(v.T, w.reshape(-1, v.shape[1]).T, rcond=None)[0]
+        return np.abs(w - (v.T @ coef).T.reshape(w.shape)).max(axis=-1)
 
-    def contains(self, w: np.ndarray, tol: float = CLOSURE_TOL) -> bool:
-        return self.project_residual(w) <= tol * (1.0 + float(np.max(np.abs(w))))
+    def contains(self, w: np.ndarray, tol: float = CLOSURE_TOL) -> np.ndarray:
+        """Whether ``w`` lies in the span (batched over leading axes)."""
+        w = np.asarray(w, dtype=float)
+        return self.project_residual(w) <= tol * (1.0 + np.abs(w).max(axis=-1))
 
     def is_bracket_closed(self, tol: float = CLOSURE_TOL) -> bool:
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                w = self.basis.bracket_coords(self.vectors[i], self.vectors[j])
-                if not self.contains(w, tol):
-                    return False
-        return True
+        # every ordered pair at once; [v_j, v_i] = -[v_i, v_j] decides the same
+        w = self.basis.bracket_coords(self.vectors[:, None], self.vectors[None])
+        return bool(np.all(self.contains(w, tol)))
 
     def layer_dims(self) -> list[int]:
         """Dimension of the projection of the span onto each layer."""
@@ -158,11 +157,11 @@ def generic_polarization(ell: Functional) -> Subalgebra:
         middle[:, sl] = null_rows
         rows = np.concatenate((rows, middle))
     sub = Subalgebra(basis, _orthonormal_rows(rows))
-    expected = basis.dim - full_orbit_dim(ell) // 2
-    if sub.dim != expected or not is_subordinate(sub, ell) or not sub.is_bracket_closed():
+    report = polarization_check(sub, ell)
+    if not report["passed"]:
         raise NotGeneric(
             "layer-built candidate failed the polarization checks "
-            f"(dim {sub.dim}, expected {expected})"
+            f"(dim {sub.dim}, expected {report['expected_dim']})"
         )
     return sub
 

@@ -12,7 +12,6 @@ adjoint action are exact finite series thanks to nilpotency.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 
@@ -104,28 +103,21 @@ class GradedElement:
 
     # -- linear operations ----------------------------------------------------
 
-    def _binary_role(self, other: "GradedElement", p0: np.ndarray) -> Role:
-        if np.all(np.abs(p0) <= _ROLE_TOL):
-            return Role.ALGEBRA
-        if np.all(np.abs(p0 - 1.0) <= _ROLE_TOL):
-            return Role.GROUP
-        return Role.RAW
-
     def __add__(self, other: "GradedElement") -> "GradedElement":
         _check_spec(self, other)
         levels = tuple(a + b for a, b in zip(self.levels, other.levels))
-        return GradedElement(self.spec, levels, self._binary_role(other, levels[0]))
+        return GradedElement(self.spec, levels, _role_of(levels[0]))
 
     def __sub__(self, other: "GradedElement") -> "GradedElement":
         _check_spec(self, other)
         levels = tuple(a - b for a, b in zip(self.levels, other.levels))
-        return GradedElement(self.spec, levels, self._binary_role(other, levels[0]))
+        return GradedElement(self.spec, levels, _role_of(levels[0]))
 
     def scale(self, c) -> "GradedElement":
         """Multiply every level by a scalar (or batched scalar array)."""
         c = np.asarray(c, dtype=float)
         levels = tuple(c[..., None] * lv if c.ndim else c * lv for lv in self.levels)
-        return GradedElement(self.spec, levels, self._binary_role(self, levels[0]))
+        return GradedElement(self.spec, levels, _role_of(levels[0]))
 
     def __neg__(self) -> "GradedElement":
         return self.scale(-1.0)
@@ -185,14 +177,20 @@ class GradedElement:
             "levels": [lv.tolist() for lv in self.levels],
         }
 
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, **kwargs)
-
     @staticmethod
     def from_json_dict(obj: dict) -> "GradedElement":
         spec = GroupSpec.from_json_dict(obj["spec"])
         levels = tuple(np.asarray(lv, dtype=float) for lv in obj["levels"])
         return GradedElement(spec, levels, Role(obj.get("role", "raw")))
+
+
+def _role_of(p0: np.ndarray) -> Role:
+    """The role pinned by a scalar level: algebra at 0, group at 1, else raw."""
+    if np.all(np.abs(p0) <= _ROLE_TOL):
+        return Role.ALGEBRA
+    if np.all(np.abs(p0 - 1.0) <= _ROLE_TOL):
+        return Role.GROUP
+    return Role.RAW
 
 
 def _check_spec(a: GradedElement, b: GradedElement) -> None:
@@ -218,14 +216,7 @@ def mul(g: GradedElement, h: GradedElement) -> GradedElement:
             prod = prod.reshape(prod.shape[:-2] + (sizes[k],))
             acc = prod if acc is None else acc + prod
         out.append(acc)
-    p0 = out[0]
-    if np.all(np.abs(p0) <= _ROLE_TOL):
-        role = Role.ALGEBRA
-    elif np.all(np.abs(p0 - 1.0) <= _ROLE_TOL):
-        role = Role.GROUP
-    else:
-        role = Role.RAW
-    return GradedElement(spec, tuple(out), role)
+    return GradedElement(spec, tuple(out), _role_of(out[0]))
 
 
 def exp_t(x: GradedElement) -> GradedElement:

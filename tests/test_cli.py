@@ -154,6 +154,15 @@ def test_generic_test_reads_functional_file(capsys, tmp_path):
     assert doc["functionals"][0]["generic"] is False
 
 
+def test_generic_test_without_pairing_blocks(capsys):
+    # (1, 3) has no pairing block: ranks are empty and the CSV row is blank
+    rc, doc = run_cli(capsys, "generic-test", "--spec", "1,3", "--count", "2")
+    assert rc == 0
+    assert [e["pairing_ranks"] for e in doc["functionals"]] == [[], []]
+    assert all(e["generic"] for e in doc["functionals"])
+    assert _rows(doc["table_csv"])[1:] == [["0", "True", "", "", ""], ["1", "True", "", "", ""]]
+
+
 def test_generic_test_rejects_bad_functional_json(capsys, tmp_path):
     fp = tmp_path / "ell.json"
     fp.write_text("{not json", encoding="utf-8")

@@ -23,7 +23,7 @@ from nilfourier import (
     quotient_prefix_len,
     sample_generic,
 )
-from nilfourier.coadjoint import _ad_exponential
+from nilfourier.coadjoint import _ad_exponential, b_matrix_ranks
 from nilfourier.errors import IndexOutOfRange
 
 from oracles import FULL_ORBIT_DIMS, JUMP_SET_EXAMPLES
@@ -187,6 +187,16 @@ def test_degenerate_rule_for_2_3():
     assert is_generic(gen)
     non = Functional.from_coords(basis, {(3, 2): 3.0, (2, 1): 1.0, (1, 1): 1.0})
     assert not is_generic(non)
+
+
+def test_pairing_blocks_skip_empty_layers():
+    # (1, 3) has layers [1, 0, 0]: its one block would pair layer 1 with the
+    # empty layer 2, so there is nothing to rank and every functional is generic
+    basis = _basis(1, 3)
+    ell = Functional(basis, np.array([1.5]))
+    assert b_matrix_ranks(ell) == {}
+    assert is_generic(ell)
+    assert b_matrix_ranks(sample_generic(_basis(2, 4), np.random.default_rng(0))) == {1: 2, 2: 0}
 
 
 def test_zero_functional_not_generic():

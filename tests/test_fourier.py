@@ -254,7 +254,7 @@ def test_chart_rejects_orders_without_nested_ideals():
     # generator leaves it), so chart construction must refuse.
     vec = np.zeros((1, basis.dim))
     vec[0, 1] = 1.0
-    with pytest.raises(NotGeneric):
+    with pytest.raises(NotGeneric, match="chart prefix 1 "):
         MalcevChart(basis, Subalgebra(basis, vec))
 
 

@@ -149,3 +149,14 @@ def test_subalgebra_projection_and_layers():
     assert sub.is_bracket_closed()
     assert sub.is_layer_graded()
     assert sub.layer_dims() == [0, 0, 2]
+
+
+def test_heisenberg_generators_are_not_bracket_closed():
+    # [X1, X2] = Z lies outside span{X1, X2}
+    basis = _basis(2, 2)
+    vecs = np.zeros((2, basis.dim))
+    vecs[0, basis.flat_index(1, 1)] = 1.0
+    vecs[1, basis.flat_index(1, 2)] = 1.0
+    sub = Subalgebra(basis, vecs)
+    assert not sub.is_bracket_closed()
+    assert Subalgebra(basis, vecs[:1]).is_bracket_closed()
