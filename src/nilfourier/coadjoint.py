@@ -380,7 +380,10 @@ class JumpData:
     S: tuple[tuple[int, int], ...]
     T: tuple[tuple[int, int], ...]
     dim_table: dict = field(default_factory=dict)
-    degenerate: bool = False
+
+    @property
+    def degenerate(self) -> bool:
+        return self.spec.degenerate
 
     def to_json_dict(self) -> dict:
         return {
@@ -413,7 +416,7 @@ def jump_sets(basis: LayeredBasis) -> JumpData:
     t_sorted = tuple(
         ki for ki in basis.malcev_order if ki not in s_flagged
     )
-    data = JumpData(spec, s_sorted, t_sorted, dim_table, degenerate=spec.degenerate)
+    data = JumpData(spec, s_sorted, t_sorted, dim_table)
     assert len(data.S) % 2 == 0, "jump sets always pair up"
     if spec.N % 2 == 1:
         half = range(1, (spec.N + 1) // 2)

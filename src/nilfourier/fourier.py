@@ -777,6 +777,16 @@ def plancherel(
 # ---------------------------------------------------------------------------
 
 
+def _three_sigma(total: float, total_sq: float, n: int, vol: float) -> dict:
+    """Scaled mean and standard error of ``n`` paired differences from their
+    sum and sum of squares, and whether the mean is within three errors of 0."""
+    mean = total / n
+    var = max(total_sq / n - mean**2, 0.0) / n
+    dev = vol * mean
+    se = vol * math.sqrt(var)
+    return {"deviation": dev, "se": se, "passed": abs(dev) <= 3.0 * se + 1e-12}
+
+
 def haar_invariance_check(
     basis: LayeredBasis,
     rng: np.random.Generator | None = None,
@@ -827,26 +837,13 @@ def haar_invariance_check(
 
     vol = (2.0 * box) ** n
     base = vol * base_sum / n_samples
-    results = []
-    ok = True
-    for t in range(n_translates):
-        mean = trans_sum[t] / n_samples
-        var = max(trans_sq[t] / n_samples - mean**2, 0.0) / n_samples
-        se = vol * math.sqrt(var)
-        dev = vol * mean
-        passed = abs(dev) <= 3.0 * se + 1e-12
-        ok = ok and passed
-        results.append({"deviation": dev, "se": se, "passed": passed})
-    mean = exp_sum / n_samples
-    var = max(exp_sq / n_samples - mean**2, 0.0) / n_samples
-    exp_dev = vol * mean
-    exp_se = vol * math.sqrt(var)
-    exp_ok = abs(exp_dev) <= 3.0 * exp_se + 1e-12
+    results = [_three_sigma(s, sq, n_samples, vol) for s, sq in zip(trans_sum, trans_sq)]
+    exp = _three_sigma(exp_sum, exp_sq, n_samples, vol)
     return {
         "base_integral": base,
         "translates": results,
-        "exp_chart_deviation": exp_dev,
-        "exp_chart_se": exp_se,
-        "passed": bool(ok and exp_ok),
+        "exp_chart_deviation": exp["deviation"],
+        "exp_chart_se": exp["se"],
+        "passed": bool(all(r["passed"] for r in results) and exp["passed"]),
     }
 

@@ -298,13 +298,12 @@ class Layer:
     k: int
     elements: tuple
     embedding: np.ndarray
-    pinv: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
+    pinv: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.embedding.ndim != 2 or self.embedding.shape[1] != len(self.elements):
             raise DimensionMismatch("embedding must be (d^k, m_k) with one column per element")
-        if self.pinv is None:
-            object.__setattr__(self, "pinv", np.linalg.pinv(self.embedding))
+        object.__setattr__(self, "pinv", np.linalg.pinv(self.embedding))
 
     @property
     def dim(self) -> int:
@@ -402,7 +401,7 @@ class LayeredBasis:
 
     def algebra_element(self, flat: np.ndarray) -> "GradedElement":
         """Lie algebra element with the given flat Malcev coordinates (batched)."""
-        from .tensor_algebra import GradedElement, Role
+        from .tensor_algebra import GradedElement
 
         flat = np.asarray(flat, dtype=float)
         if flat.shape[-1] != self.dim:
@@ -414,7 +413,7 @@ class LayeredBasis:
         for k in range(1, self.spec.N + 1):
             if self.layers[k - 1].dim:
                 levels[k] = self.embed_coords(k, flat[..., self.layer_slice(k)])
-        return GradedElement(self.spec, tuple(levels), Role.ALGEBRA)
+        return GradedElement(self.spec, tuple(levels))
 
     # -- structure constants ---------------------------------------------
 

@@ -21,7 +21,7 @@ import numpy as np
 from .coadjoint import _log_coords
 from .errors import DimensionMismatch, SpecMismatch
 from .lie_basis import Flavor, GroupSpec, LayeredBasis
-from .tensor_algebra import GradedElement, Role, mul
+from .tensor_algebra import GradedElement, mul
 
 __all__ = [
     "PiecewiseLinearPath",
@@ -96,7 +96,7 @@ def segment_signature(spec: GroupSpec, increments: np.ndarray) -> GradedElement:
     for k in range(2, spec.N + 1):
         outer = levels[-1][..., :, None] * v[..., None, :]
         levels.append(outer.reshape(batch + (-1,)) * (1.0 / k))
-    return GradedElement(spec, tuple(levels), Role.GROUP)
+    return GradedElement(spec, tuple(levels))
 
 
 def _ordered_product(sig: GradedElement) -> GradedElement:
@@ -111,7 +111,7 @@ def _ordered_product(sig: GradedElement) -> GradedElement:
             levels = tuple(
                 np.concatenate((p, lv[-1:])) for p, lv in zip(paired.levels, sig.levels)
             )
-            paired = GradedElement(sig.spec, levels, Role.GROUP)
+            paired = GradedElement(sig.spec, levels)
         sig = paired
     return sig.take(0)
 

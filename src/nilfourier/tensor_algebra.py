@@ -4,8 +4,8 @@ Elements store one dense array per tensor degree ``k = 0..N`` (size ``d^k``,
 row-major with the first slot slowest). Arbitrary leading batch axes are
 supported throughout, so group operations vectorize over grids of elements.
 
-Roles distinguish how the scalar level is pinned: algebra elements have
-``p_0 = 0``, group elements ``p_0 = 1``, raw elements are unconstrained. The
+An element's role is read off its scalar level: algebra elements have
+``p_0 = 0``, group elements ``p_0 = 1``, and any other scalar level is raw. The
 exponential, logarithm, Baker-Campbell-Hausdorff combination, inverse, and
 adjoint action are exact finite series thanks to nilpotency.
 """
@@ -47,12 +47,11 @@ class GradedElement:
     """A truncated tensor with one dense array per degree.
 
     ``levels[k]`` has shape ``(*batch, d^k)``; all levels share the batch
-    shape. Construction validates trailing sizes and the role's scalar level.
+    shape. Construction validates trailing sizes; the role is read off ``p_0``.
     """
 
     spec: GroupSpec
     levels: tuple[np.ndarray, ...]
-    role: Role = Role.RAW
 
     def __post_init__(self) -> None:
         sizes = self.spec.tensor_level_sizes()
@@ -70,15 +69,18 @@ class GradedElement:
             if arr.shape[:-1] != batch:
                 raise DimensionMismatch("all levels must share one batch shape")
         object.__setattr__(self, "levels", tuple(arrays))
-        role = Role(self.role)
-        object.__setattr__(self, "role", role)
-        p0 = arrays[0]
-        if role is Role.ALGEBRA and not np.all(np.abs(p0) <= _ROLE_TOL):
-            raise RoleError("algebra elements need scalar level 0")
-        if role is Role.GROUP and not np.all(np.abs(p0 - 1.0) <= _ROLE_TOL):
-            raise RoleError("group elements need scalar level 1")
 
     # -- basic structure ----------------------------------------------------
+
+    @property
+    def role(self) -> Role:
+        """The role pinned by the scalar level: algebra at 0, group at 1, else raw."""
+        p0 = self.levels[0]
+        if np.all(np.abs(p0) <= _ROLE_TOL):
+            return Role.ALGEBRA
+        if np.all(np.abs(p0 - 1.0) <= _ROLE_TOL):
+            return Role.GROUP
+        return Role.RAW
 
     @property
     def batch_shape(self) -> tuple[int, ...]:
@@ -87,37 +89,34 @@ class GradedElement:
     def level(self, k: int) -> np.ndarray:
         return self.levels[k]
 
-    def with_role(self, role: Role) -> "GradedElement":
-        return GradedElement(self.spec, self.levels, role)
-
     def broadcast_to(self, batch: tuple[int, ...]) -> "GradedElement":
         levels = tuple(
             np.broadcast_to(lv, batch + lv.shape[-1:]) for lv in self.levels
         )
-        return GradedElement(self.spec, levels, self.role)
+        return GradedElement(self.spec, levels)
 
     def take(self, idx) -> "GradedElement":
         """Index into the batch axes (e.g. ``elt.take(3)`` or ``elt.take((i, j))``)."""
         levels = tuple(lv[idx] for lv in self.levels)
-        return GradedElement(self.spec, levels, self.role)
+        return GradedElement(self.spec, levels)
 
     # -- linear operations ----------------------------------------------------
 
     def __add__(self, other: "GradedElement") -> "GradedElement":
         _check_spec(self, other)
         levels = tuple(a + b for a, b in zip(self.levels, other.levels))
-        return GradedElement(self.spec, levels, _role_of(levels[0]))
+        return GradedElement(self.spec, levels)
 
     def __sub__(self, other: "GradedElement") -> "GradedElement":
         _check_spec(self, other)
         levels = tuple(a - b for a, b in zip(self.levels, other.levels))
-        return GradedElement(self.spec, levels, _role_of(levels[0]))
+        return GradedElement(self.spec, levels)
 
     def scale(self, c) -> "GradedElement":
         """Multiply every level by a scalar (or batched scalar array)."""
         c = np.asarray(c, dtype=float)
         levels = tuple(c[..., None] * lv if c.ndim else c * lv for lv in self.levels)
-        return GradedElement(self.spec, levels, _role_of(levels[0]))
+        return GradedElement(self.spec, levels)
 
     def __neg__(self) -> "GradedElement":
         return self.scale(-1.0)
@@ -144,7 +143,7 @@ class GradedElement:
     def identity(spec: GroupSpec, batch: tuple[int, ...] = ()) -> "GradedElement":
         levels = [np.zeros(batch + (s,)) for s in spec.tensor_level_sizes()]
         levels[0] = np.ones(batch + (1,))
-        return GradedElement(spec, tuple(levels), Role.GROUP)
+        return GradedElement(spec, tuple(levels))
 
     @staticmethod
     def from_level1(spec: GroupSpec, v: np.ndarray) -> "GradedElement":
@@ -155,7 +154,7 @@ class GradedElement:
         batch = v.shape[:-1]
         levels = [np.zeros(batch + (s,)) for s in spec.tensor_level_sizes()]
         levels[1] = v
-        return GradedElement(spec, tuple(levels), Role.ALGEBRA)
+        return GradedElement(spec, tuple(levels))
 
     @staticmethod
     def random_algebra(
@@ -164,7 +163,7 @@ class GradedElement:
         levels = [np.zeros(batch + (1,))]
         for s in spec.tensor_level_sizes()[1:]:
             levels.append(scale * rng.standard_normal(batch + (s,)))
-        return GradedElement(spec, tuple(levels), Role.ALGEBRA)
+        return GradedElement(spec, tuple(levels))
 
     # -- serialization ----------------------------------------------------------
 
@@ -181,16 +180,12 @@ class GradedElement:
     def from_json_dict(obj: dict) -> "GradedElement":
         spec = GroupSpec.from_json_dict(obj["spec"])
         levels = tuple(np.asarray(lv, dtype=float) for lv in obj["levels"])
-        return GradedElement(spec, levels, Role(obj.get("role", "raw")))
-
-
-def _role_of(p0: np.ndarray) -> Role:
-    """The role pinned by a scalar level: algebra at 0, group at 1, else raw."""
-    if np.all(np.abs(p0) <= _ROLE_TOL):
-        return Role.ALGEBRA
-    if np.all(np.abs(p0 - 1.0) <= _ROLE_TOL):
-        return Role.GROUP
-    return Role.RAW
+        elt = GradedElement(spec, levels)
+        declared = Role(obj.get("role", "raw"))
+        if declared is not Role.RAW and elt.role is not declared:
+            level = 0 if declared is Role.ALGEBRA else 1
+            raise RoleError(f"{declared.value} elements need scalar level {level}")
+        return elt
 
 
 def _check_spec(a: GradedElement, b: GradedElement) -> None:
@@ -212,11 +207,11 @@ def mul(g: GradedElement, h: GradedElement) -> GradedElement:
         acc = None
         for i in range(k + 1):
             a, b = g.levels[i], h.levels[k - i]
-            prod = np.einsum("...a,...b->...ab", a, b)
+            prod = a[..., :, None] * b[..., None, :]
             prod = prod.reshape(prod.shape[:-2] + (sizes[k],))
             acc = prod if acc is None else acc + prod
         out.append(acc)
-    return GradedElement(spec, tuple(out), _role_of(out[0]))
+    return GradedElement(spec, tuple(out))
 
 
 def exp_t(x: GradedElement) -> GradedElement:
@@ -229,7 +224,7 @@ def exp_t(x: GradedElement) -> GradedElement:
     for k in range(2, spec.N + 1):
         term = mul(term, x).scale(1.0 / k)
         acc = acc + term
-    return acc.with_role(Role.GROUP)
+    return acc
 
 
 def log_t(g: GradedElement) -> GradedElement:
@@ -243,14 +238,14 @@ def log_t(g: GradedElement) -> GradedElement:
     for k in range(2, spec.N + 1):
         term = mul(term, x)
         acc = acc + term.scale((-1.0) ** (k + 1) / k)
-    return acc.with_role(Role.ALGEBRA)
+    return acc
 
 
 def commutator(x: GradedElement, y: GradedElement) -> GradedElement:
     """Tensor commutator ``x (x) y - y (x) x`` of two algebra elements."""
     if x.role is not Role.ALGEBRA or y.role is not Role.ALGEBRA:
         raise RoleError("commutator needs algebra elements")
-    return (mul(x, y) - mul(y, x)).with_role(Role.ALGEBRA)
+    return mul(x, y) - mul(y, x)
 
 
 def bch(x: GradedElement, y: GradedElement) -> GradedElement:
@@ -273,7 +268,7 @@ def adjoint(g: GradedElement, y: GradedElement) -> GradedElement:
     for k in range(1, y.spec.N):
         term = commutator(x, term).scale(1.0 / k)
         acc = acc + term
-    return acc.with_role(Role.ALGEBRA)
+    return acc
 
 
 def scaled_exponential(x: GradedElement, t: np.ndarray) -> GradedElement:
@@ -300,5 +295,5 @@ def scaled_exponential(x: GradedElement, t: np.ndarray) -> GradedElement:
     for k in range(spec.N + 1):
         stack = np.stack([p.levels[k] for p in powers], axis=0)  # (N+1, d^k)
         levels.append(np.tensordot(tj, stack, axes=([-1], [0])))
-    return GradedElement(spec, tuple(levels), Role.GROUP)
+    return GradedElement(spec, tuple(levels))
 

@@ -63,9 +63,7 @@ def _bracket_elt(basis, z):
     spec = basis.spec
     levels = [np.zeros((s,)) for s in spec.tensor_level_sizes()]
     levels[2] = basis.embed_coords(2, np.array([z]))
-    from nilfourier import Role
-
-    return GradedElement(spec, tuple(levels), Role.ALGEBRA)
+    return GradedElement(spec, tuple(levels))
 
 
 def test_coadjoint_is_group_action():

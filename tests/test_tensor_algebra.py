@@ -210,3 +210,29 @@ def test_element_json_round_trip():
     back = GradedElement.from_json_dict(payload)
     assert back.role is Role.GROUP
     assert back.max_abs_diff(g) < 1e-15
+
+
+def test_role_is_read_off_the_scalar_level():
+    spec = GroupSpec(2, 3)
+    rng = np.random.default_rng(13)
+    g = exp_t(_rand_alg(spec, rng))
+    built = GradedElement(spec, g.levels)
+    assert built.role is Role.GROUP
+    assert log_t(built).max_abs_diff(log_t(g)) == 0.0
+    x = _rand_alg(spec, rng)
+    mixed = GradedElement(spec, tuple(np.stack(pair) for pair in zip(x.levels, g.levels)))
+    assert mixed.role is Role.RAW
+    assert [mixed.take(i).role for i in range(2)] == [Role.ALGEBRA, Role.GROUP]
+
+
+def test_element_json_role_is_read_off_the_data_or_checked():
+    spec = GroupSpec(2, 2)
+    payload = GradedElement.identity(spec).to_json_dict()
+    del payload["role"]
+    assert GradedElement.from_json_dict(payload).role is Role.GROUP
+    payload["levels"][0] = [0.5]
+    for role, message in (("group", "group elements need scalar level 1"),
+                          ("algebra", "algebra elements need scalar level 0")):
+        with pytest.raises(RoleError, match=message):
+            GradedElement.from_json_dict({**payload, "role": role})
+    assert GradedElement.from_json_dict({**payload, "role": "raw"}).role is Role.RAW
