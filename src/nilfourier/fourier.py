@@ -19,8 +19,10 @@ flat Malcev log coordinates with the group law :meth:`LayeredBasis.bch_coords`;
 Lie-membership is certified only where elements enter as dense tensors (the
 point ``x`` of a shifted trace). Kernel integrands use the conjugation form
 ``log(x u y^-1) = bch(Ad_x log u, log(x y^-1))`` with a per-pair adjoint
-matrix, so each point costs one group-law pass, and the subgroup character is
-separable over the axes of the tensor grid.
+matrix. The leading central block of the subgroup grid only shifts a point by
+a central vector, so it is added, and the group law runs once per point of
+the rest of the grid. The subgroup character is separable over the axes of
+the tensor grid.
 """
 
 from __future__ import annotations
@@ -280,6 +282,9 @@ class MalcevChart:
             raise NotGeneric(f"chart prefix {bad[0] + 1} does not span an ideal")
         self._commutes = ~np.any(np.abs(brackets) > 1e-12, axis=-1)  # [W_i, W_j] = 0
         self.h_abelian = bool(self._commutes[: self.q_h, : self.q_h].all())
+        # Leading subgroup columns that commute with every column: the central block.
+        central = self._commutes[: self.q_h].all(axis=1)
+        self.q_c = int(np.logical_and.accumulate(central).sum())
 
     # -- chart maps (flat log coordinates in, flat log coordinates out) ------
 
@@ -427,11 +432,15 @@ def kernel_values(
     fixed box even when large section values shear it.
 
     Points use the conjugation form ``log(x gamma_h(a) y^-1) = bch(Ad_x log
-    gamma_h(a), log(x y^-1))``: one :meth:`LayeredBasis.bch_coords` pass per
-    point after a per-pair matrix ``Ad_x``. On an abelian subgroup ``log
-    gamma_h`` is linear, so ``Ad_x W_h R^-1`` maps the grid straight to the
-    conjugated points. The character ``exp(i a . ell_h)`` factors over the
-    grid axes, and the values are contracted one axis at a time.
+    gamma_h(a), log(x y^-1))`` after a per-pair matrix ``Ad_x``. The chart's
+    leading ``q_c`` subgroup columns ``W_c`` are central and ``R^-1`` is upper
+    triangular, so the grid's central block ``b_c`` only adds ``W_c
+    R^-1[:q_c, :q_c] b_c`` to a point: one :meth:`LayeredBasis.bch_coords`
+    pass per point of the non-central block ``b_r``, then a broadcast sum. On
+    an abelian subgroup ``log gamma_h`` is linear, so ``Ad_x W_h R^-1`` maps
+    the grid straight to the conjugated points. The character ``exp(i a .
+    ell_h)`` factors over the grid axes, and the values are contracted one
+    axis at a time.
     """
     _check_h_box(f, qspec)
     basis = chart.basis
@@ -448,9 +457,14 @@ def kernel_values(
     P = xs.shape[0]
 
     nodes, weights = _axis(qspec.h_nodes, qspec.h_halfwidth)
-    M = nodes.size**q_h
-    # The grid points b, coordinates first; the weights enter per axis below.
-    grid = np.array(np.meshgrid(*[nodes] * q_h, indexing="ij")).reshape(q_h, M)
+    q_c = chart.q_c
+    # The grid points b, coordinates first, split into the leading central
+    # block b_c and the rest b_r; the weights enter per axis below.
+    grid_c, grid_r = (
+        _tensor_grid([(qspec.h_nodes, qspec.h_halfwidth)] * k)[0].T for k in (q_c, q_h - q_c)
+    )
+    m_c, m_r = grid_c.shape[1], grid_r.shape[1]
+    M = m_c * m_r
     w_h = chart.W[:, :q_h]
     ell_h = ell.flat @ w_h
     bch = basis.bch_coords
@@ -482,14 +496,21 @@ def kernel_values(
         rinv = np.linalg.inv(rmat)
         astar = -np.einsum("pij,pj->pi", rinv, np.einsum("pni,pn->pi", qmat, c0[:, 0]))
         det_r = np.abs(np.prod(np.diagonal(rmat, axis1=-2, axis2=-1), axis=-1))
-        # u is coordinates-first, (C, n, M), so elementwise steps run over the grid
+        # R^-1 is upper triangular, so b_c moves only the central coordinates
+        # a_c. The group law runs on the points with b_c = 0; u is
+        # coordinates-first, (C, n, m_r), so elementwise steps run over the grid.
+        rinv_r = rinv[..., q_c:]
         if chart.h_abelian:
             frame = ad_x @ w_h  # Ad_x W_h: (C, n, q_h)
-            u = frame @ astar[..., None] + (frame @ rinv) @ grid
+            u = frame @ astar[..., None] + (frame @ rinv_r) @ grid_r
         else:
-            apts = np.swapaxes(astar[..., None] + rinv @ grid, -1, -2)
+            apts = np.swapaxes(astar[..., None] + rinv_r @ grid_r, -1, -2)
             u = ad_x @ np.swapaxes(chart.gamma_h(apts), -1, -2)
-        vals = f(bch(np.swapaxes(u, -1, -2), c0))
+        pts = bch(np.swapaxes(u, -1, -2), c0)  # (C, m_r, n)
+        # Ad_x fixes a central W_c and bch(u + z, c0) = bch(u, c0) + z, so b_c
+        # adds W_c R^-1[:q_c, :q_c] b_c, in grid order (b_c, b_r).
+        shift = np.swapaxes(w_h[:, :q_c] @ rinv[:, :q_c, :q_c] @ grid_c, -1, -2)
+        vals = f((shift[:, :, None] + pts[:, None]).reshape(hi - lo, M, n))
         # exp(i a . ell_h) = exp(i a* . ell_h) prod_k exp(i b_k (R^-T ell_h)_k)
         phases = weights * np.exp(1j * (ell_h @ rinv)[..., None] * nodes)  # (C, q_h, nodes)
         for k in range(q_h - 1, -1, -1):

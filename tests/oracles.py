@@ -6,7 +6,10 @@ package's own algorithms, so tests compare two genuinely different routes.
 The exceptions are the chart maps :func:`tensor_chart_product` and
 :func:`tensor_chart_decompose` and the kernel :func:`tensor_route_kernel`
 built on them, which compose group elements in the package's dense tensor
-algebra instead of its flat-coordinate group law, and
+algebra instead of its flat-coordinate group law;
+:func:`flat_route_kernel`, which composes every integrand point with the
+package's flat-coordinate group law and chart maps, but without the kernel's
+conjugation form or its split of the subgroup grid; and
 :func:`left_fold_signature`, which multiplies segment exponentials one at a
 time instead of in batched rounds.
 """
@@ -242,18 +245,18 @@ def tensor_chart_decompose(chart, g):
     return sec, g
 
 
-def tensor_route_kernel(f, ell, chart, qspec, xs, ys, step):
-    """``K_f(section(x), section(y))`` one pair at a time, on dense tensors.
+def _framed_kernel(f, ell, chart, qspec, xs, ys, step, point_map, log_gamma_h):
+    """``K_f(section(x), section(y))`` one pair at a time on the package's frame.
 
-    Uses the same per-pair frame as the package (central differences of
-    ``a -> log(x gamma_h(a) y^-1)`` at ``a = 0`` with step ``step``, QR,
-    recentering, identity frame when ``R`` is rank deficient) and the same
-    trapezoid grid, but composes every integrand point with ``mul``,
-    ``group_inverse`` and ``_log_coords``, and takes the character as the
-    per-point ``exp(i ell(log gamma_h(a)))``.
+    ``point_map(x, y)`` returns the map from subgroup coordinates ``a`` of
+    shape ``(m, q_h)`` to the log coordinates of ``x gamma_h(a) y^-1``, and
+    ``log_gamma_h(a)`` gives those of ``gamma_h(a)``. The frame is the
+    package's: central differences of that map at ``a = 0`` with step
+    ``step``, QR, recentering, identity frame when ``R`` is rank deficient, on
+    the same trapezoid grid; the character is the per-point
+    ``exp(i ell(log gamma_h(a)))``.
     """
-    basis = chart.basis
-    n, q_h = basis.dim, chart.q_h
+    n, q_h = chart.basis.dim, chart.q_h
     nodes = np.linspace(-qspec.h_halfwidth, qspec.h_halfwidth, qspec.h_nodes)
     w = np.full(nodes.size, nodes[1] - nodes[0])
     w[0] *= 0.5
@@ -264,15 +267,7 @@ def tensor_route_kernel(f, ell, chart, qspec, xs, ys, step):
         bw = np.outer(bw, w).ravel()
     out = []
     for x, y in zip(xs, ys):
-        gx = tensor_chart_product(chart, x, q_h)
-        gyi = group_inverse(tensor_chart_product(chart, y, q_h))
-
-        def log_point(a):
-            m = a.shape[0]
-            gh = tensor_chart_product(chart, a, 0)
-            g = mul(mul(gx.broadcast_to((m,)), gh), gyi.broadcast_to((m,)))
-            return _log_coords(basis, g)
-
+        log_point = point_map(x, y)
         c0 = log_point(np.zeros((1, q_h)))[0]
         probes = step * np.eye(q_h)
         jac = (log_point(probes) - log_point(-probes)).T / (2.0 * step)
@@ -282,8 +277,52 @@ def tensor_route_kernel(f, ell, chart, qspec, xs, ys, step):
             qmat, rmat = np.eye(n, q_h), np.eye(q_h)
         rinv = np.linalg.inv(rmat)
         apts = -rinv @ (qmat.T @ c0) + bpts @ rinv.T
-        u = tensor_chart_product(chart, apts, 0)
-        phase = np.exp(1j * (_log_coords(basis, u) @ ell.flat))
+        phase = np.exp(1j * (log_gamma_h(apts) @ ell.flat))
         total = np.sum(bw * f(log_point(apts)) * phase)
         out.append(total / abs(np.prod(np.diag(rmat))))
     return np.array(out)
+
+
+def tensor_route_kernel(f, ell, chart, qspec, xs, ys, step):
+    """``K_f(section(x), section(y))`` one pair at a time, on dense tensors.
+
+    Uses the package's per-pair frame and trapezoid grid (see
+    :func:`_framed_kernel`), but composes every integrand point with ``mul``,
+    ``group_inverse`` and ``_log_coords``.
+    """
+    basis = chart.basis
+
+    def log_gamma_h(a):
+        return _log_coords(basis, tensor_chart_product(chart, a, 0))
+
+    def point_map(x, y):
+        gx = tensor_chart_product(chart, x, chart.q_h)
+        gyi = group_inverse(tensor_chart_product(chart, y, chart.q_h))
+
+        def log_point(a):
+            m = a.shape[0]
+            gh = tensor_chart_product(chart, a, 0)
+            g = mul(mul(gx.broadcast_to((m,)), gh), gyi.broadcast_to((m,)))
+            return _log_coords(basis, g)
+
+        return log_point
+
+    return _framed_kernel(f, ell, chart, qspec, xs, ys, step, point_map, log_gamma_h)
+
+
+def flat_route_kernel(f, ell, chart, qspec, xs, ys, step):
+    """``K_f(section(x), section(y))`` one pair at a time, in flat coordinates.
+
+    Uses the package's per-pair frame and trapezoid grid (see
+    :func:`_framed_kernel`) and composes every point of the full grid as
+    ``bch(bch(section(x), gamma_h(a)), -section(y))`` with the chart maps and
+    :meth:`LayeredBasis.bch_coords`: no conjugation form and no split of the
+    grid into its central block and the rest.
+    """
+    bch = chart.basis.bch_coords
+
+    def point_map(x, y):
+        sx, syi = chart.section(x), -chart.section(y)
+        return lambda a: bch(bch(sx, chart.gamma_h(a)), syi)
+
+    return _framed_kernel(f, ell, chart, qspec, xs, ys, step, point_map, chart.gamma_h)

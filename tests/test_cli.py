@@ -10,8 +10,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -313,10 +315,15 @@ def test_out_directory_writes_json_and_csv(capsys, tmp_path):
 
 
 def test_module_entry_point_runs_in_subprocess():
+    # the child finds the package in this checkout's src/, installed or not
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "nilfourier.cli", "dims", "--spec", "2,2"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)

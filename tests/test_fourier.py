@@ -59,6 +59,7 @@ from nilfourier.tensor_algebra import exp_t, group_inverse, log_t, mul
 
 from oracles import (
     HEISENBERG_C_NORM,
+    flat_route_kernel,
     heisenberg_hs_sq,
     heisenberg_kernel,
     heisenberg_trace,
@@ -170,9 +171,15 @@ def test_schwartz_rejects_wrong_coordinate_count():
 def test_identity_chart_uses_plain_coordinate_order():
     basis = _basis(2, 2)
     chart = MalcevChart(basis)
-    assert chart.q_h == 0
+    assert chart.q_h == chart.q_c == 0
     assert chart.q == basis.dim
     assert np.allclose(np.abs(chart.W), np.eye(basis.dim))
+    # with no subgroup to integrate over, the kernel is f at log(x y^-1)
+    f = SchwartzFunction.gaussian(basis.dim)
+    rng = np.random.default_rng(2)
+    xs, ys = rng.standard_normal((2, 4, basis.dim))
+    kv = kernel_values(f, _heisenberg_functional(0.9), chart, _low_res(), xs, ys)
+    assert np.array_equal(kv, f(basis.bch_coords(chart.section(xs), -chart.section(ys))))
 
 
 @pytest.mark.parametrize("d,N", [(2, 2), (3, 3)])
@@ -191,6 +198,20 @@ def test_chart_decompose_reconstructs_group_element(d, N):
     # the remainder lies in the subalgebra's image: no section components
     rem_coords = rem @ chart.W
     assert np.max(np.abs(rem_coords[..., chart.q_h :])) < 1e-10
+
+
+@pytest.mark.parametrize("d,N", [(2, 2), (3, 2), (2, 3), (2, 4), (3, 3), (1, 3)])
+def test_chart_central_block_is_the_top_layer(d, N):
+    # (2, 3) takes the prefix-radical route; on the abelian line every
+    # subgroup column is central
+    basis = _basis(d, N)
+    if d == 1:
+        chart = chart_for(Functional(basis, np.array([0.7])))
+        assert chart.q_c == chart.q_h == 1
+    else:
+        chart = chart_for(sample_generic(basis, np.random.default_rng(11)))
+        assert chart.q_c == basis.layers[N - 1].dim
+    assert np.all(chart._commutes[: chart.q_c])
 
 
 def test_chart_decompose_is_left_equivariant_over_the_subgroup():
@@ -362,6 +383,50 @@ def test_kernel_matches_tensor_route_oracle(d, N, complex_f):
     kv = kernel_values(f, ell, chart, q, xs, ys)
     oracle = tensor_route_kernel(f, ell, chart, q, xs, ys, _FRAME_STEP)
     assert np.max(np.abs(kv - oracle)) <= 1e-10 * np.max(np.abs(oracle))
+
+
+@pytest.mark.parametrize("d,N", [(2, 4), (1, 3)])
+def test_kernel_matches_flat_route_oracle(d, N):
+    # (2, 4) folds an abelian subgroup with three central axes; on the
+    # abelian line the whole subgroup is central and the rest of the grid empty
+    basis = _basis(d, N)
+    if d == 1:
+        ell = Functional(basis, np.array([0.7]))
+    else:
+        ell = sample_generic(basis, np.random.default_rng(7))
+    chart = chart_for(ell)
+    gauss = SchwartzFunction.gaussian(basis.dim)
+    freq = np.linspace(-0.6, 0.9, basis.dim)
+    f = SchwartzFunction(basis.dim, lambda c: gauss(c) * np.exp(1j * (c @ freq)), gauss.decay_box)
+    q = _low_res()
+    rng = np.random.default_rng(9)
+    xs = 0.8 * rng.standard_normal((3, chart.q))
+    ys = 0.8 * rng.standard_normal((3, chart.q))
+    kv = kernel_values(f, ell, chart, q, xs, ys)
+    oracle = flat_route_kernel(f, ell, chart, q, xs, ys, _FRAME_STEP)
+    assert np.max(np.abs(kv - oracle)) <= 1e-10 * np.max(np.abs(oracle))
+
+
+def test_kernel_runs_the_group_law_only_off_the_central_block(monkeypatch):
+    basis = _basis(2, 2)
+    ell = _heisenberg_functional(0.9, 0.3, -0.2)
+    chart = chart_for(ell)
+    assert (chart.q_h, chart.q_c) == (2, 1)
+    points = []
+    bch = basis.bch_coords
+
+    def counted(x, y):
+        out = bch(x, y)
+        points.append(out[..., 0].size)
+        return out
+
+    monkeypatch.setattr(basis, "bch_coords", counted)
+    q = _low_res()
+    P = 5
+    xs, ys = np.random.default_rng(4).standard_normal((2, P, chart.q))
+    kernel_values(SchwartzFunction.gaussian(basis.dim), ell, chart, q, xs, ys)
+    # recentring (P points), frame Jacobian (2 P q_h), integrand (P h_nodes^(q_h - q_c))
+    assert sorted(points) == [P, 2 * P * chart.q_h, P * q.h_nodes ** (chart.q_h - chart.q_c)]
 
 
 def test_operator_is_linear_in_the_function():
