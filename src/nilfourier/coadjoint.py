@@ -17,6 +17,7 @@ sets that parametrize generic orbits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +35,6 @@ __all__ = [
     "Functional",
     "JumpData",
     "coadjoint_apply",
-    "b_matrix",
     "dim_km",
     "is_generic",
     "orbit_dim_quotient_generic",
@@ -148,15 +148,31 @@ def _log_coords(basis: LayeredBasis, g: GradedElement) -> np.ndarray:
     return flat
 
 
-def _ad_exponential(basis: LayeredBasis, x_flat: np.ndarray) -> np.ndarray:
-    """Matrix of ``Ad(exp x) = sum_k ad(x)^k / k!`` on flat coordinates
-    (batched: ``(..., n) -> (..., n, n)``)."""
+def _exp_series(N: int) -> list[float]:
+    """Coefficients ``1/k!`` of ``e^z`` through degree ``N - 1``."""
+    return [1.0 / math.factorial(k) for k in range(N)]
+
+
+def _bernoulli_series(N: int) -> list[float]:
+    """Coefficients of ``z / (e^z - 1)`` through degree ``N - 1``: the
+    inverse series of ``(e^z - 1) / z = sum_k z^k / (k + 1)!``."""
+    c = [1.0]
+    for m in range(1, N):
+        c.append(-sum(c[j] / math.factorial(m - j + 1) for j in range(m)))
+    return c
+
+
+def _ad_series(basis: LayeredBasis, x_flat: np.ndarray, coeffs: list[float]) -> np.ndarray:
+    """Matrix of ``sum_k coeffs[k] ad(x)^k`` on flat coordinates (batched:
+    ``(..., n) -> (..., n, n)``). ``ad(x)^N = 0``, so the sum is exact with
+    the coefficients through degree ``N - 1``: ``Ad(exp x)`` takes
+    :func:`_exp_series`, the differential of ``log`` :func:`_bernoulli_series`."""
     ad = basis.ad_matrix(x_flat)
-    result = np.eye(basis.dim) + ad
-    term = ad
-    for k in range(2, basis.spec.N):
-        term = (ad @ term) / k
-        result = result + term
+    term = np.broadcast_to(np.eye(basis.dim), ad.shape)
+    result = coeffs[0] * term
+    for c in coeffs[1 : basis.spec.N]:
+        term = ad @ term
+        result = result + c * term
     return result
 
 
@@ -170,7 +186,7 @@ def coadjoint_apply(g: GradedElement, ell: Functional) -> Functional:
     if g.batch_shape != ():
         raise DimensionMismatch("coadjoint_apply expects an unbatched group element")
     x = _log_coords(basis, g)
-    mat = _ad_exponential(basis, -x)
+    mat = _ad_series(basis, -x, _exp_series(basis.spec.N))
     return Functional(basis, mat.T @ ell.flat)
 
 
@@ -211,17 +227,6 @@ def dim_km(spec: GroupSpec, k: int, m: int) -> int:
     """
     _check_km(spec, k, m)
     return _dim_km_raw(spec, k, m)
-
-
-def b_matrix(ell: Functional, k: int, m: int) -> np.ndarray:
-    """Pairing block ``B[i, j] = ell([X_i^(k), X_j^(N-k)])``, shape ``(m_k, m)``."""
-    basis = ell.basis
-    spec = basis.spec
-    _check_km(spec, k, m)
-    skew = basis.skew_form(ell.flat)
-    rows = basis.layer_slice(k)
-    cols = basis.layer_slice(spec.N - k)
-    return skew[rows, cols.start : cols.start + m]
 
 
 def b_matrix_ranks(ell: Functional) -> dict[int, int]:
@@ -292,7 +297,7 @@ def quotient_prefix_len(basis: LayeredBasis, k: int, m: int) -> int:
 def _dual_jacobian(basis: LayeredBasis, ell_flat: np.ndarray, t0: np.ndarray, step: float) -> np.ndarray:
     """Central-difference Jacobian at ``t0`` of the dual flow ``t -> exp(t) . ell``."""
     shifts = step * np.eye(basis.dim)
-    mats = _ad_exponential(basis, -np.stack((t0 + shifts, t0 - shifts)))  # (2, n, n, n)
+    mats = _ad_series(basis, -np.stack((t0 + shifts, t0 - shifts)), _exp_series(basis.spec.N))
     flows = np.swapaxes(mats, -1, -2) @ ell_flat  # flows[s, a] = image at t0 +- step e_a
     return (flows[0] - flows[1]).T / (2.0 * step)
 

@@ -58,7 +58,3 @@ class QuadratureUnderflow(NilfourierError):
 
 class NonConvergence(NilfourierError):
     """Doubling the frequency-plane resolution changed the result beyond tolerance."""
-
-
-class NegativeDeterminant(NilfourierError):
-    """Kept exported; nothing raises it, as ``sqrt_det_d`` takes a Pfaffian."""

@@ -12,17 +12,19 @@ operator attached to an integrable function ``f`` has integral kernel
 This module computes such kernels numerically (with a per-evaluation affine
 reframing of the ``H`` integral that keeps sheared integrands inside a fixed
 box -- exact by translation invariance), shifted traces, the square-rooted
-skew determinant (a Pfaffian) over the jump indices, the inversion integral
-over the transverse frequency plane, and both sides of the Plancherel
-identity. Charts, kernels, characters and traces compose group elements in
-flat Malcev log coordinates with the group law :meth:`LayeredBasis.bch_coords`;
-Lie-membership is certified only where elements enter as dense tensors (the
-point ``x`` of a shifted trace). Kernel integrands use the conjugation form
-``log(x u y^-1) = bch(Ad_x log u, log(x y^-1))`` with a per-pair adjoint
-matrix. The leading central block of the subgroup grid only shifts a point by
-a central vector, so it is added, and the group law runs once per point of
-the rest of the grid. The subgroup character is separable over the axes of
-the tensor grid.
+skew determinant over the jump indices, the inversion integral over the
+transverse frequency plane, and both sides of the Plancherel identity. Charts,
+kernels, characters and traces compose group elements in flat Malcev log
+coordinates with the group law :meth:`LayeredBasis.bch_coords`; Lie-membership
+is certified only where elements enter as dense tensors (the point ``x`` of a
+shifted trace). Kernel integrands use the conjugation form ``log(x u y^-1) =
+bch(Ad_x log u, log(x y^-1))`` with a per-pair adjoint matrix. The frame of
+the reframing is the exact differential of that map, ``B(ad log(x y^-1))
+Ad_x`` with ``B(z) = z / (e^z - 1)``, a finite series because ``ad`` is
+nilpotent. The leading central block of the subgroup grid only shifts a point
+by a central vector, so it is added, and the group law runs once per point of
+the rest of the grid. The subgroup character is separable over the axes of the
+tensor grid.
 """
 
 from __future__ import annotations
@@ -37,7 +39,9 @@ import numpy as np
 from .coadjoint import (
     Functional,
     JumpData,
-    _ad_exponential,
+    _ad_series,
+    _bernoulli_series,
+    _exp_series,
     _log_coords,
     is_generic,
     jump_sets,
@@ -78,9 +82,6 @@ __all__ = [
 #: chunk in kernel evaluation. Arrays much above a megabyte measured slower
 #: per point: each chunk then page-faults its fresh temporaries.
 _CHUNK_BUDGET = 100_000
-
-#: Finite-difference step for the per-pair frame Jacobian.
-_FRAME_STEP = 1e-3
 
 #: Monte Carlo samples per vectorized chunk in :func:`haar_invariance_check`.
 _HAAR_CHUNK = 250_000
@@ -126,9 +127,9 @@ class QuadratureSpec:
         for name in ("h_nodes", "section_nodes", "t_nodes"):
             if getattr(self, name) < 8:
                 raise DimensionMismatch(f"{name} must be at least 8")
-        for name in ("h_halfwidth", "section_halfwidth", "t_halfwidth"):
-            if not getattr(self, name) > 0:
-                raise DimensionMismatch(f"{name} must be positive")
+        for name in ("h_halfwidth", "section_halfwidth", "t_halfwidth", "section_scale_cap"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise DimensionMismatch(f"{name} must be positive and finite")
 
     @staticmethod
     def reference() -> "QuadratureSpec":
@@ -144,11 +145,17 @@ class QuadratureSpec:
 
     @staticmethod
     def from_json_dict(obj: dict) -> "QuadratureSpec":
-        # Each field is cast to the type of its default (int or float).
+        # Node counts must be JSON integers and widths JSON numbers; each is
+        # cast to the type of its default. Booleans are neither.
         casts = {f.name: type(f.default) for f in fields(QuadratureSpec)}
         unknown = set(obj) - set(casts)
         if unknown:
             raise DimensionMismatch(f"unknown quadrature fields: {sorted(unknown)}")
+        for name, value in obj.items():
+            allowed = (int,) if casts[name] is int else (int, float)
+            if isinstance(value, bool) or not isinstance(value, allowed):
+                kind = "an integer" if casts[name] is int else "a number"
+                raise DimensionMismatch(f"{name} must be {kind}, got {value!r}")
         return QuadratureSpec(**{name: casts[name](value) for name, value in obj.items()})
 
 
@@ -281,7 +288,6 @@ class MalcevChart:
         if bad.size:
             raise NotGeneric(f"chart prefix {bad[0] + 1} does not span an ideal")
         self._commutes = ~np.any(np.abs(brackets) > 1e-12, axis=-1)  # [W_i, W_j] = 0
-        self.h_abelian = bool(self._commutes[: self.q_h, : self.q_h].all())
         # Leading subgroup columns that commute with every column: the central block.
         central = self._commutes[: self.q_h].all(axis=1)
         self.q_c = int(np.logical_and.accumulate(central).sum())
@@ -432,15 +438,16 @@ def kernel_values(
     fixed box even when large section values shear it.
 
     Points use the conjugation form ``log(x gamma_h(a) y^-1) = bch(Ad_x log
-    gamma_h(a), log(x y^-1))`` after a per-pair matrix ``Ad_x``. The chart's
+    gamma_h(a), c0)`` with ``c0 = log(x y^-1)`` after a per-pair matrix
+    ``Ad_x``, so the Jacobian is exact: ``J = B(ad c0) Ad_x W_h`` with ``B(z)
+    = z / (e^z - 1)``, the differential of ``bch(., c0)`` at zero (Hall,
+    *Lie Groups, Lie Algebras, and Representations*, Thm 5.4). The chart's
     leading ``q_c`` subgroup columns ``W_c`` are central and ``R^-1`` is upper
     triangular, so the grid's central block ``b_c`` only adds ``W_c
     R^-1[:q_c, :q_c] b_c`` to a point: one :meth:`LayeredBasis.bch_coords`
-    pass per point of the non-central block ``b_r``, then a broadcast sum. On
-    an abelian subgroup ``log gamma_h`` is linear, so ``Ad_x W_h R^-1`` maps
-    the grid straight to the conjugated points. The character ``exp(i a .
-    ell_h)`` factors over the grid axes, and the values are contracted one
-    axis at a time.
+    pass per point of the non-central block ``b_r``, then a broadcast sum.
+    The character ``exp(i a . ell_h)`` factors over the grid axes, and the
+    values are contracted one axis at a time.
     """
     _check_h_box(f, qspec)
     basis = chart.basis
@@ -468,9 +475,7 @@ def kernel_values(
     w_h = chart.W[:, :q_h]
     ell_h = ell.flat @ w_h
     bch = basis.bch_coords
-
-    # log gamma_h(+-step e_j) for the frame Jacobian, shared by all pairs.
-    probes = _FRAME_STEP * w_h.T
+    exp_coeffs, dlog_coeffs = _exp_series(basis.spec.N), _bernoulli_series(basis.spec.N)
 
     out = np.empty(P, dtype=complex)
     chunk = max(1, _CHUNK_BUDGET // (M * n))
@@ -481,10 +486,9 @@ def kernel_values(
         if not q_h:
             out[lo:hi] = f(c0[:, 0])
             continue
-        ad_x = _ad_exponential(basis, cx)  # (C, n, n)
-        conj = probes @ np.swapaxes(ad_x, -1, -2)
-        mp, mm = bch(np.stack((conj, -conj)), c0)
-        jac = np.swapaxes(mp - mm, -1, -2) / (2.0 * _FRAME_STEP)
+        ad_x = _ad_series(basis, cx, exp_coeffs)  # (C, n, n)
+        # d/da bch(Ad_x log gamma_h(a), c0) at a = 0 is B(ad c0) Ad_x W_h.
+        jac = _ad_series(basis, c0[:, 0], dlog_coeffs) @ (ad_x @ w_h)
         qmat, rmat = np.linalg.qr(jac)  # jac: (C, n, q_h)
         diag = np.abs(np.diagonal(rmat, axis1=-2, axis2=-1))
         bad = np.min(diag, axis=-1) <= 1e-12 * np.maximum(np.max(diag, axis=-1), 1.0)
@@ -499,13 +503,8 @@ def kernel_values(
         # R^-1 is upper triangular, so b_c moves only the central coordinates
         # a_c. The group law runs on the points with b_c = 0; u is
         # coordinates-first, (C, n, m_r), so elementwise steps run over the grid.
-        rinv_r = rinv[..., q_c:]
-        if chart.h_abelian:
-            frame = ad_x @ w_h  # Ad_x W_h: (C, n, q_h)
-            u = frame @ astar[..., None] + (frame @ rinv_r) @ grid_r
-        else:
-            apts = np.swapaxes(astar[..., None] + rinv_r @ grid_r, -1, -2)
-            u = ad_x @ np.swapaxes(chart.gamma_h(apts), -1, -2)
+        apts = np.swapaxes(astar[..., None] + rinv[..., q_c:] @ grid_r, -1, -2)
+        u = ad_x @ np.swapaxes(chart.gamma_h(apts), -1, -2)
         pts = bch(np.swapaxes(u, -1, -2), c0)  # (C, m_r, n)
         # Ad_x fixes a central W_c and bch(u + z, c0) = bch(u, c0) + z, so b_c
         # adds W_c R^-1[:q_c, :q_c] b_c, in grid order (b_c, b_r).
@@ -586,7 +585,7 @@ def trace_shifted(
 
 
 # ---------------------------------------------------------------------------
-# Pfaffian and inversion
+# Skew determinant and inversion
 # ---------------------------------------------------------------------------
 
 
@@ -599,46 +598,15 @@ def d_matrix(ell: Functional, jump: JumpData | None = None) -> np.ndarray:
     return skew[np.ix_(idx, idx)]
 
 
-def _skew_tridiagonalize(a: np.ndarray) -> np.ndarray:
-    """Reduce a real skew matrix to tridiagonal form by Householder similarity."""
-    t = a.copy()
-    n = t.shape[0]
-    for j in range(n - 2):
-        x = t[j + 1 :, j].copy()
-        norm = np.linalg.norm(x)
-        if norm <= 1e-300:
-            continue
-        v = x
-        v[0] += math.copysign(norm, x[0]) if x[0] != 0 else norm
-        vn = np.linalg.norm(v)
-        if vn <= 1e-300:
-            continue
-        v = v / vn
-        block = t[j + 1 :, :]
-        block -= 2.0 * np.outer(v, v @ block)
-        block = t[:, j + 1 :]
-        block -= 2.0 * np.outer(block @ v, v)
-    return t
-
-
 def sqrt_det_d(ell: Functional, jump: JumpData | None = None) -> float:
-    """``sqrt(det D)`` via the absolute Pfaffian of the jump-index skew matrix.
-
-    Tridiagonalizes the skew matrix orthogonally and multiplies the odd
-    superdiagonal entries; the square of that is the determinant, which is
-    never negative for a real skew matrix.
-    """
+    """``sqrt(|det D|)`` for the jump-index skew matrix ``D``."""
     dmat = d_matrix(ell, jump)
     m = dmat.shape[0]
     if m == 0:
         return 1.0
     if m % 2 == 1:
         return 0.0
-    tri = _skew_tridiagonalize(dmat)
-    pf = 1.0
-    for i in range(0, m - 1, 2):
-        pf *= tri[i, i + 1]
-    return abs(pf)
+    return math.sqrt(abs(np.linalg.det(dmat)))
 
 
 def c_norm(basis: LayeredBasis, jump: JumpData | None = None) -> float:

@@ -215,6 +215,26 @@ FULL_ORBIT_DIMS = {
 
 
 # ---------------------------------------------------------------------------
+# Pfaffian by first-row expansion.
+# ---------------------------------------------------------------------------
+
+
+def pfaffian(a: np.ndarray) -> float:
+    """Pfaffian of a real skew matrix, ``sum_j (-1)^(j+1) a[0, j] Pf(a without
+    rows and columns 0, j)``; zero for odd order, one for order zero."""
+    m = a.shape[0]
+    if m % 2:
+        return 0.0
+    if m == 0:
+        return 1.0
+    total = 0.0
+    for j in range(1, m):
+        rest = [k for k in range(1, m) if k != j]
+        total += (-1) ** (j + 1) * a[0, j] * pfaffian(a[np.ix_(rest, rest)])
+    return total
+
+
+# ---------------------------------------------------------------------------
 # Chart maps and kernel values through the dense tensor algebra.
 # ---------------------------------------------------------------------------
 
@@ -245,16 +265,21 @@ def tensor_chart_decompose(chart, g):
     return sec, g
 
 
+#: Central-difference step of the oracle kernels' frame Jacobian. The package
+#: takes the exact differential instead.
+ORACLE_FRAME_STEP = 1e-3
+
+
 def _framed_kernel(f, ell, chart, qspec, xs, ys, step, point_map, log_gamma_h):
     """``K_f(section(x), section(y))`` one pair at a time on the package's frame.
 
     ``point_map(x, y)`` returns the map from subgroup coordinates ``a`` of
     shape ``(m, q_h)`` to the log coordinates of ``x gamma_h(a) y^-1``, and
-    ``log_gamma_h(a)`` gives those of ``gamma_h(a)``. The frame is the
-    package's: central differences of that map at ``a = 0`` with step
-    ``step``, QR, recentering, identity frame when ``R`` is rank deficient, on
-    the same trapezoid grid; the character is the per-point
-    ``exp(i ell(log gamma_h(a)))``.
+    ``log_gamma_h(a)`` gives those of ``gamma_h(a)``. The frame follows the
+    package's construction, with the Jacobian of that map at ``a = 0`` taken
+    by central differences with step ``step``: QR, recentering, identity frame
+    when ``R`` is rank deficient, on the same trapezoid grid; the character is
+    the per-point ``exp(i ell(log gamma_h(a)))``.
     """
     n, q_h = chart.basis.dim, chart.q_h
     nodes = np.linspace(-qspec.h_halfwidth, qspec.h_halfwidth, qspec.h_nodes)

@@ -264,6 +264,16 @@ def test_fourier_demo_custom_config(capsys, tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("field,value", [("h_nodes", 12.7), ("h_halfwidth", "8")])
+def test_fourier_demo_rejects_mistyped_config(capsys, tmp_path, field, value):
+    fp = tmp_path / "q.json"
+    fp.write_text(json.dumps({field: value}), encoding="utf-8")
+    rc, doc = run_cli(capsys, "fourier-demo", "--seed", "7", "--config", str(fp))
+    assert rc == 2
+    assert doc["error"]["type"] == "DimensionMismatch"
+    assert field in doc["error"]["message"]
+
+
 def test_plancherel_check_small_config(capsys, tmp_path):
     cfg = {
         "h_nodes": 12,

@@ -23,7 +23,7 @@ from nilfourier import (
     quotient_prefix_len,
     sample_generic,
 )
-from nilfourier.coadjoint import _ad_exponential, b_matrix_ranks
+from nilfourier.coadjoint import _ad_series, _bernoulli_series, _exp_series, b_matrix_ranks
 from nilfourier.errors import IndexOutOfRange
 
 from oracles import FULL_ORBIT_DIMS, JUMP_SET_EXAMPLES
@@ -294,7 +294,7 @@ def test_adjoint_matrix_conjugates_the_group_law(d, N):
     x = rng.standard_normal((5, 1, basis.dim))
     y = rng.standard_normal((5, 1, basis.dim))
     u = rng.standard_normal((5, 7, basis.dim))
-    ad_x = _ad_exponential(basis, x[:, 0])
+    ad_x = _ad_series(basis, x[:, 0], _exp_series(N))
     conj = basis.bch_coords(np.einsum("pij,pmj->pmi", ad_x, u), basis.bch_coords(x, -y))
     direct = basis.bch_coords(basis.bch_coords(x, u), -y)
     assert np.max(np.abs(conj - direct)) <= 1e-12 * (1.0 + np.max(np.abs(direct)))
@@ -308,7 +308,32 @@ def test_adjoint_matrix_conjugates_the_group_law(d, N):
 def test_batched_ad_exponential_stacks_unbatched_ones(d, N):
     basis = _basis(d, N)
     x = np.random.default_rng(d + N).standard_normal((3, 4, basis.dim))
-    batched = _ad_exponential(basis, x)
+    batched = _ad_series(basis, x, _exp_series(N))
     assert batched.shape == (3, 4, basis.dim, basis.dim)
-    stacked = np.array([[_ad_exponential(basis, xi) for xi in row] for row in x])
+    stacked = np.array([[_ad_series(basis, xi, _exp_series(N)) for xi in row] for row in x])
     np.testing.assert_allclose(batched, stacked, rtol=0, atol=1e-12)
+
+
+def test_bernoulli_series_coefficients():
+    # z / (e^z - 1) = 1 - z/2 + z^2/12 - z^4/720 + z^6/30240 - ...
+    expected = [1.0, -1 / 2, 1 / 12, 0.0, -1 / 720, 0.0, 1 / 30240, 0.0, -1 / 1209600]
+    np.testing.assert_allclose(_bernoulli_series(9), expected, rtol=1e-14, atol=1e-17)
+
+
+@pytest.mark.parametrize("d,N", [(2, 2), (3, 2), (2, 3), (2, 4), (3, 3), (2, 5)])
+def test_bernoulli_series_is_the_differential_of_the_group_law(d, N):
+    # B(ad c) u = d/dt bch(t u, c) at t = 0. The map is a polynomial of degree
+    # N in t, so a central stencil of 2p + 1 points with 2p >= N is exact.
+    basis = _basis(d, N)
+    rng = np.random.default_rng(60 + 10 * d + N)
+    c = rng.standard_normal((4, 1, basis.dim))
+    u = np.eye(basis.dim)  # one direction per column of B(ad c)
+    p, step = (N + 1) // 2, 0.5
+    offsets = step * np.arange(-p, p + 1)
+    # stencil weights w with sum_k w_k offsets_k^j = [j == 1] for j = 0 .. 2p
+    weights = np.linalg.solve(np.vander(offsets, increasing=True).T, np.eye(2 * p + 1)[1])
+    deriv = sum(w * basis.bch_coords(t * u, c) for w, t in zip(weights, offsets))  # (4, n, n)
+    exact = _ad_series(basis, c[:, 0], _bernoulli_series(N))
+    # deriv[b, j] is the image of direction j, i.e. column j of the matrix
+    stencil = np.swapaxes(deriv, -1, -2)
+    assert np.max(np.abs(exact - stencil)) <= 1e-12 * np.max(np.abs(stencil))

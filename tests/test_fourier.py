@@ -47,7 +47,6 @@ from nilfourier.errors import (
     QuadratureUnderflow,
 )
 from nilfourier.fourier import (
-    _FRAME_STEP,
     _h_phase_rate,
     _log_coords,
     _resolvable_rate,
@@ -59,10 +58,12 @@ from nilfourier.tensor_algebra import exp_t, group_inverse, log_t, mul
 
 from oracles import (
     HEISENBERG_C_NORM,
+    ORACLE_FRAME_STEP,
     flat_route_kernel,
     heisenberg_hs_sq,
     heisenberg_kernel,
     heisenberg_trace,
+    pfaffian,
     tensor_chart_decompose,
     tensor_chart_product,
     tensor_route_kernel,
@@ -114,6 +115,9 @@ def test_quadrature_presets_are_valid_and_distinct():
         {"h_halfwidth": 0.0},
         {"section_halfwidth": -1.0},
         {"t_halfwidth": 0.0},
+        {"section_scale_cap": 0.0},
+        {"h_halfwidth": float("inf")},
+        {"section_halfwidth": float("nan")},
     ],
 )
 def test_quadrature_spec_rejects_degenerate_grids(bad):
@@ -125,12 +129,34 @@ def test_quadrature_spec_json_round_trip():
     q = _low_res(h_nodes=10, t_halfwidth=5.5)
     again = QuadratureSpec.from_json_dict(q.to_json_dict())
     assert again == q
+    # a width may be a JSON integer; it is stored as a float
+    wide = QuadratureSpec.from_json_dict({"h_halfwidth": 9})
+    assert wide.h_halfwidth == 9.0 and isinstance(wide.h_halfwidth, float)
 
 
 def test_quadrature_spec_rejects_unknown_json_fields():
     blob = QuadratureSpec.demo().to_json_dict()
     blob["surprise"] = 1
     with pytest.raises(DimensionMismatch):
+        QuadratureSpec.from_json_dict(blob)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("h_nodes", 12.7),
+        ("section_nodes", 12.0),
+        ("t_nodes", "16"),
+        ("t_nodes", True),
+        ("h_halfwidth", "8"),
+        ("section_scale_cap", False),
+        ("t_halfwidth", None),
+    ],
+)
+def test_quadrature_spec_rejects_mistyped_json_fields(field, value):
+    blob = QuadratureSpec.demo().to_json_dict()
+    blob[field] = value
+    with pytest.raises(DimensionMismatch, match=field):
         QuadratureSpec.from_json_dict(blob)
 
 
@@ -257,7 +283,7 @@ def test_flat_chart_maps_match_tensor_chart_maps(d, N):
 def test_abelian_subgroup_chart_is_linear(d, N, abelian):
     basis = _basis(d, N)
     chart = chart_for(sample_generic(basis, np.random.default_rng(11)))
-    assert chart.h_abelian is abelian
+    assert chart._commutes[: chart.q_h, : chart.q_h].all() == abelian
     if not abelian:
         return
     a = 0.7 * np.random.default_rng(d + N).standard_normal((6, chart.q_h))
@@ -381,7 +407,7 @@ def test_kernel_matches_tensor_route_oracle(d, N, complex_f):
     xs = 0.8 * rng.standard_normal((3, chart.q))
     ys = 0.8 * rng.standard_normal((3, chart.q))
     kv = kernel_values(f, ell, chart, q, xs, ys)
-    oracle = tensor_route_kernel(f, ell, chart, q, xs, ys, _FRAME_STEP)
+    oracle = tensor_route_kernel(f, ell, chart, q, xs, ys, ORACLE_FRAME_STEP)
     assert np.max(np.abs(kv - oracle)) <= 1e-10 * np.max(np.abs(oracle))
 
 
@@ -403,7 +429,7 @@ def test_kernel_matches_flat_route_oracle(d, N):
     xs = 0.8 * rng.standard_normal((3, chart.q))
     ys = 0.8 * rng.standard_normal((3, chart.q))
     kv = kernel_values(f, ell, chart, q, xs, ys)
-    oracle = flat_route_kernel(f, ell, chart, q, xs, ys, _FRAME_STEP)
+    oracle = flat_route_kernel(f, ell, chart, q, xs, ys, ORACLE_FRAME_STEP)
     assert np.max(np.abs(kv - oracle)) <= 1e-10 * np.max(np.abs(oracle))
 
 
@@ -425,8 +451,8 @@ def test_kernel_runs_the_group_law_only_off_the_central_block(monkeypatch):
     P = 5
     xs, ys = np.random.default_rng(4).standard_normal((2, P, chart.q))
     kernel_values(SchwartzFunction.gaussian(basis.dim), ell, chart, q, xs, ys)
-    # recentring (P points), frame Jacobian (2 P q_h), integrand (P h_nodes^(q_h - q_c))
-    assert sorted(points) == [P, 2 * P * chart.q_h, P * q.h_nodes ** (chart.q_h - chart.q_c)]
+    # recentring (P points), integrand (P h_nodes^(q_h - q_c)); the frame is exact
+    assert sorted(points) == [P, P * q.h_nodes ** (chart.q_h - chart.q_c)]
 
 
 def test_operator_is_linear_in_the_function():
@@ -521,17 +547,19 @@ def test_underflow_guard_rejects_boxes_smaller_than_the_function():
 
 
 def test_sqrt_det_d_matches_determinant():
+    # the reference is the Pfaffian by first-row expansion: Pf(D)^2 = det D
     rng = np.random.default_rng(9)
-    for d, N in [(2, 2), (3, 3)]:
+    for d, N in [(2, 2), (3, 2), (2, 3), (3, 3), (2, 4), (4, 2), (2, 5)]:
         basis = _basis(d, N)
+        jump = jump_sets(basis)
         for _ in range(5):
             ell = sample_generic(basis, rng)
-            jump = jump_sets(basis)
             mat = d_matrix(ell, jump)
+            assert mat.shape == (len(jump.S),) * 2
             assert np.allclose(mat, -mat.T, atol=1e-12)
-            det = np.linalg.det(mat)
-            assert det > 0
-            assert sqrt_det_d(ell, jump) == pytest.approx(np.sqrt(det), rel=1e-10)
+            pf = pfaffian(mat)
+            assert pf != 0.0
+            assert sqrt_det_d(ell, jump) == pytest.approx(abs(pf), rel=1e-12)
 
 
 def test_sqrt_det_d_heisenberg_is_frequency_magnitude():
