@@ -26,7 +26,6 @@ import numpy as np
 from . import __version__
 from .coadjoint import (
     Functional,
-    _log_coords,
     _quotient_labels,
     b_matrix_ranks,
     dim_km,
@@ -57,7 +56,7 @@ from .polarization import (
     vergne_polarization,
 )
 from .signatures import path_signature, read_path_csv
-from .tensor_algebra import GradedElement, exp_t
+from .tensor_algebra import GradedElement, exp_t, log_t
 
 DEFAULT_SEED = 2024
 
@@ -184,7 +183,7 @@ def _cmd_signature(args) -> int:
     csvs = None
     if spec.flavor is Flavor.FREE_NILPOTENT:
         basis = _resolve_basis(args)
-        coords = _log_coords(basis, sig)
+        coords = basis.flat_coords(log_t(sig))
         payload["log_coordinates"] = [float(v) for v in coords]
         payload["malcev_order"] = [[k, i] for (k, i) in basis.malcev_order]
         rows = [
@@ -344,7 +343,7 @@ def _cmd_fourier_demo(args) -> int:
         worst = 0.0
         for label, x in points:
             value = invert(f, x, basis, q, convergence_tol=args.convergence_tol if final else None)
-            coords = _log_coords(basis, x)
+            coords = basis.flat_coords(log_t(x))
             expected = float(np.real(f(coords)))
             err = float(abs(value - expected))
             worst = max(worst, err)

@@ -28,7 +28,7 @@ from .errors import (
     SamplingExhausted,
     SpecMismatch,
 )
-from .lie_basis import GroupSpec, LayeredBasis, build_layered_basis
+from .lie_basis import GroupSpec, LayeredBasis, build_layered_basis, json_number
 from .tensor_algebra import GradedElement, Role, log_t
 
 __all__ = [
@@ -68,18 +68,27 @@ def _rank(mat: np.ndarray, rtol: float) -> int:
 
 @dataclass(frozen=True, eq=False)
 class Functional:
-    """A linear functional in layered-basis coordinates (flat Malcev order)."""
+    """A linear functional in layered-basis coordinates (flat Malcev order).
+
+    ``flat`` is a read-only copy of the given coordinates, and ``skew`` the
+    skew form ``skew[a, b] = ell([X_a, X_b])``, built once at construction.
+    """
 
     basis: LayeredBasis
     flat: np.ndarray
+    skew: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.flat, dtype=float)
+        arr = np.array(self.flat, dtype=float)
         if arr.shape != (self.basis.dim,):
             raise DimensionMismatch(
                 f"functional needs {self.basis.dim} coordinates, got {arr.shape}"
             )
+        arr.flags.writeable = False
+        skew = self.basis.structure_tensor @ arr
+        skew.flags.writeable = False
         object.__setattr__(self, "flat", arr)
+        object.__setattr__(self, "skew", skew)
 
     @property
     def spec(self) -> GroupSpec:
@@ -104,18 +113,13 @@ class Functional:
         return float(self.flat[self.basis.flat_index(k, i)])
 
     def evaluate(self, y: GradedElement) -> np.ndarray:
-        """Pair with an algebra element (batched); expands each layer first."""
+        """Pair with an algebra element (batched) through its certified flat
+        coordinates (:meth:`LayeredBasis.flat_coords`)."""
         if y.spec != self.spec:
             raise SpecMismatch("functional and element specs differ")
         if y.role is not Role.ALGEBRA:
             raise SpecMismatch("functionals pair with algebra elements")
-        total = np.zeros(y.batch_shape)
-        for k in range(1, self.spec.N + 1):
-            if self.basis.layers[k - 1].dim == 0:
-                continue
-            coords = self.basis.expand_layer(k, y.levels[k])
-            total = total + coords @ self.flat[self.basis.layer_slice(k)]
-        return total
+        return self.basis.flat_coords(y) @ self.flat
 
     def to_json_dict(self) -> dict:
         coords = [
@@ -133,19 +137,16 @@ class Functional:
             basis = build_layered_basis(spec)
         elif basis.spec != spec:
             raise SpecMismatch("supplied basis does not match the functional's spec")
-        coords = {(int(k), int(i)): float(v) for k, i, v in obj["coords"]}
+        coords = {}
+        for row in obj["coords"]:
+            if not isinstance(row, (list, tuple)) or len(row) != 3:
+                raise DimensionMismatch(f"a coordinate row is [k, i, value], got {row!r}")
+            k, i, value = (
+                json_number(f"{name} in coordinate row {row!r}", v, cast)
+                for name, v, cast in zip(("k", "i", "value"), row, (int, int, float))
+            )
+            coords[(k, i)] = value
         return Functional.from_coords(basis, coords)
-
-
-def _log_coords(basis: LayeredBasis, g: GradedElement) -> np.ndarray:
-    """Flat Malcev coordinates of ``log g`` (batched)."""
-    x = log_t(g)
-    flat = np.zeros(x.batch_shape + (basis.dim,))
-    for k in range(1, basis.spec.N + 1):
-        if basis.layers[k - 1].dim == 0:
-            continue
-        flat[..., basis.layer_slice(k)] = basis.expand_layer(k, x.levels[k])
-    return flat
 
 
 def _exp_series(N: int) -> list[float]:
@@ -185,7 +186,7 @@ def coadjoint_apply(g: GradedElement, ell: Functional) -> Functional:
         raise SpecMismatch("coadjoint_apply needs a group element")
     if g.batch_shape != ():
         raise DimensionMismatch("coadjoint_apply expects an unbatched group element")
-    x = _log_coords(basis, g)
+    x = basis.flat_coords(log_t(g))
     mat = _ad_series(basis, -x, _exp_series(basis.spec.N))
     return Functional(basis, mat.T @ ell.flat)
 
@@ -235,9 +236,8 @@ def b_matrix_ranks(ell: Functional) -> dict[int, int]:
     basis = ell.basis
     N = basis.spec.N
     dims = basis.spec.layer_dims()
-    skew = basis.skew_form(ell.flat)
     return {
-        k: _rank(skew[basis.layer_slice(k), basis.layer_slice(N - k)], GENERIC_RANK_RTOL)
+        k: _rank(ell.skew[basis.layer_slice(k), basis.layer_slice(N - k)], GENERIC_RANK_RTOL)
         for k in range(1, N // 2 + 1)
         if dims[k - 1] and dims[N - k - 1]
     }
@@ -368,7 +368,7 @@ def orbit_dim_numeric(
 def full_orbit_dim(ell: Functional) -> int:
     """Dimension of the full coadjoint orbit: the rank of the skew form
     ``M[a, b] = ell([X_a, X_b])`` (always even)."""
-    return _rank(ell.basis.skew_form(ell.flat), GENERIC_RANK_RTOL)
+    return _rank(ell.skew, GENERIC_RANK_RTOL)
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,6 @@ from .coadjoint import (
     _ad_series,
     _bernoulli_series,
     _exp_series,
-    _log_coords,
     is_generic,
     jump_sets,
 )
@@ -54,9 +53,9 @@ from .errors import (
     NotGeneric,
     QuadratureUnderflow,
 )
-from .lie_basis import LayeredBasis
+from .lie_basis import LayeredBasis, json_number
 from .polarization import Subalgebra, generic_polarization, vergne_polarization
-from .tensor_algebra import GradedElement, Role
+from .tensor_algebra import GradedElement, Role, log_t
 
 __all__ = [
     "QuadratureSpec",
@@ -145,18 +144,14 @@ class QuadratureSpec:
 
     @staticmethod
     def from_json_dict(obj: dict) -> "QuadratureSpec":
-        # Node counts must be JSON integers and widths JSON numbers; each is
-        # cast to the type of its default. Booleans are neither.
+        # Each field is read as the type of its default.
         casts = {f.name: type(f.default) for f in fields(QuadratureSpec)}
         unknown = set(obj) - set(casts)
         if unknown:
             raise DimensionMismatch(f"unknown quadrature fields: {sorted(unknown)}")
-        for name, value in obj.items():
-            allowed = (int,) if casts[name] is int else (int, float)
-            if isinstance(value, bool) or not isinstance(value, allowed):
-                kind = "an integer" if casts[name] is int else "a number"
-                raise DimensionMismatch(f"{name} must be {kind}, got {value!r}")
-        return QuadratureSpec(**{name: casts[name](value) for name, value in obj.items()})
+        return QuadratureSpec(
+            **{name: json_number(name, value, casts[name]) for name, value in obj.items()}
+        )
 
 
 def _axis(nodes: int, halfwidth: float) -> tuple[np.ndarray, np.ndarray]:
@@ -577,7 +572,7 @@ def trace_shifted(
     ys, wy = _tensor_grid([(qspec.section_nodes, qspec.section_halfwidth * scale)] * chart.q)
     basis = chart.basis
     ws, rem = chart.decompose(
-        basis.bch_coords(_log_coords(basis, x), chart.section(ys))
+        basis.bch_coords(basis.flat_coords(log_t(x)), chart.section(ys))
     )
     twist = np.exp(-1j * (rem @ ell.flat))
     kv = kernel_values(f, ell, chart, qspec, ws, ys)
@@ -594,8 +589,7 @@ def d_matrix(ell: Functional, jump: JumpData | None = None) -> np.ndarray:
     if jump is None:
         jump = jump_sets(ell.basis)
     idx = [ell.basis.flat_index(k, i) for (k, i) in jump.S]
-    skew = ell.basis.skew_form(ell.flat)
-    return skew[np.ix_(idx, idx)]
+    return ell.skew[np.ix_(idx, idx)]
 
 
 def sqrt_det_d(ell: Functional, jump: JumpData | None = None) -> float:

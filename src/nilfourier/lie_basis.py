@@ -30,6 +30,7 @@ from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
     NotInLieImage,
+    SpecMismatch,
 )
 
 __all__ = [
@@ -52,6 +53,16 @@ EXPAND_RTOL = 1e-10
 RANK_RTOL = 1e-10
 
 _MAX_LEVEL = 20
+
+
+def json_number(name: str, value, cast: type):
+    """``value`` read from JSON as ``cast``: an ``int`` field takes only a JSON
+    integer and a ``float`` field any JSON number. Booleans are neither."""
+    allowed = (int,) if cast is int else (int, float)
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        kind = "an integer" if cast is int else "a number"
+        raise DimensionMismatch(f"{name} must be {kind}, got {value!r}")
+    return cast(value)
 
 
 class Flavor(str, Enum):
@@ -135,7 +146,8 @@ class GroupSpec:
 
     @staticmethod
     def from_json_dict(obj: dict) -> "GroupSpec":
-        return GroupSpec(int(obj["d"]), int(obj["N"]), Flavor(obj.get("flavor", "FreeNilpotent")))
+        d, N = (json_number(name, obj.get(name), int) for name in ("d", "N"))
+        return GroupSpec(d, N, Flavor(obj.get("flavor", "FreeNilpotent")))
 
 
 @dataclass(frozen=True)
@@ -342,6 +354,11 @@ class LayeredBasis:
             for i in range(1, self.layers[k - 1].dim + 1)
         ]
         self._flat_of = {ki: a for a, ki in enumerate(self.malcev_order)}
+        # Layer k sits after every layer above it.
+        self._slices = []
+        for k in range(1, spec.N + 1):
+            start = sum(layer.dim for layer in self.layers[k:])
+            self._slices.append(slice(start, start + self.layers[k - 1].dim))
         self._sc: np.ndarray | None = None
         self._bch: list[tuple] | None = None
 
@@ -364,8 +381,7 @@ class LayeredBasis:
         an empty layer)."""
         if not 1 <= k <= self.spec.N:
             raise IndexOutOfRange(f"no layer {k}")
-        start = sum(layer.dim for layer in self.layers[k:])
-        return slice(start, start + self.layers[k - 1].dim)
+        return self._slices[k - 1]
 
     # -- expansion --------------------------------------------------------
 
@@ -394,6 +410,31 @@ class LayeredBasis:
             )
         return coords
 
+    def flat_coords(self, x: "GradedElement") -> np.ndarray:
+        """Flat Malcev coordinates of a (batched) algebra element: the inverse
+        of :meth:`algebra_element`.
+
+        Every layer, empty ones included, goes through :meth:`expand_layer`,
+        which certifies that ``x`` lies in the embedded Lie algebra. Level
+        ``k`` of each element is first divided by ``s^k``, with the power of
+        two ``s = 2^ceil(log2 max(1, rho))`` and ``rho = max_k (max|x_k|)^(1/k)``,
+        so it is held to ``EXPAND_RTOL * (s^k + |x_k|)``, a bound that
+        dilations carry along. Powers of two scale exactly: the coordinates do
+        not depend on ``s``.
+        """
+        if x.spec != self.spec:
+            raise SpecMismatch(f"element over {x.spec} does not match the basis over {self.spec}")
+        levels = x.levels[1:]
+        rho = np.maximum.reduce(
+            [np.abs(lv).max(axis=-1) ** (1.0 / k) for k, lv in enumerate(levels, 1)]
+        )
+        s = np.exp2(np.ceil(np.log2(np.maximum(rho, 1.0))))[..., None]
+        flat = np.empty(x.batch_shape + (self.dim,))
+        for k, (lv, sl) in enumerate(zip(levels, self._slices), 1):
+            scale = s**k
+            flat[..., sl] = self.expand_layer(k, lv / scale) * scale
+        return flat
+
     def embed_coords(self, k: int, coords: np.ndarray) -> np.ndarray:
         """Dense degree-``k`` tensor of layer coordinates (inverse of expand)."""
         coords = np.asarray(coords, dtype=float)
@@ -408,11 +449,8 @@ class LayeredBasis:
             raise DimensionMismatch(
                 f"flat coordinates must have trailing size {self.dim}"
             )
-        batch = flat.shape[:-1]
-        levels = [np.zeros(batch + (s,)) for s in self.spec.tensor_level_sizes()]
-        for k in range(1, self.spec.N + 1):
-            if self.layers[k - 1].dim:
-                levels[k] = self.embed_coords(k, flat[..., self.layer_slice(k)])
+        levels = [np.zeros(flat.shape[:-1] + (1,))]
+        levels += [self.embed_coords(k, flat[..., sl]) for k, sl in enumerate(self._slices, 1)]
         return GradedElement(self.spec, tuple(levels))
 
     # -- structure constants ---------------------------------------------
@@ -516,11 +554,6 @@ class LayeredBasis:
         """Matrix of ``ad(x) = [x, .]`` acting on flat Malcev coordinates (batched)."""
         sc = self.structure_tensor
         return np.einsum("...a,abt->...tb", np.asarray(x, dtype=float), sc)
-
-    def skew_form(self, ell_flat: np.ndarray) -> np.ndarray:
-        """Skew matrix ``M[a, b] = ell([X_a, X_b])`` for a flat functional."""
-        sc = self.structure_tensor
-        return sc @ np.asarray(ell_flat, dtype=float)
 
     # -- serialization ----------------------------------------------------
 

@@ -119,8 +119,7 @@ def is_subordinate(sub: Subalgebra, ell: Functional, tol: float = CLOSURE_TOL) -
     """Whether ``ell`` kills all brackets of the subalgebra."""
     if sub.basis is not ell.basis and sub.basis.spec != ell.basis.spec:
         raise DimensionMismatch("subalgebra and functional use different bases")
-    skew = ell.basis.skew_form(ell.flat)
-    pairing = sub.vectors @ skew @ sub.vectors.T
+    pairing = sub.vectors @ ell.skew @ sub.vectors.T
     scale = 1.0 + (float(np.max(np.abs(ell.flat))) if ell.flat.size else 0.0)
     resid = float(np.max(np.abs(pairing))) if pairing.size else 0.0
     return resid <= tol * scale
@@ -152,7 +151,7 @@ def generic_polarization(ell: Functional) -> Subalgebra:
     rows = np.concatenate([np.eye(n)[basis.layer_slice(k)] for k in kept])
     if spec.N % 2 == 0:
         sl = basis.layer_slice(spec.N // 2)
-        null_rows = _nested_null_rows(basis.skew_form(ell.flat)[sl, sl])
+        null_rows = _nested_null_rows(ell.skew[sl, sl])
         middle = np.zeros((null_rows.shape[0], n))
         middle[:, sl] = null_rows
         rows = np.concatenate((rows, middle))
@@ -173,8 +172,7 @@ def vergne_polarization(ell: Functional) -> Subalgebra:
     skew form of ``ell`` restricted to that prefix. Works for arbitrary
     functionals; for the zero functional it returns the whole algebra.
     """
-    skew = ell.basis.skew_form(ell.flat)
-    return Subalgebra(ell.basis, _orthonormal_rows(_nested_null_rows(skew)))
+    return Subalgebra(ell.basis, _orthonormal_rows(_nested_null_rows(ell.skew)))
 
 
 def polarization_check(sub: Subalgebra, ell: Functional) -> dict:

@@ -18,10 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .coadjoint import _log_coords
 from .errors import DimensionMismatch, SpecMismatch
 from .lie_basis import Flavor, GroupSpec, LayeredBasis
-from .tensor_algebra import GradedElement, mul
+from .tensor_algebra import GradedElement, log_t, mul
 
 __all__ = [
     "PiecewiseLinearPath",
@@ -145,7 +144,7 @@ def log_signature(path: PiecewiseLinearPath, basis: LayeredBasis) -> np.ndarray:
     spec = basis.spec
     if spec.flavor is not Flavor.FREE_NILPOTENT:
         raise SpecMismatch("log-signature coordinates need the free nilpotent flavor")
-    return _log_coords(basis, path_signature(spec, path))
+    return basis.flat_coords(log_t(path_signature(spec, path)))
 
 
 def read_path_csv(source: str | Path | io.TextIOBase, d: int | None = None) -> PiecewiseLinearPath:

@@ -20,8 +20,14 @@ import math
 
 import numpy as np
 
-from nilfourier.coadjoint import _log_coords
-from nilfourier.tensor_algebra import GradedElement, exp_t, group_inverse, mul, scaled_exponential
+from nilfourier.tensor_algebra import (
+    GradedElement,
+    exp_t,
+    group_inverse,
+    log_t,
+    mul,
+    scaled_exponential,
+)
 
 # ---------------------------------------------------------------------------
 # Lyndon words by definition: strictly smaller than all proper rotations.
@@ -259,7 +265,7 @@ def tensor_chart_decompose(chart, g):
     basis = chart.basis
     sec = np.empty(g.batch_shape + (chart.q,))
     for j in range(basis.dim - 1, chart.q_h - 1, -1):
-        coeff = _log_coords(basis, g) @ chart.W[:, j]
+        coeff = basis.flat_coords(log_t(g)) @ chart.W[:, j]
         sec[..., j - chart.q_h] = coeff
         g = mul(scaled_exponential(basis.algebra_element(chart.W[:, j]), -coeff), g)
     return sec, g
@@ -313,12 +319,12 @@ def tensor_route_kernel(f, ell, chart, qspec, xs, ys, step):
 
     Uses the package's per-pair frame and trapezoid grid (see
     :func:`_framed_kernel`), but composes every integrand point with ``mul``,
-    ``group_inverse`` and ``_log_coords``.
+    ``group_inverse`` and ``flat_coords(log_t(.))``.
     """
     basis = chart.basis
 
     def log_gamma_h(a):
-        return _log_coords(basis, tensor_chart_product(chart, a, 0))
+        return basis.flat_coords(log_t(tensor_chart_product(chart, a, 0)))
 
     def point_map(x, y):
         gx = tensor_chart_product(chart, x, chart.q_h)
@@ -328,7 +334,7 @@ def tensor_route_kernel(f, ell, chart, qspec, xs, ys, step):
             m = a.shape[0]
             gh = tensor_chart_product(chart, a, 0)
             g = mul(mul(gx.broadcast_to((m,)), gh), gyi.broadcast_to((m,)))
-            return _log_coords(basis, g)
+            return basis.flat_coords(log_t(g))
 
         return log_point
 

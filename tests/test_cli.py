@@ -172,6 +172,15 @@ def test_generic_test_rejects_bad_functional_json(capsys, tmp_path):
     assert rc == 2
 
 
+def test_generic_test_rejects_mistyped_functional_row(capsys, tmp_path):
+    fp = tmp_path / "bad.json"
+    fp.write_text(json.dumps({"spec": {"d": 2, "N": 2}, "coords": [[2.9, 1.2, 0.5]]}))
+    rc, doc = run_cli(capsys, "generic-test", "--spec", "2,2", "--functional", str(fp))
+    assert rc == 2
+    assert doc["error"]["type"] == "DimensionMismatch"
+    assert doc["error"]["message"].startswith("k in coordinate row")
+
+
 def test_orbit_dims_table(capsys):
     rc, doc = run_cli(capsys, "orbit-dims", "--spec", "2,4")
     assert rc == 0

@@ -24,7 +24,7 @@ from nilfourier import (
     sample_generic,
 )
 from nilfourier.coadjoint import _ad_series, _bernoulli_series, _exp_series, b_matrix_ranks
-from nilfourier.errors import IndexOutOfRange
+from nilfourier.errors import DimensionMismatch, IndexOutOfRange
 
 from oracles import FULL_ORBIT_DIMS, JUMP_SET_EXAMPLES
 
@@ -103,6 +103,37 @@ def test_functional_pairing_and_json():
     payload = json.loads(json.dumps(ell.to_json_dict()))
     back = Functional.from_json_dict(payload, basis=basis)
     np.testing.assert_allclose(back.flat, ell.flat)
+
+
+@pytest.mark.parametrize(
+    "row,message",
+    [
+        ([2.9, 1.2, 0.5], "k in coordinate row"),
+        ([2, 1.2, 0.5], "i in coordinate row"),
+        ([2, 1, "3"], "value in coordinate row"),
+        ([True, 1, 0.5], "k in coordinate row"),
+        ([1, 2], "a coordinate row is"),
+    ],
+)
+def test_functional_json_rejects_mistyped_rows(row, message):
+    with pytest.raises(DimensionMismatch, match=f"^{message}"):
+        Functional.from_json_dict({"spec": {"d": 2, "N": 2}, "coords": [row]})
+
+
+@pytest.mark.parametrize("d,N", [(2, 2), (3, 2), (2, 3), (3, 3), (2, 4)])
+def test_functional_carries_its_skew(d, N):
+    basis = _basis(d, N)
+    source = np.random.default_rng(d * N).standard_normal(basis.dim)
+    ell = Functional(basis, source)
+    expected = np.einsum("abt,t->ab", basis.structure_tensor, source)
+    np.testing.assert_allclose(ell.skew, expected, rtol=0, atol=1e-14)
+    np.testing.assert_array_equal(ell.skew, -ell.skew.T)
+    # the functional holds a read-only copy of its coordinates
+    kept = source.copy()
+    source[:] = 0.0
+    np.testing.assert_array_equal(ell.flat, kept)
+    with pytest.raises(ValueError):
+        ell.flat[0] = 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -44,11 +44,12 @@ from nilfourier.errors import (
     NilfourierError,
     NonConvergence,
     NotGeneric,
+    NotInLieImage,
     QuadratureUnderflow,
+    SpecMismatch,
 )
 from nilfourier.fourier import (
     _h_phase_rate,
-    _log_coords,
     _resolvable_rate,
     _section_scale,
     haar_invariance_check,
@@ -265,7 +266,7 @@ def test_flat_chart_maps_match_tensor_chart_maps(d, N):
     y = 0.7 * rng.standard_normal((6, chart.q))
 
     def close(flat, element):
-        oracle = _log_coords(basis, element)
+        oracle = basis.flat_coords(log_t(element))
         assert np.max(np.abs(flat - oracle)) <= 1e-12 * (1.0 + np.max(np.abs(oracle)))
 
     close(chart.gamma_h(a), tensor_chart_product(chart, a, 0))
@@ -274,7 +275,7 @@ def test_flat_chart_maps_match_tensor_chart_maps(d, N):
     g = tensor_chart_product(chart, alpha, 0)
     close(chart.gamma(alpha), g)
     sec, rem = tensor_chart_decompose(chart, g)
-    sec_flat, rem_flat = chart.decompose(_log_coords(basis, g))
+    sec_flat, rem_flat = chart.decompose(basis.flat_coords(log_t(g)))
     assert np.max(np.abs(sec_flat - sec)) <= 1e-12 * (1.0 + np.max(np.abs(sec)))
     close(rem_flat, rem)
 
@@ -289,7 +290,7 @@ def test_abelian_subgroup_chart_is_linear(d, N, abelian):
     a = 0.7 * np.random.default_rng(d + N).standard_normal((6, chart.q_h))
     flat = chart.gamma_h(a)
     linear = a @ chart.W[:, : chart.q_h].T
-    oracle = _log_coords(basis, tensor_chart_product(chart, a, 0))
+    oracle = basis.flat_coords(log_t(tensor_chart_product(chart, a, 0)))
     assert np.max(np.abs(flat - linear)) <= 1e-12 * (1.0 + np.max(np.abs(linear)))
     assert np.max(np.abs(flat - oracle)) <= 1e-12 * (1.0 + np.max(np.abs(oracle)))
 
@@ -374,7 +375,7 @@ def test_kernel_framed_quadrature_matches_plain_quadrature():
         gx = tensor_chart_product(chart, xs[i], chart.q_h)
         gyi = group_inverse(tensor_chart_product(chart, ys[i], chart.q_h))
         inner = mul(mul(gx.broadcast_to((apts.shape[0],)), u), gyi.broadcast_to((apts.shape[0],)))
-        naive = np.sum(ww * f(_log_coords(basis, inner)) * phase)
+        naive = np.sum(ww * f(basis.flat_coords(log_t(inner))) * phase)
         assert abs(framed[i] - naive) < 1e-8
 
 
@@ -633,6 +634,27 @@ def test_invert_flags_unconverged_frequency_grids():
         invert(f, ident, basis, QuadratureSpec.demo(), convergence_tol=1e-3)
     v = invert(f, ident, basis, QuadratureSpec.demo(), convergence_tol=0.2)
     assert abs(v - 1.0) < 0.2
+
+
+def test_invert_certifies_the_point_on_empty_layers():
+    # on one letter the level-2 layer is empty: a level-2 part left by the
+    # logarithm means the point is not in the group
+    basis = _basis(1, 2)
+    f = SchwartzFunction.gaussian(basis.dim)
+    x = GradedElement(basis.spec, (np.ones(1), np.array([0.3]), np.array([0.9])))
+    with pytest.raises(NotInLieImage):
+        invert(f, x, basis, QuadratureSpec.demo())
+
+
+def test_transforms_reject_a_point_of_another_group():
+    basis = _basis(2, 2)
+    f = SchwartzFunction.gaussian(basis.dim)
+    x = exp_t(GradedElement.from_level1(GroupSpec(2, 3), np.array([0.3, 0.2])))
+    with pytest.raises(SpecMismatch):
+        invert(f, x, basis, QuadratureSpec.demo())
+    ell = sample_generic(basis, np.random.default_rng(0))
+    with pytest.raises(SpecMismatch):
+        trace_shifted(f, ell, chart_for(ell), QuadratureSpec.demo(), x)
 
 
 def test_invert_abelian_line_is_classical_fourier_inversion():

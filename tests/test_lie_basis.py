@@ -9,19 +9,21 @@ import pytest
 from nilfourier import (
     BracketTree,
     DegreeMismatch,
+    DimensionMismatch,
     Flavor,
+    GradedElement,
     GroupSpec,
     IndexOutOfRange,
     LayeredBasis,
     NotInLieImage,
+    SpecMismatch,
     build_layered_basis,
     left_normed_degree3_words,
     lyndon_words,
     witt_dimension,
 )
-from nilfourier.coadjoint import _log_coords
 from nilfourier.lie_basis import _bch_series
-from nilfourier.tensor_algebra import exp_t, mul
+from nilfourier.tensor_algebra import exp_t, log_t, mul
 
 from oracles import WITT_EXAMPLES, brute_force_lyndon
 
@@ -117,8 +119,8 @@ def test_bch_coords_matches_tensor_route(d, N):
     y = rng.standard_normal((1, 5, basis.dim))
     z = basis.bch_coords(x, y)
     assert z.shape == (6, 5, basis.dim)
-    oracle = _log_coords(
-        basis, mul(exp_t(basis.algebra_element(x)), exp_t(basis.algebra_element(y)))
+    oracle = basis.flat_coords(
+        log_t(mul(exp_t(basis.algebra_element(x)), exp_t(basis.algebra_element(y))))
     )
     assert np.max(np.abs(z - oracle)) <= 1e-12 * (1.0 + np.max(np.abs(oracle)))
     # unbatched against batched, and the inverse is the negative
@@ -240,6 +242,44 @@ def test_expand_round_trip():
         np.testing.assert_allclose(back, coords, atol=1e-10)
 
 
+@pytest.mark.parametrize("d,N", [(2, 2), (3, 2), (2, 3), (3, 3), (2, 4), (1, 3)])
+def test_flat_coords_inverts_algebra_element(d, N):
+    # (1, 3) has empty layers 2 and 3, which are expanded (and certified) too
+    basis = build_layered_basis(GroupSpec(d, N))
+    c = np.random.default_rng(d + N).standard_normal((4, 3, basis.dim))
+    back = basis.flat_coords(basis.algebra_element(c))
+    assert back.shape == c.shape
+    np.testing.assert_allclose(back, c, rtol=0, atol=1e-12)
+    one = basis.flat_coords(basis.algebra_element(c[1, 2]))
+    np.testing.assert_allclose(one, c[1, 2], rtol=0, atol=1e-12)
+    assert basis.flat_coords(basis.algebra_element(c[:0])).shape == (0, 3, basis.dim)
+
+
+@pytest.mark.parametrize("d,N", [(2, 4), (3, 3), (1, 5)])
+def test_flat_coords_scaling_is_exact(d, N):
+    # elements far above size 1 are shrunk by a power of two before the
+    # membership check and scaled back: the coordinates are those of a plain
+    # per-layer expansion, bit for bit
+    basis = build_layered_basis(GroupSpec(d, N))
+    c = np.random.default_rng(N).standard_normal((5, basis.dim))
+    big = basis.algebra_element(c).scale(np.array([1.0, 3.0, 40.0, 700.0, 1e4]))
+    plain = np.concatenate([basis.expand_layer(k, big.levels[k]) for k in range(N, 0, -1)], axis=-1)
+    assert np.array_equal(basis.flat_coords(big), plain)
+
+
+def test_flat_coords_certifies_empty_layers_and_checks_the_spec():
+    basis = build_layered_basis(GroupSpec(1, 2))
+    line = GradedElement.from_level1(basis.spec, np.array([0.3]))
+    np.testing.assert_array_equal(basis.flat_coords(line), [0.3])
+    # a level-2 part on one letter is not a Lie element
+    bad = GradedElement(basis.spec, (np.zeros(1), np.array([0.3]), np.array([0.9])))
+    with pytest.raises(NotInLieImage):
+        basis.flat_coords(bad)
+    other = build_layered_basis(GroupSpec(2, 2))
+    with pytest.raises(SpecMismatch):
+        other.flat_coords(GradedElement.from_level1(GroupSpec(2, 3), np.array([0.3, 0.2])))
+
+
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
@@ -260,3 +300,17 @@ def test_basis_json_round_trip():
 def test_spec_json_round_trip():
     spec = GroupSpec(3, 2, Flavor.FULL_TENSOR)
     assert GroupSpec.from_json_dict(spec.to_json_dict()) == spec
+
+
+@pytest.mark.parametrize(
+    "blob,field",
+    [
+        ({"d": 2.7, "N": 2}, "d"),
+        ({"d": 2, "N": True}, "N"),
+        ({"d": "2", "N": 2}, "d"),
+        ({"d": 2}, "N"),
+    ],
+)
+def test_spec_json_rejects_non_integer_fields(blob, field):
+    with pytest.raises(DimensionMismatch, match=f"^{field} must be an integer"):
+        GroupSpec.from_json_dict(blob)
