@@ -24,7 +24,8 @@ Ad_x`` with ``B(z) = z / (e^z - 1)``, a finite series because ``ad`` is
 nilpotent. The leading central block of the subgroup grid only shifts a point
 by a central vector, so it is added, and the group law runs once per point of
 the rest of the grid. The subgroup character is separable over the axes of the
-tensor grid.
+tensor grid. The per-pair work (frame, group law, phases) runs once per block
+of section pairs and ``f`` on sub-chunks of a block, both sized by one budget.
 """
 
 from __future__ import annotations
@@ -77,9 +78,11 @@ __all__ = [
     "thread_count",
 ]
 
-#: Integrand coordinates (points times algebra dimension) per vectorized
-#: chunk in kernel evaluation. Arrays much above a megabyte measured slower
-#: per point: each chunk then page-faults its fresh temporaries.
+#: Coordinates (points times algebra dimension) per vectorized array in
+#: kernel evaluation. It sizes both the blocks of section pairs that share one
+#: pass of per-pair work and the integrand sub-chunks within a block. Arrays
+#: much above a megabyte measured slower per point: each chunk then
+#: page-faults its fresh temporaries.
 _CHUNK_BUDGET = 100_000
 
 #: Monte Carlo samples per vectorized chunk in :func:`haar_invariance_check`.
@@ -443,6 +446,12 @@ def kernel_values(
     pass per point of the non-central block ``b_r``, then a broadcast sum.
     The character ``exp(i a . ell_h)`` factors over the grid axes, and the
     values are contracted one axis at a time.
+
+    Pairs run in blocks of ``_CHUNK_BUDGET // (max(m_c, m_r, n) n)``, ``m_c``
+    and ``m_r`` the point counts of the two grid blocks, so every per-pair
+    array of a block fits the budget: one pass of the frame, the group law
+    and the phases per block. Within a block ``f`` is evaluated on sub-chunks
+    of ``_CHUNK_BUDGET // (m_c m_r n)`` pairs.
     """
     _check_h_box(f, qspec)
     basis = chart.basis
@@ -473,9 +482,10 @@ def kernel_values(
     exp_coeffs, dlog_coeffs = _exp_series(basis.spec.N), _bernoulli_series(basis.spec.N)
 
     out = np.empty(P, dtype=complex)
+    block = max(1, _CHUNK_BUDGET // (max(m_c, m_r, n) * n))
     chunk = max(1, _CHUNK_BUDGET // (M * n))
-    for lo in range(0, P, chunk):
-        hi = min(P, lo + chunk)
+    for lo in range(0, P, block):
+        hi = min(P, lo + block)
         cx = chart.section(xs[lo:hi])
         c0 = bch(cx, -chart.section(ys[lo:hi]))[:, None]
         if not q_h:
@@ -504,12 +514,15 @@ def kernel_values(
         # Ad_x fixes a central W_c and bch(u + z, c0) = bch(u, c0) + z, so b_c
         # adds W_c R^-1[:q_c, :q_c] b_c, in grid order (b_c, b_r).
         shift = np.swapaxes(w_h[:, :q_c] @ rinv[:, :q_c, :q_c] @ grid_c, -1, -2)
-        vals = f((shift[:, :, None] + pts[:, None]).reshape(hi - lo, M, n))
         # exp(i a . ell_h) = exp(i a* . ell_h) prod_k exp(i b_k (R^-T ell_h)_k)
         phases = weights * np.exp(1j * (ell_h @ rinv)[..., None] * nodes)  # (C, q_h, nodes)
-        for k in range(q_h - 1, -1, -1):
-            vals = (vals.reshape(hi - lo, -1, nodes.size) @ phases[:, k, :, None])[..., 0]
-        out[lo:hi] = vals[:, 0] * np.exp(1j * (astar @ ell_h)) / det_r
+        scale = np.exp(1j * (astar @ ell_h)) / det_r
+        for s in range(0, hi - lo, chunk):
+            e = min(hi - lo, s + chunk)
+            vals = f((shift[s:e, :, None] + pts[s:e, None]).reshape(e - s, M, n))
+            for k in range(q_h - 1, -1, -1):
+                vals = (vals.reshape(e - s, -1, nodes.size) @ phases[s:e, k, :, None])[..., 0]
+            out[lo + s : lo + e] = vals[:, 0] * scale[s:e]
     return out
 
 
@@ -550,6 +563,14 @@ def build_operator(
     return KernelOperator(ell, chart, nodes, weights, kv.reshape(mq, mq))
 
 
+def _point_coords(basis: LayeredBasis, x: GradedElement) -> np.ndarray:
+    """Flat log coordinates of one unbatched group element, certified by
+    :meth:`LayeredBasis.flat_coords` to lie in the basis's group."""
+    if x.role is not Role.GROUP or x.batch_shape != ():
+        raise DimensionMismatch("the point must be one unbatched group element")
+    return basis.flat_coords(log_t(x))
+
+
 def trace_shifted(
     f: SchwartzFunction,
     ell: Functional,
@@ -564,16 +585,13 @@ def trace_shifted(
     subgroup equivariance, so only section-to-section kernel values are
     needed: the integrand is ``exp(-i ell(log h)) K_f(section(w), section(y))``.
     """
-    if x.role is not Role.GROUP or x.batch_shape != ():
-        raise DimensionMismatch("trace_shifted expects one unbatched group element")
+    basis = chart.basis
+    cx = _point_coords(basis, x)
     if jump is None:
         jump = jump_sets(ell.basis)
     scale = _section_scale(ell, jump, qspec)
     ys, wy = _tensor_grid([(qspec.section_nodes, qspec.section_halfwidth * scale)] * chart.q)
-    basis = chart.basis
-    ws, rem = chart.decompose(
-        basis.bch_coords(basis.flat_coords(log_t(x)), chart.section(ys))
-    )
+    ws, rem = chart.decompose(basis.bch_coords(cx, chart.section(ys)))
     twist = np.exp(-1j * (rem @ ell.flat))
     kv = kernel_values(f, ell, chart, qspec, ws, ys)
     return complex(np.sum(wy * twist * kv))
@@ -661,8 +679,10 @@ def invert(
     plane (:func:`_frequency_plane`) and applies the ``(2 pi)``
     normalization. With ``convergence_tol`` set, the frequency grid is rerun
     at doubled node count and a relative change beyond the tolerance raises
-    :class:`NonConvergence`.
+    :class:`NonConvergence`. The point ``x`` is checked before any node runs,
+    so it is checked even when every node is skipped.
     """
+    _point_coords(basis, x)
     if qspec is None:
         qspec = QuadratureSpec.reference()
     jump = jump_sets(basis)

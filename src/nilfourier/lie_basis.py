@@ -65,6 +65,15 @@ def json_number(name: str, value, cast: type):
     return cast(value)
 
 
+def json_enum(name: str, value, enum: type[Enum]):
+    """``value`` read from JSON as the member of ``enum`` with that value."""
+    try:
+        return enum(value)
+    except ValueError:
+        allowed = ", ".join(repr(member.value) for member in enum)
+        raise DimensionMismatch(f"{name} must be one of {allowed}, got {value!r}") from None
+
+
 class Flavor(str, Enum):
     """Which Lie algebra the layered basis spans."""
 
@@ -147,7 +156,7 @@ class GroupSpec:
     @staticmethod
     def from_json_dict(obj: dict) -> "GroupSpec":
         d, N = (json_number(name, obj.get(name), int) for name in ("d", "N"))
-        return GroupSpec(d, N, Flavor(obj.get("flavor", "FreeNilpotent")))
+        return GroupSpec(d, N, json_enum("flavor", obj.get("flavor", "FreeNilpotent"), Flavor))
 
 
 @dataclass(frozen=True)
@@ -390,7 +399,7 @@ class LayeredBasis:
 
         ``tensors`` has shape ``(..., d^k)``; returns ``(..., m_k)``. Raises
         :class:`NotInLieImage` when the reconstruction residual exceeds
-        ``1e-10 * (1 + |t|)``.
+        ``1e-10 * (1 + |t|)`` or is not a number (non-finite input).
         """
         layer = self.layers[k - 1]
         tensors = np.asarray(tensors, dtype=float)
@@ -402,7 +411,7 @@ class LayeredBasis:
         recon = coords @ layer.embedding.T
         resid = np.linalg.norm(recon - tensors, axis=-1)
         norms = np.linalg.norm(tensors, axis=-1)
-        if np.any(resid > EXPAND_RTOL * (1.0 + norms)):
+        if not np.all(resid <= EXPAND_RTOL * (1.0 + norms)):
             worst = float(np.max(resid / (1.0 + norms)))
             raise NotInLieImage(
                 f"degree-{k} tensor is not in the embedded basis span "

@@ -18,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DimensionMismatch, RoleError, SpecMismatch
-from .lie_basis import GroupSpec
+from .lie_basis import GroupSpec, json_enum
 
 __all__ = [
     "Role",
@@ -181,7 +181,7 @@ class GradedElement:
         spec = GroupSpec.from_json_dict(obj["spec"])
         levels = tuple(np.asarray(lv, dtype=float) for lv in obj["levels"])
         elt = GradedElement(spec, levels)
-        declared = Role(obj.get("role", "raw"))
+        declared = json_enum("role", obj.get("role", "raw"), Role)
         if declared is not Role.RAW and elt.role is not declared:
             level = 0 if declared is Role.ALGEBRA else 1
             raise RoleError(f"{declared.value} elements need scalar level {level}")

@@ -114,6 +114,14 @@ def test_signature_rejects_wrong_width_and_ragged(capsys, tmp_path):
     assert rc == 2
 
 
+def test_signature_rejects_non_finite_vertices(capsys, tmp_path):
+    path = tmp_path / "nan.csv"
+    path.write_text("0,0\nnan,1\n1,1\n", encoding="utf-8")
+    rc, doc = run_cli(capsys, "signature", "--spec", "2,3", "--path", str(path))
+    assert rc == 2
+    assert doc["error"]["type"] == "NotInLieImage"
+
+
 def test_signature_missing_file(capsys, tmp_path):
     rc, doc = run_cli(
         capsys, "signature", "--spec", "2,2", "--path", str(tmp_path / "nope.csv")
@@ -179,6 +187,15 @@ def test_generic_test_rejects_mistyped_functional_row(capsys, tmp_path):
     assert rc == 2
     assert doc["error"]["type"] == "DimensionMismatch"
     assert doc["error"]["message"].startswith("k in coordinate row")
+
+
+def test_generic_test_rejects_an_unknown_flavor(capsys, tmp_path):
+    fp = tmp_path / "bad.json"
+    fp.write_text(json.dumps({"spec": {"d": 2, "N": 2, "flavor": "Bogus"}, "coords": [[1, 1, 0.5]]}))
+    rc, doc = run_cli(capsys, "generic-test", "--spec", "2,2", "--functional", str(fp))
+    assert rc == 2
+    assert doc["error"]["type"] == "DimensionMismatch"
+    assert doc["error"]["message"].startswith("flavor must be one of")
 
 
 def test_orbit_dims_table(capsys):

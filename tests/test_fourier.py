@@ -48,6 +48,7 @@ from nilfourier.errors import (
     QuadratureUnderflow,
     SpecMismatch,
 )
+from nilfourier import fourier
 from nilfourier.fourier import (
     _h_phase_rate,
     _resolvable_rate,
@@ -456,6 +457,65 @@ def test_kernel_runs_the_group_law_only_off_the_central_block(monkeypatch):
     assert sorted(points) == [P, P * q.h_nodes ** (chart.q_h - chart.q_c)]
 
 
+def test_kernel_runs_the_group_law_once_per_block_of_pairs(monkeypatch):
+    # 200 pairs are more than one integrand sub-chunk (57 pairs at 24 nodes),
+    # but the per-pair work still takes a single pass
+    basis = _basis(2, 2)
+    ell = _heisenberg_functional(0.9, 0.3, -0.2)
+    chart = chart_for(ell)
+    points = []
+    bch = basis.bch_coords
+
+    def counted(x, y):
+        out = bch(x, y)
+        points.append(out[..., 0].size)
+        return out
+
+    monkeypatch.setattr(basis, "bch_coords", counted)
+    q = _low_res(h_nodes=24)
+    P = 200
+    xs, ys = np.random.default_rng(5).standard_normal((2, P, chart.q))
+    kernel_values(SchwartzFunction.gaussian(basis.dim), ell, chart, q, xs, ys)
+    assert sorted(points) == [P, P * q.h_nodes ** (chart.q_h - chart.q_c)]
+
+
+@pytest.mark.parametrize("d,N", [(2, 2), (3, 2), (2, 3)])
+@pytest.mark.parametrize("complex_f", [False, True])
+def test_kernel_values_do_not_depend_on_how_pairs_are_batched(monkeypatch, d, N, complex_f):
+    basis = _basis(d, N)
+    ell = sample_generic(basis, np.random.default_rng(7))
+    chart = chart_for(ell)
+    f = SchwartzFunction.gaussian(basis.dim)
+    if complex_f:
+        freq = np.linspace(-0.6, 0.9, basis.dim)
+        gauss = f
+        f = SchwartzFunction(
+            basis.dim, lambda c: gauss(c) * np.exp(1j * (c @ freq)), gauss.decay_box
+        )
+    q = _low_res()
+    P = 60
+    xs, ys = 0.8 * np.random.default_rng(12).standard_normal((2, P, chart.q))
+    cuts = [0, 1, 9, 31, P]
+    parts = np.concatenate(
+        [kernel_values(f, ell, chart, q, xs[a:b], ys[a:b]) for a, b in zip(cuts, cuts[1:])]
+    )
+    # A budget of 23 pairs per block splits the whole batch into uneven
+    # blocks (two section calls each), and each block into integrand sub-chunks.
+    m_c, m_r = (q.h_nodes**k for k in (chart.q_c, chart.q_h - chart.q_c))
+    monkeypatch.setattr(fourier, "_CHUNK_BUDGET", 23 * max(m_c, m_r, basis.dim) * basis.dim)
+    sections = []
+    section = chart.section
+
+    def counted(y):
+        sections.append(len(y))
+        return section(y)
+
+    monkeypatch.setattr(chart, "section", counted)
+    whole = kernel_values(f, ell, chart, q, xs, ys)
+    assert sections == [23, 23, 23, 23, 14, 14]
+    assert np.max(np.abs(whole - parts)) <= 1e-14 * np.max(np.abs(parts))
+
+
 def test_operator_is_linear_in_the_function():
     basis = _basis(2, 2)
     f = SchwartzFunction.gaussian(basis.dim)
@@ -652,6 +712,10 @@ def test_transforms_reject_a_point_of_another_group():
     x = exp_t(GradedElement.from_level1(GroupSpec(2, 3), np.array([0.3, 0.2])))
     with pytest.raises(SpecMismatch):
         invert(f, x, basis, QuadratureSpec.demo())
+    # every node of this plane is skipped, so no trace reads the point
+    skipped = QuadratureSpec(h_nodes=8, section_nodes=8, t_nodes=8, t_halfwidth=10.0)
+    with pytest.raises(SpecMismatch):
+        invert(f, x, basis, skipped)
     ell = sample_generic(basis, np.random.default_rng(0))
     with pytest.raises(SpecMismatch):
         trace_shifted(f, ell, chart_for(ell), QuadratureSpec.demo(), x)

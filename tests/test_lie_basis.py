@@ -280,6 +280,20 @@ def test_flat_coords_certifies_empty_layers_and_checks_the_spec():
         other.flat_coords(GradedElement.from_level1(GroupSpec(2, 3), np.array([0.3, 0.2])))
 
 
+# an infinite entry makes the size scaling divide inf by inf, which numpy
+# reports before the membership check raises
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("k", [1, 3])
+def test_flat_coords_rejects_non_finite_input(bad, k):
+    basis = build_layered_basis(GroupSpec(2, 3))
+    x = basis.algebra_element(np.random.default_rng(3).standard_normal((2, basis.dim)))
+    levels = [lv.copy() for lv in x.levels]
+    levels[k][1, 0] = bad
+    with pytest.raises(NotInLieImage):
+        basis.flat_coords(GradedElement(basis.spec, tuple(levels)))
+
+
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from nilfourier import (
+    DimensionMismatch,
     GradedElement,
     GroupSpec,
     Role,
@@ -236,3 +237,5 @@ def test_element_json_role_is_read_off_the_data_or_checked():
         with pytest.raises(RoleError, match=message):
             GradedElement.from_json_dict({**payload, "role": role})
     assert GradedElement.from_json_dict({**payload, "role": "raw"}).role is Role.RAW
+    with pytest.raises(DimensionMismatch, match="^role must be one of"):
+        GradedElement.from_json_dict({**payload, "role": "bogus"})
