@@ -26,9 +26,9 @@ import numpy as np
 from . import __version__
 from .coadjoint import (
     Functional,
+    _block_rank,
     _quotient_labels,
     b_matrix_ranks,
-    dim_km,
     full_orbit_dim,
     is_generic,
     jump_sets,
@@ -219,7 +219,7 @@ def _cmd_generic_test(args) -> int:
         }
         if not basis.spec.degenerate:
             entry["pairing_ranks"] = [
-                {"k": k, "rank": r, "required": dim_km(basis.spec, k, basis.spec.layer_dims()[basis.spec.N - k - 1])}
+                {"k": k, "rank": r, "required": _block_rank(basis.spec, k)}
                 for k, r in sorted(b_matrix_ranks(ell).items())
             ]
         rows = [

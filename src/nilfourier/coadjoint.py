@@ -10,9 +10,9 @@ Genericity of a functional is decided by the ranks of its pairing blocks
 functional is generic exactly when every block reaches the maximal rank
 possible for its shape (with the skew middle block capped at the nearest even
 rank). The same ranks drive closed-form orbit dimensions of the quotient
-groups obtained by cutting the Malcev ordering, the numeric cross-check via
-finite-difference Jacobians of the dual flow, and the jump/transverse index
-sets that parametrize generic orbits.
+groups obtained by cutting the Malcev ordering and the jump/transverse index
+sets that parametrize generic orbits. The orbit dimensions of a given
+functional are cross-checked as ranks of row blocks of its skew form.
 """
 
 from __future__ import annotations
@@ -48,14 +48,8 @@ __all__ = [
 #: Relative singular-value threshold for genericity rank decisions.
 GENERIC_RANK_RTOL = 1e-8
 
-#: Relative singular-value threshold for finite-difference Jacobian ranks.
-NUMERIC_RANK_RTOL = 1e-6
-
 #: Absolute floor below which singular values never count toward rank.
 RANK_FLOOR = 1e-30
-
-#: Central-difference step for numeric orbit dimensions.
-JACOBIAN_STEP = 1e-5
 
 
 def _rank(mat: np.ndarray, rtol: float) -> int:
@@ -191,13 +185,13 @@ def coadjoint_apply(g: GradedElement, ell: Functional) -> Functional:
     return Functional(basis, mat.T @ ell.flat)
 
 
-def _dim_km_raw(spec: GroupSpec, k: int, m: int) -> int:
-    """Generic block rank formula without the quotient-label bound on ``m``."""
+def _block_rank(spec: GroupSpec, k: int) -> int:
+    """Generic rank of the full pairing block ``B^k`` between layers ``k`` and
+    ``N-k``: ``min(m_k, m_{N-k})`` (0 when a layer is empty), rounded down to
+    even for the skew middle block of an even ``N``."""
     dims = spec.layer_dims()
-    if 2 * k == spec.N:
-        cap = dims[k - 1] if dims[k - 1] % 2 == 0 else dims[k - 1] - 1
-        return min(cap, m)
-    return min(dims[k - 1], dims[spec.N - k - 1], m)
+    rank = min(dims[k - 1], dims[spec.N - k - 1])
+    return rank - rank % 2 if 2 * k == spec.N else rank
 
 
 def _quotient_labels(spec: GroupSpec) -> list[tuple[int, int]]:
@@ -220,14 +214,10 @@ def _check_km(spec: GroupSpec, k: int, m: int) -> None:
 
 def dim_km(spec: GroupSpec, k: int, m: int) -> int:
     """Generic rank of the pairing block between layers ``k`` and ``N-k``,
-    restricted to the first ``m`` columns.
-
-    For complementary distinct layers this is ``min(m_k, m_{N-k}, m)``; the
-    middle layer of an even ``N`` pairs skew with itself, so odd full ranks
-    are rounded down.
-    """
+    restricted to the first ``m`` columns: the full block's generic rank
+    (:func:`_block_rank`) capped at ``m``."""
     _check_km(spec, k, m)
-    return _dim_km_raw(spec, k, m)
+    return min(_block_rank(spec, k), m)
 
 
 def b_matrix_ranks(ell: Functional) -> dict[int, int]:
@@ -256,10 +246,7 @@ def is_generic(ell: Functional) -> bool:
         scale = float(np.max(np.abs(ell.flat))) if ell.flat.size else 0.0
         cutoff = max(GENERIC_RANK_RTOL * scale, RANK_FLOOR)
         return abs(ell.coord(3, 1)) > cutoff
-    dims = spec.layer_dims()
-    return all(
-        rank == dim_km(spec, k, dims[spec.N - k - 1]) for k, rank in b_matrix_ranks(ell).items()
-    )
+    return all(rank == _block_rank(spec, k) for k, rank in b_matrix_ranks(ell).items())
 
 
 def orbit_dim_quotient_generic(spec: GroupSpec, k: int, m: int) -> int:
@@ -271,13 +258,9 @@ def orbit_dim_quotient_generic(spec: GroupSpec, k: int, m: int) -> int:
     """
     if k == 0:
         return 0
-    dims = spec.layer_dims()
     if not 1 <= k <= spec.N - 1:
         raise IndexOutOfRange(f"need 0 <= k <= {spec.N - 1}, got k={k}")
-    total = 0
-    for s in range(1, k):
-        total += dim_km(spec, s, dims[spec.N - s - 1])
-    return total + dim_km(spec, k, m)
+    return sum(_block_rank(spec, s) for s in range(1, k)) + dim_km(spec, k, m)
 
 
 def quotient_prefix_len(basis: LayeredBasis, k: int, m: int) -> int:
@@ -294,46 +277,29 @@ def quotient_prefix_len(basis: LayeredBasis, k: int, m: int) -> int:
     return basis.flat_index(spec.N - k, m) + 1
 
 
-def _dual_jacobian(basis: LayeredBasis, ell_flat: np.ndarray, t0: np.ndarray, step: float) -> np.ndarray:
-    """Central-difference Jacobian at ``t0`` of the dual flow ``t -> exp(t) . ell``."""
-    shifts = step * np.eye(basis.dim)
-    mats = _ad_series(basis, -np.stack((t0 + shifts, t0 - shifts)), _exp_series(basis.spec.N))
-    flows = np.swapaxes(mats, -1, -2) @ ell_flat  # flows[s, a] = image at t0 +- step e_a
-    return (flows[0] - flows[1]).T / (2.0 * step)
+def _prefix_rank(ell: Functional, p: int) -> int:
+    """Orbit dimension of ``ell`` restricted to the ideal spanned by the first
+    ``p`` Malcev basis elements: the rank of the row block ``ell.skew[:p]``.
+
+    The Jacobian at ``t`` of the dual flow ``t -> exp(t) . ell``, cut to its
+    first ``p`` rows, is ``A ell.skew[:p] Psi`` with ``A`` the coadjoint
+    action of ``exp(t)`` on the ideal and ``Psi`` the differential of
+    ``exp``; both are invertible, so its rank is the same at every ``t``.
+    """
+    return _rank(ell.skew[:p], GENERIC_RANK_RTOL)
 
 
-def _orbit_ranks(
-    ell: Functional, prefix_lens: list[int], samples: int, step: float, seed: int
-) -> list[int]:
-    """Per prefix length ``p``, the maximum over ``samples`` random group
-    points of the rank of the first ``p`` rows of the dual-flow Jacobian."""
-    basis = ell.basis
-    rng = np.random.default_rng(seed)
-    best = [0] * len(prefix_lens)
-    for _ in range(samples):
-        jac = _dual_jacobian(basis, ell.flat, rng.standard_normal(basis.dim), step)
-        best = [max(b, _rank(jac[:p, :], NUMERIC_RANK_RTOL)) for b, p in zip(best, prefix_lens)]
-    return best
+def orbit_dim_numeric_all(ell: Functional) -> dict[tuple[int, int], int]:
+    """Orbit dimensions of every Malcev-prefix quotient at once, as ranks of
+    the row blocks of the skew form (:func:`_prefix_rank`).
 
-
-def orbit_dim_numeric_all(
-    ell: Functional,
-    samples: int = 5,
-    step: float = JACOBIAN_STEP,
-    seed: int = 0,
-) -> dict[tuple[int, int], int]:
-    """Numeric orbit dimensions of every Malcev-prefix quotient at once.
-
-    Differentiates the dual flow at ``samples`` random group points and takes,
-    per prefix length, the maximum Jacobian row-block rank over the samples.
     Keys are quotient labels ``(k, m)``; the full dual is included under
     ``(N - 1, m_1)``.
     """
     basis = ell.basis
     spec = basis.spec
     labels = [(0, spec.layer_dims()[spec.N - 1])] + _quotient_labels(spec)
-    prefix_lens = [quotient_prefix_len(basis, k, m) for k, m in labels]
-    return dict(zip(labels, _orbit_ranks(ell, prefix_lens, samples, step, seed)))
+    return {(k, m): _prefix_rank(ell, quotient_prefix_len(basis, k, m)) for k, m in labels}
 
 
 def orbit_dim_numeric(
@@ -342,11 +308,8 @@ def orbit_dim_numeric(
     m: int | None = None,
     *,
     prefix_len: int | None = None,
-    samples: int = 5,
-    step: float = JACOBIAN_STEP,
-    seed: int = 0,
 ) -> int:
-    """Numeric orbit dimension (finite-difference Jacobian rank).
+    """Orbit dimension of one Malcev-prefix quotient (:func:`_prefix_rank`).
 
     With no quotient arguments this is the dimension of the full orbit;
     ``(k, m)`` selects a layer quotient and ``prefix_len`` an arbitrary
@@ -362,13 +325,13 @@ def orbit_dim_numeric(
             prefix_len = quotient_prefix_len(basis, k, m)
     if not 0 <= prefix_len <= basis.dim:
         raise IndexOutOfRange(f"prefix length {prefix_len} outside 0..{basis.dim}")
-    return _orbit_ranks(ell, [prefix_len], samples, step, seed)[0]
+    return _prefix_rank(ell, prefix_len)
 
 
 def full_orbit_dim(ell: Functional) -> int:
     """Dimension of the full coadjoint orbit: the rank of the skew form
     ``M[a, b] = ell([X_a, X_b])`` (always even)."""
-    return _rank(ell.skew, GENERIC_RANK_RTOL)
+    return _prefix_rank(ell, ell.basis.dim)
 
 
 @dataclass(frozen=True)
@@ -403,19 +366,14 @@ class JumpData:
 def jump_sets(basis: LayeredBasis) -> JumpData:
     """Compute the jump/transverse splitting of the dual basis indices.
 
-    ``S`` collects, for each layer ``k <= N-1``, the first ``dim_km(k, m_k)``
-    indices. For the degenerate (2, 3) algebra (flagged via
-    ``degenerate=True``) this is also what the hand analysis of its orbits
-    gives.
+    ``S`` collects, for each layer ``k <= N-1``, as many leading indices as
+    the generic rank of ``B^k`` (:func:`_block_rank`). For the degenerate
+    (2, 3) algebra (flagged via ``degenerate=True``) this is also what the
+    hand analysis of its orbits gives.
     """
     spec = basis.spec
-    dims = spec.layer_dims()
     dim_table = {(k, m): dim_km(spec, k, m) for k, m in _quotient_labels(spec)}
-    in_S = []
-    for k in range(1, spec.N):
-        cap = _dim_km_raw(spec, k, dims[k - 1]) if dims[k - 1] >= 1 else 0
-        for i in range(1, cap + 1):
-            in_S.append((k, i))
+    in_S = [(k, i) for k in range(1, spec.N) for i in range(1, _block_rank(spec, k) + 1)]
     s_flagged = set(in_S)
     s_sorted = tuple(sorted(in_S, key=lambda ki: basis.flat_index(*ki)))
     t_sorted = tuple(
@@ -425,7 +383,7 @@ def jump_sets(basis: LayeredBasis) -> JumpData:
     assert len(data.S) % 2 == 0, "jump sets always pair up"
     if spec.N % 2 == 1:
         half = range(1, (spec.N + 1) // 2)
-        expected = 2 * sum(_dim_km_raw(spec, k, dims[spec.N - k - 1]) for k in half)
+        expected = 2 * sum(_block_rank(spec, k) for k in half)
         assert len(data.S) == expected
     return data
 

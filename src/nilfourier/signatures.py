@@ -40,8 +40,8 @@ _BLOCK_BUDGET = 100_000
 class PiecewiseLinearPath:
     """A path given by its vertices, one row per vertex, ``d`` columns.
 
-    At least two vertices are required; consecutive duplicates are allowed
-    (zero segments contribute the identity).
+    At least two vertices are required, all finite; consecutive duplicates
+    are allowed (zero segments contribute the identity).
     """
 
     points: np.ndarray
@@ -50,6 +50,10 @@ class PiecewiseLinearPath:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[0] < 2:
             raise DimensionMismatch("a path needs a 2-d array with at least two vertices")
+        finite = np.isfinite(pts).all(axis=1)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise DimensionMismatch(f"path vertex {bad + 1} is not finite: {pts[bad].tolist()}")
         object.__setattr__(self, "points", pts)
 
     @property

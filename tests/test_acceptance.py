@@ -123,7 +123,7 @@ def test_generic_flag_equals_numerically_maximal_orbit_dimensions():
         generic_table = None
         for _ in range(100):
             ell = Functional(basis, rng.standard_normal(basis.dim))
-            numeric = orbit_dim_numeric_all(ell, samples=3, seed=7)
+            numeric = orbit_dim_numeric_all(ell)
             if generic_table is None:
                 generic_table = {
                     km: orbit_dim_quotient_generic(spec, *km) for km in numeric
@@ -140,7 +140,7 @@ def test_generic_flag_equals_numerically_maximal_orbit_dimensions():
             flat[top] = 0.0
             ell = Functional(basis, flat)
             assert not is_generic(ell)
-            numeric = orbit_dim_numeric_all(ell, samples=3, seed=7)
+            numeric = orbit_dim_numeric_all(ell)
             assert any(numeric[km] < generic_table[km] for km in numeric)
     assert time.perf_counter() - start < 300.0
 
@@ -181,7 +181,7 @@ def test_depth3_genericity_grid_matches_single_coordinate_rule():
                 ell = Functional(basis, flat)
                 expected = bool(abs(c31) > 1e-6)
                 assert is_generic(ell) == expected
-                numeric = orbit_dim_numeric_all(ell, samples=2, seed=7)
+                numeric = orbit_dim_numeric_all(ell)
                 if generic_table is None:
                     generic_table = {
                         km: orbit_dim_quotient_generic(spec, *km) for km in numeric

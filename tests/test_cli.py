@@ -13,6 +13,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -115,11 +116,25 @@ def test_signature_rejects_wrong_width_and_ragged(capsys, tmp_path):
 
 
 def test_signature_rejects_non_finite_vertices(capsys, tmp_path):
-    path = tmp_path / "nan.csv"
-    path.write_text("0,0\nnan,1\n1,1\n", encoding="utf-8")
-    rc, doc = run_cli(capsys, "signature", "--spec", "2,3", "--path", str(path))
-    assert rc == 2
-    assert doc["error"]["type"] == "NotInLieImage"
+    # the path rejects the vertex before any arithmetic can warn or print NaN
+    path = tmp_path / "bad.csv"
+    cases = [
+        (("--spec", "2,3"), "0,0\nnan,1\n1,1\n", "[nan, 1.0]"),
+        (("--spec", "2,2", "--flavor", "FullTensor"), "0,0\nnan,1\n1,1\n", "[nan, 1.0]"),
+        (("--spec", "2,3"), "0,0\ninf,1\n1,1\n", "[inf, 1.0]"),
+    ]
+    for spec_args, text, vertex in cases:
+        path.write_text(text, encoding="utf-8")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["signature", *spec_args, "--path", str(path)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert caught == [] and captured.err == ""
+        assert json.loads(captured.out)["error"] == {
+            "type": "DimensionMismatch",
+            "message": f"path vertex 2 is not finite: {vertex}",
+        }
 
 
 def test_signature_missing_file(capsys, tmp_path):
@@ -207,6 +222,15 @@ def test_orbit_dims_table(capsys):
     table = {(int(r[0]), int(r[1])): int(r[2]) for r in rows[1:]}
     assert table[(1, 1)] == 1  # depth-2 quotient, one top coordinate
     assert all(v >= 0 for v in table.values())
+
+
+@pytest.mark.parametrize("spec", ["1,3", "1,4"])
+def test_orbit_dims_on_a_line_group(capsys, spec):
+    # (1, N) has the single nonempty layer 1: every quotient orbit is a point
+    rc, doc = run_cli(capsys, "orbit-dims", "--spec", spec)
+    assert rc == 0
+    assert doc["quotients"] and all(q["generic_dim"] == 0 for q in doc["quotients"])
+    assert doc["full_generic_dim"] == 0
 
 
 def test_orbit_dims_numeric_matches_generic(capsys):

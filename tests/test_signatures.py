@@ -241,6 +241,15 @@ def test_read_path_csv_ragged_rejected():
         read_path_csv(io.StringIO("1,2\n3\n"))
 
 
+def test_non_finite_vertex_rejected():
+    pts = np.zeros((4, 2))
+    pts[2, 1] = -np.inf
+    with pytest.raises(DimensionMismatch, match=r"^path vertex 3 is not finite: \[0\.0, -inf\]$"):
+        PiecewiseLinearPath(pts)
+    with pytest.raises(DimensionMismatch, match="^path vertex 2 is not finite"):
+        read_path_csv(io.StringIO("x,y\n0,0\n1,nan\n"))
+
+
 def test_read_path_csv_wrong_width_rejected():
     with pytest.raises(DimensionMismatch):
         read_path_csv(io.StringIO("1,2\n3,4\n"), d=3)
