@@ -51,7 +51,7 @@ from .lie_basis import (
     witt_dimension,
 )
 from .polarization import (
-    generic_polarization,
+    _checked_generic_polarization,
     polarization_check,
     vergne_polarization,
 )
@@ -281,10 +281,10 @@ def _cmd_polarization(args) -> int:
     basis = _resolve_basis(args)
     ell = _load_functional(args, basis)
     if args.method == "generic":
-        sub = generic_polarization(ell)
+        sub, report = _checked_generic_polarization(ell)
     else:
         sub = vergne_polarization(ell)
-    report = polarization_check(sub, ell)
+        report = polarization_check(sub, ell)
     payload = {
         "spec": basis.spec.to_json_dict(),
         "method": args.method,

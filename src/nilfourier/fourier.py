@@ -26,6 +26,8 @@ by a central vector, so it is added, and the group law runs once per point of
 the rest of the grid. The subgroup character is separable over the axes of the
 tensor grid. The per-pair work (frame, group law, phases) runs once per block
 of section pairs and ``f`` on sub-chunks of a block, both sized by one budget.
+The frequency plane runs in mirror pairs ``ell``, ``-ell``, which share the
+chart, the section grid and the samples of ``f``; only their phases differ.
 """
 
 from __future__ import annotations
@@ -381,12 +383,17 @@ def _section_scale(ell: Functional, jump: JumpData, qspec: QuadratureSpec) -> fl
     rate, trading smooth truncation error for wild aliasing error. At the
     reference resolution the tightening factor is one.
     """
-    t_idx = [ell.basis.flat_index(k, i) for (k, i) in jump.T]
-    norm = float(np.linalg.norm(ell.flat[t_idx])) if t_idx else 0.0
+    norm = _transverse_norm(ell, jump)
     tighten = min(1.0, _resolvable_rate(qspec) / qspec.section_halfwidth)
     if norm <= 0:
         return qspec.section_scale_cap * tighten
     return float(min(tighten / norm, qspec.section_scale_cap))
+
+
+def _transverse_norm(ell: Functional, jump: JumpData) -> float:
+    """``|ell_T|``, the norm of the transverse coordinates."""
+    t_idx = [ell.basis.flat_index(k, i) for (k, i) in jump.T]
+    return float(np.linalg.norm(ell.flat[t_idx])) if t_idx else 0.0
 
 
 def _resolvable_rate(qspec: QuadratureSpec) -> float:
@@ -416,9 +423,28 @@ def _check_h_box(f: SchwartzFunction, qspec: QuadratureSpec) -> None:
         )
 
 
+def _functionals(ell: Functional | tuple[Functional, ...]) -> tuple[Functional, ...]:
+    """The functionals of one kernel call: ``ell`` itself, or the members of a
+    tuple, which must share one basis."""
+    ells = (ell,) if isinstance(ell, Functional) else tuple(ell)
+    if not ells or any(e.basis is not ells[0].basis for e in ells):
+        raise DimensionMismatch("a tuple of functionals must be non-empty and share one basis")
+    return ells
+
+
+def _shared_section_scale(
+    ells: tuple[Functional, ...], jump: JumpData, qspec: QuadratureSpec
+) -> float:
+    """:func:`_section_scale` of functionals that must share ``|ell_T|``, so
+    that one section grid serves them all."""
+    if len({_transverse_norm(e, jump) for e in ells}) > 1:
+        raise DimensionMismatch("a tuple of functionals must share |ell_T| (one section box)")
+    return _section_scale(ells[0], jump, qspec)
+
+
 def kernel_values(
     f: SchwartzFunction,
-    ell: Functional,
+    ell: Functional | tuple[Functional, ...],
     chart: MalcevChart,
     qspec: QuadratureSpec,
     xs: np.ndarray,
@@ -427,6 +453,11 @@ def kernel_values(
     """Kernel ``K_f(section(x), section(y))`` for paired section coordinates.
 
     ``xs`` and ``ys`` have shape ``(P, q)``; returns complex values ``(P,)``.
+    ``ell`` may also be a tuple of ``L`` functionals on one basis that the
+    chart's subalgebra polarizes (``ell`` and ``-ell``, say); the values then
+    have shape ``(P, L)``. The integrand samples ``f(x gamma_h(a) y^-1)`` do
+    not depend on the functional, so they are evaluated once for all members;
+    only the phases, the recentring factor and the contraction are per member.
 
     The subgroup integral runs over a per-pair affine reframing ``a = a* +
     R^-1 b`` of the chart coordinates, where ``J = QR`` is the Jacobian of
@@ -454,6 +485,7 @@ def kernel_values(
     of ``_CHUNK_BUDGET // (m_c m_r n)`` pairs.
     """
     _check_h_box(f, qspec)
+    ells = _functionals(ell)
     basis = chart.basis
     n = basis.dim
     q_h = chart.q_h
@@ -477,11 +509,12 @@ def kernel_values(
     m_c, m_r = grid_c.shape[1], grid_r.shape[1]
     M = m_c * m_r
     w_h = chart.W[:, :q_h]
-    ell_h = ell.flat @ w_h
+    ell_h = np.stack([e.flat for e in ells]) @ w_h  # (L, q_h)
+    L = len(ells)
     bch = basis.bch_coords
     exp_coeffs, dlog_coeffs = _exp_series(basis.spec.N), _bernoulli_series(basis.spec.N)
 
-    out = np.empty(P, dtype=complex)
+    out = np.empty((P, L), dtype=complex)
     block = max(1, _CHUNK_BUDGET // (max(m_c, m_r, n) * n))
     chunk = max(1, _CHUNK_BUDGET // (M * n))
     for lo in range(0, P, block):
@@ -489,7 +522,7 @@ def kernel_values(
         cx = chart.section(xs[lo:hi])
         c0 = bch(cx, -chart.section(ys[lo:hi]))[:, None]
         if not q_h:
-            out[lo:hi] = f(c0[:, 0])
+            out[lo:hi] = f(c0[:, 0])[:, None]
             continue
         ad_x = _ad_series(basis, cx, exp_coeffs)  # (C, n, n)
         # d/da bch(Ad_x log gamma_h(a), c0) at a = 0 is B(ad c0) Ad_x W_h.
@@ -515,15 +548,20 @@ def kernel_values(
         # adds W_c R^-1[:q_c, :q_c] b_c, in grid order (b_c, b_r).
         shift = np.swapaxes(w_h[:, :q_c] @ rinv[:, :q_c, :q_c] @ grid_c, -1, -2)
         # exp(i a . ell_h) = exp(i a* . ell_h) prod_k exp(i b_k (R^-T ell_h)_k)
-        phases = weights * np.exp(1j * (ell_h @ rinv)[..., None] * nodes)  # (C, q_h, nodes)
-        scale = np.exp(1j * (astar @ ell_h)) / det_r
+        rate = np.swapaxes(ell_h @ rinv, -1, -2)  # (C, q_h, L)
+        phases = weights * np.exp(1j * rate[..., None] * nodes)  # (C, q_h, L, nodes)
+        scale = np.exp(1j * (astar @ ell_h.T)) / det_r[:, None]  # (C, L)
         for s in range(0, hi - lo, chunk):
             e = min(hi - lo, s + chunk)
             vals = f((shift[s:e, :, None] + pts[s:e, None]).reshape(e - s, M, n))
-            for k in range(q_h - 1, -1, -1):
-                vals = (vals.reshape(e - s, -1, nodes.size) @ phases[s:e, k, :, None])[..., 0]
-            out[lo + s : lo + e] = vals[:, 0] * scale[s:e]
-    return out
+            # The last axis for all members in one matmul, (C, rest, L), then
+            # the other axes member by member.
+            vals = vals.reshape(e - s, -1, nodes.size) @ np.swapaxes(phases[s:e, -1], -1, -2)
+            vals = np.swapaxes(vals, -1, -2)
+            for k in range(q_h - 2, -1, -1):
+                vals = (vals.reshape(e - s, L, -1, nodes.size) @ phases[s:e, k, ..., None])[..., 0]
+            out[lo + s : lo + e] = vals[..., 0] * scale[s:e]
+    return out[:, 0] if isinstance(ell, Functional) else out
 
 
 @dataclass(frozen=True, eq=False)
@@ -573,28 +611,36 @@ def _point_coords(basis: LayeredBasis, x: GradedElement) -> np.ndarray:
 
 def trace_shifted(
     f: SchwartzFunction,
-    ell: Functional,
+    ell: Functional | tuple[Functional, ...],
     chart: MalcevChart,
     qspec: QuadratureSpec,
     x: GradedElement,
     jump: JumpData | None = None,
-) -> complex:
+) -> complex | np.ndarray:
     """Shifted trace ``integral of K_f(x section(y), section(y)) dy``.
 
     Decomposes ``x section(y) = section(w) h`` and applies the kernel's
     subgroup equivariance, so only section-to-section kernel values are
     needed: the integrand is ``exp(-i ell(log h)) K_f(section(w), section(y))``.
+
+    ``ell`` may be a tuple of functionals that the chart polarizes and that
+    share ``|ell_T|``, hence one section grid and one decomposition; the
+    traces then come back as an array with one entry per member, from one
+    :func:`kernel_values` call. Members that differ in basis or ``|ell_T|``
+    raise :class:`DimensionMismatch`.
     """
+    ells = _functionals(ell)
     basis = chart.basis
     cx = _point_coords(basis, x)
     if jump is None:
-        jump = jump_sets(ell.basis)
-    scale = _section_scale(ell, jump, qspec)
+        jump = jump_sets(basis)
+    scale = _shared_section_scale(ells, jump, qspec)
     ys, wy = _tensor_grid([(qspec.section_nodes, qspec.section_halfwidth * scale)] * chart.q)
     ws, rem = chart.decompose(basis.bch_coords(cx, chart.section(ys)))
-    twist = np.exp(-1j * (rem @ ell.flat))
-    kv = kernel_values(f, ell, chart, qspec, ws, ys)
-    return complex(np.sum(wy * twist * kv))
+    twist = np.exp(-1j * (rem @ np.stack([e.flat for e in ells], axis=-1)))  # (P, L)
+    kv = kernel_values(f, ells, chart, qspec, ws, ys)
+    traces = np.sum(wy * (twist * kv).T, axis=-1)
+    return complex(traces[0]) if isinstance(ell, Functional) else traces
 
 
 # ---------------------------------------------------------------------------
@@ -631,39 +677,62 @@ def c_norm(basis: LayeredBasis, jump: JumpData | None = None) -> float:
 def _frequency_plane(
     basis: LayeredBasis, jump: JumpData, qspec: QuadratureSpec, t_nodes: int, integrand
 ) -> list:
-    """Weighted parts ``w * sqrt(det D) * integrand(ell, chart)`` of an integral
-    over the transverse frequency plane, in node order.
+    """Weighted parts ``w * sqrt(det D) * integrand`` of an integral over the
+    transverse frequency plane, in node order.
 
     The plane carries a trapezoid grid of ``t_nodes`` per transverse axis.
+    It is symmetric about 0, so node ``i`` has its mirror ``M - 1 - i`` with
+    the same weight, and the two run as one pair: ``integrand((ell, -ell),
+    chart)`` returns both values from one chart, one section grid and one set
+    of samples of ``f``. ``-ell`` is the exact negative of node ``i``'s
+    functional (the grid's mirror node agrees with it to an ulp). Genericity,
+    ``sqrt(det D)``, the chart and the subgroup phase rate are the same at
+    ``-ell`` (the skew form only changes sign, and a polarization of ``ell``
+    polarizes ``-ell``), so they run once per pair. A centre node (every
+    axis odd) is its own mirror and gets ``(ell,)``.
+
     Non-generic nodes (a null set) and nodes with ``sqrt(det D) = 0``
     contribute zero, as do nodes whose subgroup phase rate the grid cannot
     resolve (see :func:`_h_phase_rate`; at the reference resolution no node
-    is dropped). Nodes run on NILFOURIER_THREADS workers; the parts come back
-    in node order either way, so reductions do not depend on the count.
+    is dropped). Pairs run on at most NILFOURIER_THREADS workers, and never
+    more than there are pairs; the parts come back in node order either way,
+    so reductions do not depend on the count.
     """
     pts, wts = _tensor_grid([(t_nodes, qspec.t_halfwidth)] * len(jump.T))
     t_idx = [basis.flat_index(k, i) for (k, i) in jump.T]
     rate_limit = _resolvable_rate(qspec)
+    M = len(wts)
 
-    def node(i: int):
+    def pair(i: int) -> list:
+        """Parts of node ``i`` and its mirror; none for a skipped pair."""
         flat = np.zeros(basis.dim)
         flat[t_idx] = pts[i]
         ell = Functional(basis, flat)
         if not is_generic(ell):
-            return 0.0
+            return []
         sd = sqrt_det_d(ell, jump)
         if sd <= 0.0:
-            return 0.0
+            return []
         chart = chart_for(ell)
         if _h_phase_rate(ell, chart) > rate_limit:
-            return 0.0
-        return wts[i] * sd * integrand(ell, chart)
+            return []
+        mirror = M - 1 - i
+        ells = (ell,) if mirror == i else (ell, Functional(basis, -flat))
+        values = integrand(ells, chart)
+        return [wts[j] * sd * v for j, v in zip((i, mirror), values)]
 
-    workers = min(thread_count(), len(wts))
+    pairs = (M + 1) // 2
+    workers = min(thread_count(), pairs)
     if workers <= 1:
-        return [node(i) for i in range(len(wts))]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(node, range(len(wts))))
+        results = [pair(i) for i in range(pairs)]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(pair, range(pairs)))
+    parts: list = [0.0] * M  # skipped nodes contribute zero
+    for i, values in enumerate(results):
+        for j, value in zip((i, M - 1 - i), values):
+            parts[j] = value
+    return parts
 
 
 def invert(
@@ -688,8 +757,8 @@ def invert(
     jump = jump_sets(basis)
     norm = c_norm(basis, jump)
 
-    def integrand(ell: Functional, chart: MalcevChart) -> complex:
-        return trace_shifted(f, ell, chart, qspec, x, jump)
+    def integrand(ells: tuple[Functional, ...], chart: MalcevChart) -> np.ndarray:
+        return trace_shifted(f, ells, chart, qspec, x, jump)
 
     def run(t_nodes: int) -> complex:
         return norm * sum(_frequency_plane(basis, jump, qspec, t_nodes, integrand), 0j)
@@ -712,11 +781,11 @@ def invert(
 
 def hs_norm_sq(
     f: SchwartzFunction,
-    ell: Functional,
+    ell: Functional | tuple[Functional, ...],
     chart: MalcevChart,
     qspec: QuadratureSpec,
     jump: JumpData | None = None,
-) -> float:
+) -> float | np.ndarray:
     """Squared Hilbert-Schmidt norm of the kernel operator.
 
     Integrates ``|K(x, y)|^2`` in rotated coordinates ``u = x - y`` (fixed
@@ -724,11 +793,17 @@ def hs_norm_sq(
     (adaptively scaled box), which stays uniformly resolved over the
     frequency plane where a plain product grid would alias the diagonal
     ridge.
+
+    ``ell`` may be a tuple of functionals that the chart polarizes and that
+    share ``|ell_T|``, hence one grid; the norms then come back as an array
+    with one entry per member, from one :func:`kernel_values` call. Members
+    that differ in basis or ``|ell_T|`` raise :class:`DimensionMismatch`.
     """
+    ells = _functionals(ell)
     if jump is None:
-        jump = jump_sets(ell.basis)
+        jump = jump_sets(chart.basis)
     q = chart.q
-    scale = _section_scale(ell, jump, qspec)
+    scale = _shared_section_scale(ells, jump, qspec)
     upts, uw = _tensor_grid([(qspec.section_nodes, qspec.section_halfwidth)] * q)
     vpts, vw = _tensor_grid(
         [(qspec.section_nodes, 2.0 * qspec.section_halfwidth * scale)] * q
@@ -737,9 +812,10 @@ def hs_norm_sq(
     ui, vi = np.meshgrid(np.arange(mu), np.arange(mv), indexing="ij")
     xs = 0.5 * (vpts[vi.ravel()] + upts[ui.ravel()])
     ys = 0.5 * (vpts[vi.ravel()] - upts[ui.ravel()])
-    kv = kernel_values(f, ell, chart, qspec, xs, ys)
-    dens = (np.abs(kv) ** 2).reshape(mu, mv)
-    return float(2.0**-q * (uw @ dens @ vw))
+    kv = kernel_values(f, ells, chart, qspec, xs, ys)
+    dens = (np.abs(kv.T) ** 2).reshape(len(ells), mu, mv)
+    norms = 2.0**-q * (uw @ dens @ vw)
+    return float(norms[0]) if isinstance(ell, Functional) else norms
 
 
 def norm_sq_direct(f: SchwartzFunction, basis: LayeredBasis, qspec: QuadratureSpec) -> float:
@@ -767,8 +843,8 @@ def plancherel(
     jump = jump_sets(basis)
     lhs = norm_sq_direct(f, basis, qspec)
 
-    def integrand(ell: Functional, chart: MalcevChart) -> float:
-        return hs_norm_sq(f, ell, chart, qspec, jump)
+    def integrand(ells: tuple[Functional, ...], chart: MalcevChart) -> np.ndarray:
+        return hs_norm_sq(f, ells, chart, qspec, jump)
 
     parts = _frequency_plane(basis, jump, qspec, qspec.t_nodes, integrand)
     rhs = c_norm(basis, jump) * math.fsum(parts)

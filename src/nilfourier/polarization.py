@@ -135,6 +135,12 @@ def generic_polarization(ell: Functional) -> Subalgebra:
     the expected dimension a posteriori and raises :class:`NotGeneric` if the
     kernel union fails to polarize (it never does on the tested families).
     """
+    return _checked_generic_polarization(ell)[0]
+
+
+def _checked_generic_polarization(ell: Functional) -> tuple[Subalgebra, dict]:
+    """:func:`generic_polarization` and the :func:`polarization_check` report
+    it passed."""
     basis = ell.basis
     spec = basis.spec
     if spec.degenerate:
@@ -162,7 +168,7 @@ def generic_polarization(ell: Functional) -> Subalgebra:
             "layer-built candidate failed the polarization checks "
             f"(dim {sub.dim}, expected {report['expected_dim']})"
         )
-    return sub
+    return sub, report
 
 
 def vergne_polarization(ell: Functional) -> Subalgebra:

@@ -9,17 +9,22 @@ built on them, which compose group elements in the package's dense tensor
 algebra instead of its flat-coordinate group law;
 :func:`flat_route_kernel`, which composes every integrand point with the
 package's flat-coordinate group law and chart maps, but without the kernel's
-conjugation form or its split of the subgroup grid; and
+conjugation form or its split of the subgroup grid;
 :func:`left_fold_signature`, which multiplies segment exponentials one at a
-time instead of in batched rounds.
+time instead of in batched rounds; and :func:`frequency_plane_by_node`,
+which integrates the frequency plane through the package's public
+single-functional calls, one node and one chart at a time, instead of in
+mirror pairs.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
+from nilfourier import Functional, chart_for, is_generic, jump_sets, sqrt_det_d
 from nilfourier.tensor_algebra import (
     GradedElement,
     exp_t,
@@ -357,3 +362,42 @@ def flat_route_kernel(f, ell, chart, qspec, xs, ys, step):
         return lambda a: bch(bch(sx, chart.gamma_h(a)), syi)
 
     return _framed_kernel(f, ell, chart, qspec, xs, ys, step, point_map, chart.gamma_h)
+
+
+# ---------------------------------------------------------------------------
+# The frequency plane one node at a time.
+# ---------------------------------------------------------------------------
+
+
+def frequency_plane_by_node(basis, qspec, integrand):
+    """``sum of w * sqrt(det D) * integrand(ell, chart)`` over the transverse
+    frequency plane, without the normalization.
+
+    Every node of the trapezoid grid (``t_nodes`` per transverse axis) runs on
+    its own: its grid functional, its own ``chart_for`` and one
+    single-functional ``integrand`` call. The skip rules are the package's:
+    non-generic nodes, ``sqrt(det D) = 0``, and subgroup phase rates
+    ``|ell_h|`` above 90% of the subgroup grid's Nyquist rate.
+    """
+    jump = jump_sets(basis)
+    t_idx = [basis.flat_index(k, i) for (k, i) in jump.T]
+    axis = np.linspace(-qspec.t_halfwidth, qspec.t_halfwidth, qspec.t_nodes)
+    w = np.full(axis.size, axis[1] - axis[0])
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    rate_limit = 0.9 * math.pi * (qspec.h_nodes - 1) / (2.0 * qspec.h_halfwidth)
+    total = 0.0
+    for node in itertools.product(range(axis.size), repeat=len(t_idx)):
+        flat = np.zeros(basis.dim)
+        flat[t_idx] = axis[list(node)]
+        ell = Functional(basis, flat)
+        if not is_generic(ell):
+            continue
+        sd = sqrt_det_d(ell, jump)
+        if sd <= 0.0:
+            continue
+        chart = chart_for(ell)
+        if np.linalg.norm((ell.flat @ chart.W)[: chart.q_h]) > rate_limit:
+            continue
+        total += math.prod(w[list(node)]) * sd * integrand(ell, chart)
+    return total

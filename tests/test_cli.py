@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from nilfourier import cli, polarization
 from nilfourier.cli import main
 
 
@@ -267,6 +268,23 @@ def test_polarization_generic_and_radical(capsys):
     # the layer-built construction refuses the spec it cannot serve
     rc, doc = run_cli(capsys, "polarization", "--spec", "2,3", "--seed", "3")
     assert rc == 2
+
+
+@pytest.mark.parametrize("spec,method", [("2,2", "generic"), ("3,3", "generic"), ("2,3", "radical")])
+def test_polarization_checks_the_subalgebra_once(capsys, monkeypatch, spec, method):
+    checked = []
+    check = polarization.polarization_check
+
+    def counted(sub, ell):
+        checked.append(sub.dim)
+        return check(sub, ell)
+
+    # both names the command can reach the check under
+    monkeypatch.setattr(polarization, "polarization_check", counted)
+    monkeypatch.setattr(cli, "polarization_check", counted)
+    rc, doc = run_cli(capsys, "polarization", "--spec", spec, "--seed", "3", "--method", method)
+    assert rc == 0 and doc["check"]["passed"] is True
+    assert checked == [doc["check"]["dim"]]
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ no closed form is available.
 from __future__ import annotations
 
 import functools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,9 +32,11 @@ from nilfourier import (
     d_matrix,
     hs_norm_sq,
     invert,
+    is_generic,
     jump_sets,
     kernel_values,
     plancherel,
+    polarization_check,
     sample_generic,
     sqrt_det_d,
     trace_shifted,
@@ -62,6 +65,7 @@ from oracles import (
     HEISENBERG_C_NORM,
     ORACLE_FRAME_STEP,
     flat_route_kernel,
+    frequency_plane_by_node,
     heisenberg_hs_sq,
     heisenberg_kernel,
     heisenberg_trace,
@@ -80,6 +84,13 @@ def _basis(d: int, N: int) -> LayeredBasis:
 def _heisenberg_functional(lam: float, a: float = 0.0, b: float = 0.0) -> Functional:
     # flat order puts the top layer first: (bracket, first, second generator)
     return Functional(_basis(2, 2), np.array([lam, a, b]))
+
+
+def _complex_gaussian(dim: int) -> SchwartzFunction:
+    """The unit Gaussian times a plane wave: a function with complex values."""
+    gauss = SchwartzFunction.gaussian(dim)
+    freq = np.linspace(-0.6, 0.9, dim)
+    return SchwartzFunction(dim, lambda c: gauss(c) * np.exp(1j * (c @ freq)), gauss.decay_box)
 
 
 def _low_res(**overrides) -> QuadratureSpec:
@@ -516,6 +527,75 @@ def test_kernel_values_do_not_depend_on_how_pairs_are_batched(monkeypatch, d, N,
     assert np.max(np.abs(whole - parts)) <= 1e-14 * np.max(np.abs(parts))
 
 
+@pytest.mark.parametrize("d,N", [(2, 2), (2, 3), (3, 2), (2, 4)])
+def test_mirror_functional_shares_the_node_set_up(d, N):
+    # the frequency plane runs genericity, sqrt(det D), the chart and the
+    # phase-rate skip once for ell and -ell
+    basis = _basis(d, N)
+    jump = jump_sets(basis)
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        ell = sample_generic(basis, rng)
+        neg = Functional(basis, -ell.flat)
+        assert is_generic(neg)
+        assert sqrt_det_d(neg, jump) == pytest.approx(sqrt_det_d(ell, jump), rel=1e-14)
+        chart = chart_for(ell)
+        assert _h_phase_rate(neg, chart) == pytest.approx(_h_phase_rate(ell, chart), rel=1e-14)
+        sub = Subalgebra(basis, chart.W[:, : chart.q_h].T)
+        assert polarization_check(sub, ell)["passed"]
+        assert polarization_check(sub, neg)["passed"]
+
+
+@pytest.mark.parametrize("d,N", [(2, 2), (2, 3), (3, 2)])
+def test_tuple_calls_match_single_functional_calls(d, N):
+    basis = _basis(d, N)
+    jump = jump_sets(basis)
+    rng = np.random.default_rng(9)
+    ell = sample_generic(basis, rng)
+    neg = Functional(basis, -ell.flat)
+    chart = chart_for(ell)
+    f = _complex_gaussian(basis.dim)
+    q = _low_res()
+    xs, ys = 0.8 * rng.standard_normal((2, 5, chart.q))
+    pair = kernel_values(f, (ell, neg), chart, q, xs, ys)
+    assert pair.shape == (5, 2)
+    # kernel values live on one chart's section points
+    singles = np.stack([kernel_values(f, e, chart, q, xs, ys) for e in (ell, neg)], axis=-1)
+    assert np.max(np.abs(pair - singles)) <= 1e-12 * np.max(np.abs(singles))
+    # traces and norms do not depend on the chart: -ell on its own chart
+    x = exp_t(basis.algebra_element(0.3 * rng.standard_normal(basis.dim)))
+    own = [(ell, chart), (neg, chart_for(neg))]
+    pair = hs_norm_sq(f, (ell, neg), chart, q, jump)
+    singles = np.array([hs_norm_sq(f, e, c, q, jump) for e, c in own])
+    assert pair.shape == (2,)
+    assert np.max(np.abs(pair - singles)) <= 1e-12 * np.max(singles)
+    pair = trace_shifted(f, (ell, neg), chart, q, x, jump)
+    singles = np.array([trace_shifted(f, e, c, q, x, jump) for e, c in own])
+    assert pair.shape == (2,)
+    assert np.max(np.abs(pair - singles)) <= 1e-12 * np.max(np.abs(singles))
+
+
+def test_tuple_calls_reject_mismatched_functionals():
+    basis = _basis(2, 2)
+    f = SchwartzFunction.gaussian(basis.dim)
+    q = _low_res()
+    ell = _heisenberg_functional(0.9)
+    chart = chart_for(ell)
+    xs = np.zeros((2, 1))
+    twin = Functional(build_layered_basis(GroupSpec(2, 2)), -ell.flat)  # an equal basis, not the same
+    for bad in ((), (ell, twin), (ell, sample_generic(_basis(2, 3), np.random.default_rng(0)))):
+        with pytest.raises(DimensionMismatch):
+            kernel_values(f, bad, chart, q, xs, xs)
+    # kernel values take their section points as given, so |ell_T| may differ
+    slower = _heisenberg_functional(0.7)
+    assert kernel_values(f, (ell, slower), chart, q, xs, xs).shape == (2, 2)
+    # traces and norms build one section box from |ell_T|
+    with pytest.raises(DimensionMismatch, match="ell_T"):
+        hs_norm_sq(f, (ell, slower), chart, q)
+    with pytest.raises(DimensionMismatch, match="ell_T"):
+        trace_shifted(f, (ell, slower), chart, q, GradedElement.identity(basis.spec))
+
+
 def test_operator_is_linear_in_the_function():
     basis = _basis(2, 2)
     f = SchwartzFunction.gaussian(basis.dim)
@@ -789,6 +869,53 @@ def test_thread_env_does_not_change_results(monkeypatch):
     monkeypatch.setenv("NILFOURIER_THREADS", "3")
     threaded = invert(f, ident, basis, q)
     assert serial == threaded  # byte-identical ordered reduction
+
+
+def test_thread_env_does_not_change_plancherel(monkeypatch):
+    basis = _basis(2, 2)
+    f = _complex_gaussian(basis.dim)
+    q = _low_res()
+    workers = []
+    pool = fourier.ThreadPoolExecutor
+
+    def recorded(max_workers):
+        workers.append(max_workers)
+        return pool(max_workers=max_workers)
+
+    monkeypatch.setattr(fourier, "ThreadPoolExecutor", recorded)
+    monkeypatch.setenv("NILFOURIER_THREADS", "1")
+    serial = plancherel(f, basis, q)
+    monkeypatch.setenv("NILFOURIER_THREADS", "3")
+    threaded = plancherel(f, basis, q)
+    assert serial == threaded  # byte-identical ordered reduction
+    # 8 nodes make 4 mirror pairs, and no more workers than pairs run
+    monkeypatch.setenv("NILFOURIER_THREADS", "16")
+    assert plancherel(f, basis, q) == serial
+    assert workers == [3, 4]
+
+
+@pytest.mark.parametrize(
+    "d,N,qspec",
+    [
+        (2, 2, QuadratureSpec.demo()),
+        (2, 2, _low_res(h_nodes=24, section_nodes=12, t_nodes=9, t_halfwidth=4.0)),  # a centre node
+        (2, 3, replace(QuadratureSpec.demo(), t_nodes=8)),
+    ],
+)
+def test_transforms_match_the_plane_integrated_node_by_node(d, N, qspec):
+    basis = _basis(d, N)
+    f = _complex_gaussian(basis.dim)
+    jump = jump_sets(basis)
+    x = exp_t(basis.algebra_element(np.linspace(-0.3, 0.2, basis.dim)))
+    norm = c_norm(basis, jump)
+    rhs = norm * frequency_plane_by_node(
+        basis, qspec, lambda ell, chart: hs_norm_sq(f, ell, chart, qspec, jump)
+    )
+    assert plancherel(f, basis, qspec)["rhs"] == pytest.approx(rhs, rel=1e-13)
+    value = norm * frequency_plane_by_node(
+        basis, qspec, lambda ell, chart: trace_shifted(f, ell, chart, qspec, x, jump)
+    )
+    assert abs(invert(f, x, basis, qspec) - value) <= 1e-13 * abs(value)
 
 
 @pytest.mark.parametrize("raw", ["abc", "0"])
