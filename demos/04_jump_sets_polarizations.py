@@ -34,7 +34,7 @@ print()
 
 rng = np.random.default_rng(5)
 print("Polarizations at a random generic functional:")
-for d, N in [(2, 2), (3, 3), (2, 4)]:
+for d, N in [(2, 2), (2, 3), (3, 3), (2, 4)]:
     basis = build_layered_basis(GroupSpec(d, N))
     ell = sample_generic(basis, rng)
     target = basis.dim - full_orbit_dim(ell) // 2

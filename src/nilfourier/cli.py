@@ -47,6 +47,7 @@ from .lie_basis import (
     GroupSpec,
     LayeredBasis,
     build_layered_basis,
+    json_enum,
     left_normed_degree3_words,
     witt_dimension,
 )
@@ -69,12 +70,7 @@ def _parse_spec(text: str, flavor: str) -> GroupSpec:
         d, n = int(parts[0]), int(parts[1])
     except ValueError:
         raise NilfourierError(f"--spec expects integers 'd,N', got {text!r}") from None
-    try:
-        flav = Flavor(flavor)
-    except ValueError:
-        names = ", ".join(f.value for f in Flavor)
-        raise NilfourierError(f"unknown flavor {flavor!r}; expected one of {names}") from None
-    return GroupSpec(d=d, N=n, flavor=flav)
+    return GroupSpec(d=d, N=n, flavor=json_enum("flavor", flavor, Flavor))
 
 
 def _resolve_basis(args) -> LayeredBasis:

@@ -40,10 +40,6 @@ class IndexOutOfRange(NilfourierError):
     """A layer or basis index lies outside the valid range."""
 
 
-class DegenerateSpec(NilfourierError):
-    """The operation is undefined for this group specification (d=2, N=3)."""
-
-
 class SamplingExhausted(NilfourierError):
     """Rejection sampling failed to find a generic functional within the attempt budget."""
 

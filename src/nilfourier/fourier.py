@@ -1,11 +1,11 @@
 """Group Fourier transform on truncated tensor groups via induced kernels.
 
-For a generic functional the layer-built (or prefix-radical) polarization
-``h`` yields a coordinate chart: an orthonormal reordering of the Malcev basis
-listing ``h`` first, whose ordered product of one-parameter exponentials
-parametrizes the group with Lebesgue measure as Haar measure. The induced
-representation then acts on functions of the section coordinates, and the
-operator attached to an integrable function ``f`` has integral kernel
+For a generic functional the layer-built polarization ``h`` yields a
+coordinate chart: an orthonormal reordering of the Malcev basis listing ``h``
+first, whose ordered product of one-parameter exponentials parametrizes the
+group with Lebesgue measure as Haar measure. The induced representation then
+acts on functions of the section coordinates, and the operator attached to an
+integrable function ``f`` has integral kernel
 
 ``K_f(x, y) = integral over H of f(x u y^-1) exp(i ell(log u)) du``.
 
@@ -49,7 +49,6 @@ from .coadjoint import (
     jump_sets,
 )
 from .errors import (
-    DegenerateSpec,
     DimensionMismatch,
     NilfourierError,
     NonConvergence,
@@ -57,7 +56,7 @@ from .errors import (
     QuadratureUnderflow,
 )
 from .lie_basis import LayeredBasis, json_number
-from .polarization import Subalgebra, generic_polarization, vergne_polarization
+from .polarization import Subalgebra, generic_polarization
 from .tensor_algebra import GradedElement, Role, log_t
 
 __all__ = [
@@ -250,8 +249,6 @@ class MalcevChart:
         n = basis.dim
         if sub is None:
             sub = Subalgebra(basis, np.zeros((0, n)))
-        if not sub.is_layer_graded():
-            raise NotGeneric("chart construction needs a layer-graded subalgebra")
         h_cols: list[np.ndarray] = []
         s_cols: list[np.ndarray] = []
         for k in range(basis.spec.N, 0, -1):
@@ -277,8 +274,9 @@ class MalcevChart:
         self.q_h = len(h_cols)
         self.q = len(s_cols)
         self.W = np.stack(h_cols + s_cols, axis=-1) if (h_cols or s_cols) else np.zeros((n, 0))
+        # The layer ranks sum to sub.dim exactly when the span is layer-graded.
         if self.q_h != sub.dim or self.q_h + self.q != n:
-            raise NotGeneric("subalgebra is not layer-graded enough to chart")
+            raise NotGeneric("chart construction needs a layer-graded subalgebra")
         brackets = basis.bracket_coords(self.W.T[:, None], self.W.T[None])  # [W_i, W_j]
         # Every prefix spans an ideal exactly when no [W_i, W_j] has a chart
         # coordinate k > j; column j is held to the scale of the prefix ending there.
@@ -350,13 +348,8 @@ class MalcevChart:
 
 
 def chart_for(ell: Functional) -> MalcevChart:
-    """Chart from the layer-built polarization, falling back to the
-    prefix-radical construction for the degenerate (2, 3) algebra."""
-    try:
-        sub = generic_polarization(ell)
-    except DegenerateSpec:
-        sub = vergne_polarization(ell)
-    return MalcevChart(ell.basis, sub)
+    """Chart from the layer-built polarization at a generic functional."""
+    return MalcevChart(ell.basis, generic_polarization(ell))
 
 
 def character(ell: Functional, chart: MalcevChart, a: np.ndarray) -> np.ndarray:
@@ -527,14 +520,9 @@ def kernel_values(
         ad_x = _ad_series(basis, cx, exp_coeffs)  # (C, n, n)
         # d/da bch(Ad_x log gamma_h(a), c0) at a = 0 is B(ad c0) Ad_x W_h.
         jac = _ad_series(basis, c0[:, 0], dlog_coeffs) @ (ad_x @ w_h)
+        # B(ad c0) Ad_x is unipotent (determinant 1) and W_h has orthonormal
+        # columns, so jac has full column rank and R is invertible.
         qmat, rmat = np.linalg.qr(jac)  # jac: (C, n, q_h)
-        diag = np.abs(np.diagonal(rmat, axis1=-2, axis2=-1))
-        bad = np.min(diag, axis=-1) <= 1e-12 * np.maximum(np.max(diag, axis=-1), 1.0)
-        if np.any(bad):
-            rmat = rmat.copy()
-            qmat = qmat.copy()
-            rmat[bad] = np.eye(q_h)
-            qmat[bad] = np.eye(n, q_h)
         rinv = np.linalg.inv(rmat)
         astar = -np.einsum("pij,pj->pi", rinv, np.einsum("pni,pn->pi", qmat, c0[:, 0]))
         det_r = np.abs(np.prod(np.diagonal(rmat, axis1=-2, axis2=-1), axis=-1))

@@ -6,12 +6,14 @@ the coadjoint orbit dimension, and it is the ingredient that turns a generic
 functional into an induced representation.
 
 Two constructions are provided. The generic construction uses the layer
-structure directly: for odd depth the top half of the layers already
-polarizes every generic functional, and for even depth the middle layer
-contributes the kernels of its nested skew blocks. The second construction
-builds the canonical polarization from the radicals of the functional
-restricted to each Malcev-ordered prefix, which works for every functional
-(generic or not) and in the one degenerate low-level case.
+structure directly, one rule per layer ``k`` of a depth-``N`` algebra: the
+whole layer above the middle, the kernels of the nested skew blocks in the
+middle layer, and below the middle the rows that ``ell`` pairs to zero with
+layer ``N - k``. The second construction builds the canonical polarization
+from the radicals of the functional restricted to each Malcev-ordered prefix,
+which works for every functional, generic or not. On generic functionals the
+two span the same subalgebra (Corwin & Greenleaf, *Representations of
+Nilpotent Lie Groups and Their Applications I*, 1990).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .coadjoint import (
     full_orbit_dim,
     is_generic,
 )
-from .errors import DegenerateSpec, DimensionMismatch, NotGeneric
+from .errors import DimensionMismatch, NotGeneric
 from .lie_basis import LayeredBasis
 
 __all__ = [
@@ -42,27 +44,30 @@ __all__ = [
 CLOSURE_TOL = 1e-10
 
 
+def _svd_rank(s: np.ndarray, rtol: float) -> int:
+    """Singular values (descending) above ``rtol`` times the largest."""
+    return int(np.count_nonzero(s > max(rtol * s.max(initial=0.0), RANK_FLOOR)))
+
+
 def _orthonormal_rows(vectors: np.ndarray, rtol: float = 1e-12) -> np.ndarray:
     """Orthonormal basis (as rows) of the row space of ``vectors``."""
-    if vectors.size == 0:
-        return vectors.reshape(0, vectors.shape[-1])
-    u, s, vt = np.linalg.svd(vectors, full_matrices=False)
-    keep = s > max(rtol * s[0], RANK_FLOOR) if s.size else np.zeros(0, bool)
-    return vt[keep]
+    _, s, vt = np.linalg.svd(vectors, full_matrices=False)
+    return vt[: _svd_rank(s, rtol)]
+
+
+def _null_rows(mat: np.ndarray) -> np.ndarray:
+    """Orthonormal rows spanning the null space of ``mat`` (the whole space
+    when ``mat`` has no rows)."""
+    _, s, vt = np.linalg.svd(mat)
+    return vt[_svd_rank(s, GENERIC_RANK_RTOL) :]
 
 
 def _nested_null_rows(skew: np.ndarray) -> np.ndarray:
     """Null vectors of every leading ``m x m`` block of a skew matrix, as
     rows zero-padded to its full size, for ``m = 1 .. size``."""
     size = skew.shape[0]
-    rows = []
-    for m in range(1, size + 1):
-        _, s, vt = np.linalg.svd(skew[:m, :m])
-        for v in vt[s <= max(GENERIC_RANK_RTOL * s[0], RANK_FLOOR)]:
-            e = np.zeros(size)
-            e[:m] = v
-            rows.append(e)
-    return np.asarray(rows).reshape(len(rows), size)
+    pads = [np.pad(_null_rows(skew[:m, :m]), ((0, 0), (0, size - m))) for m in range(1, size + 1)]
+    return np.concatenate([np.zeros((0, size)), *pads])
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,17 +108,6 @@ class Subalgebra:
         w = self.basis.bracket_coords(self.vectors[:, None], self.vectors[None])
         return bool(np.all(self.contains(w, tol)))
 
-    def layer_dims(self) -> list[int]:
-        """Dimension of the projection of the span onto each layer."""
-        out = []
-        for k in range(1, self.basis.spec.N + 1):
-            block = self.vectors[:, self.basis.layer_slice(k)]
-            out.append(int(np.linalg.matrix_rank(block)) if block.size else 0)
-        return out
-
-    def is_layer_graded(self) -> bool:
-        return sum(self.layer_dims()) == self.dim
-
 
 def is_subordinate(sub: Subalgebra, ell: Functional, tol: float = CLOSURE_TOL) -> bool:
     """Whether ``ell`` kills all brackets of the subalgebra."""
@@ -128,12 +122,13 @@ def is_subordinate(sub: Subalgebra, ell: Functional, tol: float = CLOSURE_TOL) -
 def generic_polarization(ell: Functional) -> Subalgebra:
     """Layer-built polarization at a generic functional.
 
-    The span of all layers above the middle and of every layer whose
-    complementary layer is empty (``d = 1``); at even depth also the span of
-    the union of the kernels of the nested leading skew blocks of the middle
-    layer. Verifies subordination, closure, and
-    the expected dimension a posteriori and raises :class:`NotGeneric` if the
-    kernel union fails to polarize (it never does on the tested families).
+    Spans, for each layer ``k`` of a depth-``N`` algebra: the whole layer if
+    ``2k > N``; the union of the kernels of the nested leading skew blocks of
+    the layer if ``2k = N``; and if ``2k < N`` the rows ``v`` of the layer
+    with ``ell([X, v]) = 0`` for every ``X`` in layer ``N - k`` (the whole
+    layer when that one is empty). Verifies subordination, closure, and the
+    expected dimension a posteriori and raises :class:`NotGeneric` if the
+    candidate fails to polarize (it never does on the tested families).
     """
     return _checked_generic_polarization(ell)[0]
 
@@ -142,26 +137,23 @@ def _checked_generic_polarization(ell: Functional) -> tuple[Subalgebra, dict]:
     """:func:`generic_polarization` and the :func:`polarization_check` report
     it passed."""
     basis = ell.basis
-    spec = basis.spec
-    if spec.degenerate:
-        raise DegenerateSpec(
-            "the (d=2, N=3) algebra has no layer-built generic polarization; "
-            "use vergne_polarization"
-        )
+    N = basis.spec.N
     if not is_generic(ell):
         raise NotGeneric("generic_polarization needs a generic functional")
-    n = basis.dim
-    dims = spec.layer_dims()
-    # the layers above the middle, and those that pair with an empty layer
-    kept = [k for k in range(1, spec.N + 1) if 2 * k > spec.N or dims[spec.N - k - 1] == 0]
-    rows = np.concatenate([np.eye(n)[basis.layer_slice(k)] for k in kept])
-    if spec.N % 2 == 0:
-        sl = basis.layer_slice(spec.N // 2)
-        null_rows = _nested_null_rows(ell.skew[sl, sl])
-        middle = np.zeros((null_rows.shape[0], n))
-        middle[:, sl] = null_rows
-        rows = np.concatenate((rows, middle))
-    sub = Subalgebra(basis, _orthonormal_rows(rows))
+    blocks = []
+    # the layers above the middle, then the middle, then the layers below
+    for k in [*range(N // 2 + 1, N + 1), *range(N // 2, 0, -1)]:
+        sl = basis.layer_slice(k)
+        if 2 * k > N:
+            rows = np.eye(sl.stop - sl.start)
+        elif 2 * k == N:
+            rows = _nested_null_rows(ell.skew[sl, sl])
+        else:
+            rows = _null_rows(ell.skew[basis.layer_slice(N - k), sl])
+        block = np.zeros((rows.shape[0], basis.dim))
+        block[:, sl] = rows
+        blocks.append(block)
+    sub = Subalgebra(basis, _orthonormal_rows(np.concatenate(blocks)))
     report = polarization_check(sub, ell)
     if not report["passed"]:
         raise NotGeneric(

@@ -208,7 +208,7 @@ JUMP_SET_EXAMPLES = {
 # Expected polarization dimensions: n - (full generic orbit dim) / 2.
 POLARIZATION_DIMS = {
     (2, 2): 2,  # n=3, orbit 2
-    (2, 3): 4,  # n=5, orbit 2 (degenerate: radical construction)
+    (2, 3): 4,  # n=5, orbit 2 (layer 1 adds the left kernel of its pairing with layer 2)
     (2, 4): 6,  # n=8, orbit 4
     (3, 2): 5,  # n=6, orbit 2 (the skew form lives on layer 1 alone, rank 2)
     (3, 3): 11,  # n=14, orbit 6

@@ -206,7 +206,7 @@ def _support(sub) -> frozenset[int]:
 
 def test_polarization_constructions_pass_structural_checks():
     start = time.perf_counter()
-    for d, N in [(2, 2), (3, 2), (3, 3), (2, 4)]:
+    for d, N in [(2, 2), (3, 2), (3, 3), (2, 4), (2, 3)]:
         basis = build_layered_basis(GroupSpec(d, N))
         rng = np.random.default_rng(100 * d + N)
         supports = set()

@@ -205,6 +205,12 @@ def test_generic_test_rejects_mistyped_functional_row(capsys, tmp_path):
     assert doc["error"]["message"].startswith("k in coordinate row")
 
 
+def test_flavor_option_rejects_an_unknown_flavor(capsys):
+    rc, doc = run_cli(capsys, "dims", "--spec", "2,2", "--flavor", "Bogus")
+    assert rc == 2
+    assert doc["error"]["message"].startswith("flavor must be one of")
+
+
 def test_generic_test_rejects_an_unknown_flavor(capsys, tmp_path):
     fp = tmp_path / "bad.json"
     fp.write_text(json.dumps({"spec": {"d": 2, "N": 2, "flavor": "Bogus"}, "coords": [[1, 1, 0.5]]}))
@@ -265,9 +271,10 @@ def test_polarization_generic_and_radical(capsys):
     assert rc == 0
     assert doc["check"]["passed"] is True
     assert doc["check"]["dim"] == 4
-    # the layer-built construction refuses the spec it cannot serve
     rc, doc = run_cli(capsys, "polarization", "--spec", "2,3", "--seed", "3")
-    assert rc == 2
+    assert rc == 0
+    assert doc["check"]["passed"] is True
+    assert doc["check"]["dim"] == 4
 
 
 @pytest.mark.parametrize("spec,method", [("2,2", "generic"), ("3,3", "generic"), ("2,3", "radical")])

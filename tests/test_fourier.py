@@ -241,8 +241,7 @@ def test_chart_decompose_reconstructs_group_element(d, N):
 
 @pytest.mark.parametrize("d,N", [(2, 2), (3, 2), (2, 3), (2, 4), (3, 3), (1, 3)])
 def test_chart_central_block_is_the_top_layer(d, N):
-    # (2, 3) takes the prefix-radical route; on the abelian line every
-    # subgroup column is central
+    # on the abelian line every subgroup column is central
     basis = _basis(d, N)
     if d == 1:
         chart = chart_for(Functional(basis, np.array([0.7])))
@@ -269,8 +268,7 @@ def test_chart_decompose_is_left_equivariant_over_the_subgroup():
 
 @pytest.mark.parametrize("d,N", [(2, 2), (3, 3), (2, 3), (3, 2), (2, 4)])
 def test_flat_chart_maps_match_tensor_chart_maps(d, N):
-    # (2, 3) takes the prefix-radical route (see test_chart_for_routes_by_genericity);
-    # (3, 2) has a non-abelian subgroup on the layer-built route
+    # (3, 2) and (2, 3) have non-abelian subgroups
     basis = _basis(d, N)
     chart = chart_for(sample_generic(basis, np.random.default_rng(11)))
     rng = np.random.default_rng(30 + N)
@@ -318,12 +316,21 @@ def test_chart_rejects_orders_without_nested_ideals():
         MalcevChart(basis, Subalgebra(basis, vec))
 
 
+def test_chart_rejects_subalgebras_that_are_not_layer_graded():
+    basis = _basis(2, 2)
+    # span{X1 + Z} projects onto layers 1 and 2 with rank 1 each: 2 > dim 1
+    vec = np.zeros((1, basis.dim))
+    vec[0, basis.flat_index(1, 1)] = vec[0, basis.flat_index(2, 1)] = 1.0
+    with pytest.raises(NotGeneric, match="layer-graded"):
+        MalcevChart(basis, Subalgebra(basis, vec))
+
+
 def test_chart_for_routes_by_genericity():
     ell = _heisenberg_functional(1.2)
     assert chart_for(ell).q_h == 2
     basis23 = _basis(2, 3)
     ell23 = sample_generic(basis23, np.random.default_rng(2))
-    chart23 = chart_for(ell23)  # falls back to the radical construction
+    chart23 = chart_for(ell23)  # layer-built, like every other group
     assert chart23.q_h == vergne_polarization(ell23).dim
     with pytest.raises(NotGeneric):
         chart_for(_heisenberg_functional(0.0, 1.0, 1.0))
@@ -404,7 +411,7 @@ def test_kernel_conjugates_under_frequency_sign_flip():
 
 @pytest.mark.parametrize("d,N,complex_f", [(2, 2, True), (3, 2, False), (2, 3, True)])
 def test_kernel_matches_tensor_route_oracle(d, N, complex_f):
-    # (2, 2) has an abelian subgroup; (3, 2) and the prefix-radical (2, 3) do not
+    # (2, 2) has an abelian subgroup; (3, 2) and (2, 3) do not
     basis = _basis(d, N)
     ell = sample_generic(basis, np.random.default_rng(7))
     chart = chart_for(ell)
@@ -844,7 +851,7 @@ def test_plancherel_demo_preset_is_close():
 
 
 def test_depth3_transform_smoke():
-    # no closed form here: exercise the radical-polarization route end to end
+    # no closed form here: exercise the depth-3 transform end to end
     # at light resolution and check structural facts only
     basis = _basis(2, 3)
     f = SchwartzFunction.gaussian(basis.dim)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from nilfourier import (
-    DegenerateSpec,
     Functional,
     GroupSpec,
     NotGeneric,
@@ -48,20 +47,31 @@ def test_pinned_polarization_dimensions():
         basis = _basis(d, N)
         rng = np.random.default_rng(17)
         ell = sample_generic(basis, rng)
-        if basis.spec.degenerate:
-            sub = vergne_polarization(ell)
-        else:
-            sub = generic_polarization(ell)
+        sub = generic_polarization(ell)
         assert sub.dim == expected
         report = polarization_check(sub, ell)
         assert report["passed"], report
 
 
-def test_generic_polarization_refuses_degenerate_spec():
+def test_generic_polarization_closed_form_on_2_3():
+    # Layer 3 is spanned by (3,1) = [X1, [X1, X2]] and (3,2) = [[X1, X2], X2],
+    # so l([[X1, X2], a X1 + b X2]) = -a l(3,1) + b l(3,2): the polarization
+    # is layers 2 and 3 plus the generator l(3,2) X1 + l(3,1) X2.
     basis = _basis(2, 3)
-    ell = Functional.from_coords(basis, {(3, 1): 1.0})
-    with pytest.raises(DegenerateSpec):
-        generic_polarization(ell)
+    rng = np.random.default_rng(23)
+    for _ in range(5):
+        ell = sample_generic(basis, rng)
+        upper = [j for k in (2, 3) for j in range(basis.dim)[basis.layer_slice(k)]]
+        expected = np.zeros((4, basis.dim))
+        expected[range(3), upper] = 1.0
+        expected[3, basis.flat_index(1, 1)] = ell.flat[basis.flat_index(3, 2)]
+        expected[3, basis.flat_index(1, 2)] = ell.flat[basis.flat_index(3, 1)]
+        sub = generic_polarization(ell)
+        assert sub.dim == 4
+        assert np.all(sub.contains(expected))
+        radical = vergne_polarization(ell)
+        assert radical.dim == 4 and np.all(radical.contains(sub.vectors))
+        assert polarization_check(sub, ell)["passed"]
 
 
 def test_generic_polarization_refuses_non_generic():
@@ -147,8 +157,6 @@ def test_subalgebra_projection_and_layers():
     sub = Subalgebra(basis, vecs)
     assert sub.dim == 2
     assert sub.is_bracket_closed()
-    assert sub.is_layer_graded()
-    assert sub.layer_dims() == [0, 0, 2]
 
 
 def test_heisenberg_generators_are_not_bracket_closed():
