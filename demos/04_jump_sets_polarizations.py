@@ -23,13 +23,14 @@ print("Jump (S) and transverse (T) index sets, as (layer, position) pairs:")
 for d, N in [(2, 2), (3, 2), (3, 3), (2, 3)]:
     basis = build_layered_basis(GroupSpec(d, N))
     jump = jump_sets(basis)
-    tag = " (hand-derived orbit analysis)" if jump.degenerate else ""
-    print(f"  d={d}, N={N}{tag}:")
+    print(f"  d={d}, N={N}:")
     print(f"    S = {sorted(jump.S)}")
     print(f"    T = {sorted(jump.T)}")
 print()
 print("|S| is twice the number of independent directions a generic orbit")
 print("uses, so generic orbit dimension = |S| and dim(orbit space) = |T|.")
+print("A functional is generic exactly when its skew form on S is nonsingular")
+print("(Pf_S(ell) != 0); on d=2, N=3 that is ell([X1, [X1, X2]]) != 0.")
 print()
 
 rng = np.random.default_rng(5)

@@ -212,15 +212,14 @@ def _cmd_generic_test(args) -> int:
         entry = {
             "generic": bool(generic),
             "coords": [[k, i, float(v)] for (k, i), v in sorted(ell.coords().items())],
-        }
-        if not basis.spec.degenerate:
-            entry["pairing_ranks"] = [
+            "pairing_ranks": [
                 {"k": k, "rank": r, "required": _block_rank(basis.spec, k)}
                 for k, r in sorted(b_matrix_ranks(ell).items())
-            ]
+            ],
+        }
         rows = [
             [idx, bool(generic), item["k"], item["rank"], item["required"]]
-            for item in entry.get("pairing_ranks", [])
+            for item in entry["pairing_ranks"]
         ]
         table_rows.extend(rows or [[idx, bool(generic), "", "", ""]])
         reports.append(entry)
@@ -500,7 +499,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except NilfourierError as exc:
+    except (NilfourierError, MemoryError) as exc:  # numpy's ArrayMemoryError is a MemoryError
         error = {"type": type(exc).__name__, "message": str(exc)}
         print(json.dumps({"error": error}, sort_keys=True, indent=2))
         return 3 if isinstance(exc, NonConvergence) else 2

@@ -5,14 +5,15 @@ against a layered basis. The coadjoint action of a group element ``g`` sends
 ``ell`` to ``ell . Ad(g^-1)``; since everything is nilpotent the adjoint
 series is an exact polynomial in the structure constants.
 
-Genericity of a functional is decided by the ranks of its pairing blocks
-``B^k[i, j] = ell([X_i^(k), X_j^(N-k)])`` between complementary layers: a
-functional is generic exactly when every block reaches the maximal rank
-possible for its shape (with the skew middle block capped at the nearest even
-rank). The same ranks drive closed-form orbit dimensions of the quotient
-groups obtained by cutting the Malcev ordering and the jump/transverse index
-sets that parametrize generic orbits. The orbit dimensions of a given
-functional are cross-checked as ranks of row blocks of its skew form.
+Genericity of a functional is read from its pairing blocks
+``B^k[i, j] = ell([X_i^(k), X_j^(N-k)])`` between complementary layers, each
+of generic rank ``r_k``; the jump set ``S`` takes the first ``r_k`` indices of
+layers ``k`` and ``N-k``. A functional is generic exactly when every leading
+``r_k x r_k`` block is nonsingular: ordered by layer, ``D = ell([X_S, X_S])``
+is block anti-triangular with these blocks on its anti-diagonal, so this is
+``Pf_S(ell) != 0``, the weight of the inversion formula. The generic ranks give
+closed-form orbit dimensions of the Malcev-prefix quotients, cross-checked for
+a given functional as ranks of row blocks of its skew form.
 """
 
 from __future__ import annotations
@@ -52,12 +53,12 @@ GENERIC_RANK_RTOL = 1e-8
 RANK_FLOOR = 1e-30
 
 
-def _rank(mat: np.ndarray, rtol: float) -> int:
-    if mat.size == 0:
-        return 0
-    s = np.linalg.svd(mat, compute_uv=False)
-    cutoff = max(rtol * float(s[0]), RANK_FLOOR)
-    return int(np.sum(s > cutoff))
+def _svd_rank(s: np.ndarray, rtol: float, top: float | None = None) -> int:
+    """Number of singular values ``s`` above ``max(rtol * top, RANK_FLOOR)``;
+    ``top`` defaults to the largest of ``s``."""
+    if top is None:
+        top = s.max(initial=0.0)
+    return int(np.count_nonzero(s > max(rtol * top, RANK_FLOOR)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,31 +222,34 @@ def dim_km(spec: GroupSpec, k: int, m: int) -> int:
 
 
 def b_matrix_ranks(ell: Functional) -> dict[int, int]:
-    """Rank of the full pairing block for each ``k = 1 .. floor(N/2)`` whose
-    layers ``k`` and ``N-k`` are both nonempty."""
+    """Rank of the leading ``r_k x r_k`` block of each pairing block ``B^k``
+    (``k <= N/2``, layers ``k`` and ``N-k`` nonempty, ``r_k`` from
+    :func:`_block_rank`), whose rows and columns are the jump indices of the
+    two layers. The cut is relative to the largest singular value of the whole
+    ``B^k``, so rounding noise in a small leading block is not taken for rank.
+    """
     basis = ell.basis
-    N = basis.spec.N
-    dims = basis.spec.layer_dims()
-    return {
-        k: _rank(ell.skew[basis.layer_slice(k), basis.layer_slice(N - k)], GENERIC_RANK_RTOL)
-        for k in range(1, N // 2 + 1)
-        if dims[k - 1] and dims[N - k - 1]
-    }
+    spec = basis.spec
+    N = spec.N
+    dims = spec.layer_dims()
+    ranks = {}
+    for k in range(1, N // 2 + 1):
+        if dims[k - 1] and dims[N - k - 1]:
+            block = ell.skew[basis.layer_slice(k), basis.layer_slice(N - k)]
+            r = _block_rank(spec, k)
+            s = np.linalg.svd(block, compute_uv=False)
+            top = s.max(initial=0.0)
+            if (r, r) != block.shape:
+                s = np.linalg.svd(block[:r, :r], compute_uv=False)
+            ranks[k] = _svd_rank(s, GENERIC_RANK_RTOL, top)
+    return ranks
 
 
 def is_generic(ell: Functional) -> bool:
-    """Whether the functional sits on a maximal-dimension pattern of orbits.
-
-    Generic means every pairing block ``B^k`` (k up to ``floor(N/2)``) attains
-    its maximal possible rank. The one degenerate case (d=2, N=3) is decided
-    instead by the coordinate on the bracket word ``[1,[1,2]]`` being nonzero,
-    which is what the hand analysis of its orbits gives.
-    """
+    """Whether the functional is in general position: the leading block of
+    every pairing block ``B^k`` (:func:`b_matrix_ranks`) is nonsingular, which
+    is ``Pf_S(ell) != 0`` over the jump set ``S``."""
     spec = ell.spec
-    if spec.degenerate:
-        scale = float(np.max(np.abs(ell.flat))) if ell.flat.size else 0.0
-        cutoff = max(GENERIC_RANK_RTOL * scale, RANK_FLOOR)
-        return abs(ell.coord(3, 1)) > cutoff
     return all(rank == _block_rank(spec, k) for k, rank in b_matrix_ranks(ell).items())
 
 
@@ -286,7 +290,7 @@ def _prefix_rank(ell: Functional, p: int) -> int:
     action of ``exp(t)`` on the ideal and ``Psi`` the differential of
     ``exp``; both are invertible, so its rank is the same at every ``t``.
     """
-    return _rank(ell.skew[:p], GENERIC_RANK_RTOL)
+    return _svd_rank(np.linalg.svd(ell.skew[:p], compute_uv=False), GENERIC_RANK_RTOL)
 
 
 def orbit_dim_numeric_all(ell: Functional) -> dict[tuple[int, int], int]:
@@ -341,7 +345,7 @@ class JumpData:
     ``S`` holds the 1-based ``(layer, index)`` positions where the generic
     orbit dimension increases as Malcev prefixes grow; ``T`` is its complement
     and parametrizes the orbit space. ``dim_table`` records the generic block
-    ranks ``dim_km(k, m)``. ``degenerate`` flags the hand-derived (2, 3) case.
+    ranks ``dim_km(k, m)``.
     """
 
     spec: GroupSpec
@@ -349,17 +353,12 @@ class JumpData:
     T: tuple[tuple[int, int], ...]
     dim_table: dict = field(default_factory=dict)
 
-    @property
-    def degenerate(self) -> bool:
-        return self.spec.degenerate
-
     def to_json_dict(self) -> dict:
         return {
             "spec": self.spec.to_json_dict(),
             "S": [list(p) for p in self.S],
             "T": [list(p) for p in self.T],
             "dim_table": [[k, m, v] for (k, m), v in sorted(self.dim_table.items())],
-            "degenerate": self.degenerate,
         }
 
 
@@ -367,9 +366,9 @@ def jump_sets(basis: LayeredBasis) -> JumpData:
     """Compute the jump/transverse splitting of the dual basis indices.
 
     ``S`` collects, for each layer ``k <= N-1``, as many leading indices as
-    the generic rank of ``B^k`` (:func:`_block_rank`). For the degenerate
-    (2, 3) algebra (flagged via ``degenerate=True``) this is also what the
-    hand analysis of its orbits gives.
+    the generic rank of ``B^k`` (:func:`_block_rank`), on every group. Its
+    skew matrix ``ell([X_S, X_S])`` is nonsingular exactly at the generic
+    functionals (:func:`is_generic`).
     """
     spec = basis.spec
     dim_table = {(k, m): dim_km(spec, k, m) for k, m in _quotient_labels(spec)}

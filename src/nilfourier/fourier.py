@@ -45,6 +45,7 @@ from .coadjoint import (
     _ad_series,
     _bernoulli_series,
     _exp_series,
+    _svd_rank,
     is_generic,
     jump_sets,
 )
@@ -253,16 +254,10 @@ class MalcevChart:
         s_cols: list[np.ndarray] = []
         for k in range(basis.spec.N, 0, -1):
             sl = basis.layer_slice(k)
-            m_k = basis.layers[k - 1].dim
-            if m_k == 0:
+            if basis.layers[k - 1].dim == 0:
                 continue
-            block = sub.vectors[:, sl]
-            if block.size:
-                u, s, vt = np.linalg.svd(block, full_matrices=True)
-                r = int(np.sum(s > 1e-12 * s[0])) if s.size and s[0] > 0 else 0
-            else:
-                vt = np.eye(m_k)
-                r = 0
+            _, s, vt = np.linalg.svd(sub.vectors[:, sl], full_matrices=True)
+            r = _svd_rank(s, 1e-12)
             for v in vt[:r]:
                 e = np.zeros(n)
                 e[sl] = v
@@ -679,12 +674,14 @@ def _frequency_plane(
     polarizes ``-ell``), so they run once per pair. A centre node (every
     axis odd) is its own mirror and gets ``(ell,)``.
 
-    Non-generic nodes (a null set) and nodes with ``sqrt(det D) = 0``
-    contribute zero, as do nodes whose subgroup phase rate the grid cannot
-    resolve (see :func:`_h_phase_rate`; at the reference resolution no node
-    is dropped). Pairs run on at most NILFOURIER_THREADS workers, and never
-    more than there are pairs; the parts come back in node order either way,
-    so reductions do not depend on the count.
+    Non-generic nodes contribute zero. They are the null set where
+    ``sqrt(det D) = 0``, found by the block ranks of :func:`is_generic`, so a
+    ``det D`` that is only rounding noise does not count. Nodes whose subgroup
+    phase rate the grid cannot resolve contribute zero too (see
+    :func:`_h_phase_rate`; at the reference resolution no node is dropped).
+    Pairs run on at most NILFOURIER_THREADS workers, and never more than there
+    are pairs; the parts come back in node order either way, so reductions do
+    not depend on the count.
     """
     pts, wts = _tensor_grid([(t_nodes, qspec.t_halfwidth)] * len(jump.T))
     t_idx = [basis.flat_index(k, i) for (k, i) in jump.T]

@@ -129,12 +129,6 @@ class GroupSpec:
             raise DimensionMismatch(f"need 1 <= N <= {_MAX_LEVEL}, got {self.N}")
         object.__setattr__(self, "flavor", Flavor(self.flavor))
 
-    @property
-    def degenerate(self) -> bool:
-        """True for the one low-level free nilpotent case (d=2, N=3) whose
-        genericity analysis does not follow the general rank pattern."""
-        return self.d == 2 and self.N == 3 and self.flavor is Flavor.FREE_NILPOTENT
-
     def layer_dims(self) -> list[int]:
         """Dimensions ``[m_1, ..., m_N]`` of the graded layers."""
         if self.flavor is Flavor.FULL_TENSOR:

@@ -24,8 +24,8 @@ import numpy as np
 
 from .coadjoint import (
     GENERIC_RANK_RTOL,
-    RANK_FLOOR,
     Functional,
+    _svd_rank,
     full_orbit_dim,
     is_generic,
 )
@@ -42,11 +42,6 @@ __all__ = [
 
 #: Absolute tolerance (scaled by data size) for closure/subordination residuals.
 CLOSURE_TOL = 1e-10
-
-
-def _svd_rank(s: np.ndarray, rtol: float) -> int:
-    """Singular values (descending) above ``rtol`` times the largest."""
-    return int(np.count_nonzero(s > max(rtol * s.max(initial=0.0), RANK_FLOOR)))
 
 
 def _orthonormal_rows(vectors: np.ndarray, rtol: float = 1e-12) -> np.ndarray:

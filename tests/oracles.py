@@ -198,7 +198,7 @@ JUMP_SET_EXAMPLES = {
         "S": [(1, 1), (1, 2)],
         "T": [(1, 3), (2, 1), (2, 2), (2, 3)],
     },
-    # Hand-derived degenerate case.
+    # m_2 < m_1: layer 1 holds one jump index, paired with layer 2.
     (2, 3): {
         "S": [(1, 1), (2, 1)],
         "T": [(1, 2), (3, 1), (3, 2)],

@@ -121,8 +121,12 @@ def test_generic_flag_equals_numerically_maximal_orbit_dimensions():
         spec = basis.spec
         rng = np.random.default_rng(1000 + 10 * d + N)
         generic_table = None
-        for _ in range(100):
-            ell = Functional(basis, rng.standard_normal(basis.dim))
+        # Normal draws, then integer draws in {-2..2}: their exact zeros can
+        # make a jump block singular while its whole pairing block keeps rank.
+        draws = [rng.standard_normal(basis.dim) for _ in range(100)]
+        draws += [rng.integers(-2, 3, basis.dim).astype(float) for _ in range(100)]
+        for flat in draws:
+            ell = Functional(basis, flat)
             numeric = orbit_dim_numeric_all(ell)
             if generic_table is None:
                 generic_table = {

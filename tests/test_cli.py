@@ -2,7 +2,7 @@
 
 Each test drives ``main(argv)`` in-process and parses the JSON it prints;
 one test exercises the module entry point in a subprocess. Exit codes: 0
-success, 2 malformed input, 3 failed convergence check.
+success, 2 malformed input or out of memory, 3 failed convergence check.
 """
 
 from __future__ import annotations
@@ -159,6 +159,10 @@ def test_generic_test_sampled_batch(capsys):
         assert "pairing_ranks" in entry
     rows = _rows(doc["table_csv"])
     assert rows[0] == ["functional", "generic", "k", "rank", "required"]
+    # (2, 3) ranks its one 1 x 1 jump block like every other group
+    rc, doc = run_cli(capsys, "generic-test", "--spec", "2,3", "--count", "1", "--seed", "5")
+    assert rc == 0
+    assert doc["functionals"][0]["pairing_ranks"] == [{"k": 1, "rank": 1, "required": 1}]
 
 
 def test_generic_test_reads_functional_file(capsys, tmp_path):
@@ -257,7 +261,7 @@ def test_jump_sets_examples(capsys):
     rows = _rows(doc["table_csv"])
     assert rows[1:] == [["S", "1", "1"], ["S", "1", "2"], ["T", "2", "1"]]
     rc, doc = run_cli(capsys, "jump-sets", "--spec", "2,3")
-    assert doc["degenerate"] is True
+    assert doc["S"] == [[2, 1], [1, 1]]
 
 
 def test_polarization_generic_and_radical(capsys):
@@ -366,6 +370,19 @@ def test_plancherel_check_small_config(capsys, tmp_path):
     assert abs(doc["ratio"] - 1.0) < 0.15
     rows = _rows(doc["convergence_csv"])
     assert rows[0] == ["h_nodes", "section_nodes", "t_nodes", "abs_ratio_error"]
+
+
+def test_out_of_memory_prints_the_error_document(capsys, monkeypatch):
+    # numpy raises its ArrayMemoryError, a MemoryError, on a grid too large to hold
+    message = "Unable to allocate 11.4 GiB for an array"
+
+    def plancherel(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "plancherel", plancherel)
+    rc, doc = run_cli(capsys, "plancherel-check")
+    assert rc == 2
+    assert doc["error"] == {"type": "MemoryError", "message": message}
 
 
 def _strip_elapsed(text: str) -> str:

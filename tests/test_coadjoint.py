@@ -15,6 +15,7 @@ from nilfourier import (
     dim_km,
     exp_t,
     full_orbit_dim,
+    generic_polarization,
     is_generic,
     jump_sets,
     orbit_dim_numeric,
@@ -22,9 +23,10 @@ from nilfourier import (
     orbit_dim_quotient_generic,
     quotient_prefix_len,
     sample_generic,
+    sqrt_det_d,
 )
 from nilfourier.coadjoint import _ad_series, _bernoulli_series, _exp_series, b_matrix_ranks
-from nilfourier.errors import DimensionMismatch, IndexOutOfRange
+from nilfourier.errors import DimensionMismatch, IndexOutOfRange, NotGeneric
 
 from oracles import FULL_ORBIT_DIMS, JUMP_SET_EXAMPLES
 
@@ -241,12 +243,38 @@ def test_genericity_invariant_along_orbit():
 
 
 def test_degenerate_rule_for_2_3():
+    # the one leading block is 1 x 1: ell([X1, [X1, X2]]) = ell(3, 1)
     basis = _basis(2, 3)
-    assert basis.spec.degenerate
     gen = Functional.from_coords(basis, {(3, 1): 0.8, (3, 2): 3.0, (1, 1): 1.0})
     assert is_generic(gen)
+    assert b_matrix_ranks(gen) == {1: 1}
     non = Functional.from_coords(basis, {(3, 2): 3.0, (2, 1): 1.0, (1, 1): 1.0})
     assert not is_generic(non)
+
+
+def test_full_rank_pairing_block_with_a_singular_jump_block_is_not_generic():
+    # (3, 2): B^1 is the 3 x 3 skew form of layer 1, of rank 2 whenever
+    # ell(2, 2) = ell([X1, X3]) != 0, but its jump block pairs X1 with X2 only
+    basis = _basis(3, 2)
+    ell = Functional.from_coords(basis, {(2, 2): 1.3, (2, 3): -0.7, (1, 1): 0.4})
+    assert np.linalg.matrix_rank(ell.skew[basis.layer_slice(1), basis.layer_slice(1)]) == 2
+    assert not is_generic(ell)
+    assert sqrt_det_d(ell) == 0.0
+    with pytest.raises(NotGeneric):
+        generic_polarization(ell)
+
+
+def test_rounding_noise_in_a_jump_block_is_not_rank():
+    # (2, 5): B^2 pairs [X1, X2] with layer 3 and has the 1 x 1 jump block
+    # ell([X_(2,1), X_(3,1)]); a top layer orthogonal to that bracket (up to
+    # rounding) leaves B^2 of rank 1 through ell([X_(2,1), X_(3,2)]) alone
+    basis = _basis(2, 5)
+    flat = np.random.default_rng(11).standard_normal(basis.dim)
+    c = basis.structure_tensor[basis.flat_index(2, 1), basis.flat_index(3, 1)]
+    flat -= (flat @ c) / (c @ c) * c
+    ell = Functional(basis, flat)
+    assert ell.skew[basis.flat_index(2, 1), basis.flat_index(3, 2)] != 0.0
+    assert not is_generic(ell)
 
 
 def test_pairing_blocks_skip_empty_layers():
@@ -307,14 +335,14 @@ def test_jump_set_examples():
         data = jump_sets(basis)
         assert sorted(data.S) == expected["S"]
         assert sorted(data.T) == expected["T"]
-        assert data.degenerate == (d == 2 and N == 3)
         assert len(data.S) % 2 == 0
         assert set(data.S) | set(data.T) == set(basis.malcev_order)
         assert not (set(data.S) & set(data.T))
 
 
 def test_jump_set_odd_truncation_count():
-    # the degenerate (2, 3) spec is excluded: its hand-derived sets are smaller
+    # (2, 3) is left out: m_2 < m_1 there, so layer 1 holds r_1 = m_2 jump
+    # indices, not m_1
     for d, N in [(2, 5), (3, 3), (2, 7)]:
         basis = _basis(d, N)
         dims = basis.spec.layer_dims()
@@ -327,7 +355,6 @@ def test_jump_set_json():
     payload = json.loads(json.dumps(data.to_json_dict()))
     assert payload["S"] == [[1, 1], [1, 2]]
     assert payload["T"] == [[2, 1]]
-    assert payload["degenerate"] is False
 
 
 # ---------------------------------------------------------------------------
