@@ -128,12 +128,16 @@ class GroupSpec:
         if not 1 <= self.N <= _MAX_LEVEL:
             raise DimensionMismatch(f"need 1 <= N <= {_MAX_LEVEL}, got {self.N}")
         object.__setattr__(self, "flavor", Flavor(self.flavor))
+        sizes = tuple(self.d**k for k in range(self.N + 1))
+        dims = tuple(witt_dimension(self.d, k) for k in range(1, self.N + 1))
+        if self.flavor is Flavor.FULL_TENSOR:
+            dims = sizes[1:]
+        object.__setattr__(self, "_level_sizes", sizes)
+        object.__setattr__(self, "_layer_dims", dims)
 
     def layer_dims(self) -> list[int]:
-        """Dimensions ``[m_1, ..., m_N]`` of the graded layers."""
-        if self.flavor is Flavor.FULL_TENSOR:
-            return [self.d**k for k in range(1, self.N + 1)]
-        return [witt_dimension(self.d, k) for k in range(1, self.N + 1)]
+        """Dimensions ``[m_1, ..., m_N]`` of the graded layers (computed once)."""
+        return list(self._layer_dims)
 
     @property
     def group_dim(self) -> int:
@@ -141,8 +145,8 @@ class GroupSpec:
         return sum(self.layer_dims())
 
     def tensor_level_sizes(self) -> list[int]:
-        """Sizes ``d^k`` of the dense tensor levels for k = 0..N."""
-        return [self.d**k for k in range(self.N + 1)]
+        """Sizes ``d^k`` of the dense tensor levels for k = 0..N (computed once)."""
+        return list(self._level_sizes)
 
     def to_json_dict(self) -> dict:
         return {"d": self.d, "N": self.N, "flavor": self.flavor.value}
@@ -464,6 +468,8 @@ class LayeredBasis:
 
         ``[X_a, X_b] = sum_t sc[a, b, t] X_t``; graded (only layers
         ``deg a + deg b <= N`` contribute) and antisymmetric in ``(a, b)``.
+        Entries below ``1e-12`` of the largest are rounding noise of the
+        expansion where a coefficient is zero, and are stored as exact zeros.
         """
         if self._sc is None:
             n = self.dim
@@ -487,6 +493,7 @@ class LayeredBasis:
                     sl = self.layer_slice(k)
                     sc[a, b, sl] = coords
                     sc[b, a, sl] = -coords
+            sc[np.abs(sc) < 1e-12 * np.abs(sc).max(initial=0.0)] = 0.0
             self._sc = sc
         return self._sc
 

@@ -4,7 +4,9 @@ The signature of a path up to level ``N`` is the group element obtained by
 multiplying segment exponentials (each straight segment contributes
 ``exp`` of its increment placed in degree one). All segment exponentials of a
 path are formed in one batched step from their closed form, and Chen's
-product is taken in log-depth rounds of batched pairwise products. The
+product is taken in log-depth rounds of batched pairwise products. The rounds
+run on plain level arrays ``1..N`` with the tensor algebra's level product;
+the scalar level is exactly 1 throughout and stays implicit. The
 log-signature expands the logarithm of the signature in a layered Lie basis,
 certifying on the way that it actually lies in the embedded free Lie algebra.
 """
@@ -20,7 +22,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, SpecMismatch
 from .lie_basis import Flavor, GroupSpec, LayeredBasis
-from .tensor_algebra import GradedElement, log_t, mul
+from .tensor_algebra import GradedElement, _product, log_t
 
 __all__ = [
     "PiecewiseLinearPath",
@@ -102,21 +104,19 @@ def segment_signature(spec: GroupSpec, increments: np.ndarray) -> GradedElement:
     return GradedElement(spec, tuple(levels))
 
 
-def _ordered_product(sig: GradedElement) -> GradedElement:
-    """Ordered product of a batch ``(m,)`` of group elements.
+def _ordered_product(levels: list[np.ndarray]) -> list[np.ndarray]:
+    """Ordered product of a batch ``(m,)`` of group elements given by their
+    levels ``1..N``; the scalar levels are all exactly 1 and stay implicit.
 
-    Each round multiplies neighbouring pairs in one batched ``mul``; an odd
+    Each round multiplies neighbouring pairs in one batched product; an odd
     last element is carried to the next round unchanged.
     """
-    while (m := sig.batch_shape[0]) > 1:
-        paired = mul(sig.take(slice(0, m - 1, 2)), sig.take(slice(1, m, 2)))
+    while (m := len(levels[0])) > 1:
+        paired = _product([lv[0 : m - 1 : 2] for lv in levels], [lv[1:m:2] for lv in levels])
         if m % 2:
-            levels = tuple(
-                np.concatenate((p, lv[-1:])) for p, lv in zip(paired.levels, sig.levels)
-            )
-            paired = GradedElement(sig.spec, levels)
-        sig = paired
-    return sig.take(0)
+            paired = [np.concatenate((p, lv[-1:])) for p, lv in zip(paired, levels)]
+        levels = paired
+    return [lv[0] for lv in levels]
 
 
 def path_signature(spec: GroupSpec, path: PiecewiseLinearPath) -> GradedElement:
@@ -124,7 +124,8 @@ def path_signature(spec: GroupSpec, path: PiecewiseLinearPath) -> GradedElement:
 
     Segments are taken in blocks of about ``_BLOCK_BUDGET`` tensor
     coordinates; each block is multiplied out by :func:`_ordered_product` and
-    the block products are folded left to right.
+    the block products are folded left to right. The rounds and the fold run
+    on the level arrays ``1..N``; one element is built at the end.
     """
     if path.d != spec.d:
         raise DimensionMismatch(
@@ -134,9 +135,9 @@ def path_signature(spec: GroupSpec, path: PiecewiseLinearPath) -> GradedElement:
     block = max(1, _BLOCK_BUDGET // sum(spec.tensor_level_sizes()))
     sig = None
     for lo in range(0, len(increments), block):
-        part = _ordered_product(segment_signature(spec, increments[lo : lo + block]))
-        sig = part if sig is None else mul(sig, part)
-    return sig
+        part = _ordered_product(segment_signature(spec, increments[lo : lo + block]).levels[1:])
+        sig = part if sig is None else _product(sig, part)
+    return GradedElement(spec, (np.ones(1), *sig))
 
 
 def log_signature(path: PiecewiseLinearPath, basis: LayeredBasis) -> np.ndarray:

@@ -193,25 +193,34 @@ def _check_spec(a: GradedElement, b: GradedElement) -> None:
         raise SpecMismatch(f"cannot combine elements over {a.spec} and {b.spec}")
 
 
+def _product(g, h, g0=None, h0=None) -> list[np.ndarray]:
+    """Levels ``1..N`` of the truncated product of two lists of levels ``1..N``.
+
+    ``g0`` and ``h0`` are the scalar levels; ``None`` stands for exactly 1, so
+    the scalar terms cost nothing. Level ``k`` sums ``g_0 h_k``, then
+    ``g_i (x) h_{k-i}`` for ``i = 1..k-1``, then ``g_k h_0``, in that order.
+    """
+    out = []
+    for k in range(1, len(g) + 1):
+        acc = h[k - 1] if g0 is None else g0 * h[k - 1]
+        for i in range(1, k):
+            a, b = g[i - 1], h[k - i - 1]
+            prod = a[..., :, None] * b[..., None, :]
+            acc = acc + prod.reshape(prod.shape[:-2] + (a.shape[-1] * b.shape[-1],))
+        out.append(acc + (g[k - 1] if h0 is None else g[k - 1] * h0))
+    return out
+
+
 def mul(g: GradedElement, h: GradedElement) -> GradedElement:
     """Truncated tensor product: levels beyond degree ``N`` are discarded.
 
     ``p_k(g h) = sum_{i=0}^{k} p_i(g) (x) p_{k-i}(h)``, batched with
-    broadcasting over leading axes.
+    broadcasting over leading axes; the scalar terms ``i = 0`` and ``i = k``
+    are broadcast products with the scalar levels.
     """
     _check_spec(g, h)
-    spec = g.spec
-    sizes = spec.tensor_level_sizes()
-    out = []
-    for k in range(spec.N + 1):
-        acc = None
-        for i in range(k + 1):
-            a, b = g.levels[i], h.levels[k - i]
-            prod = a[..., :, None] * b[..., None, :]
-            prod = prod.reshape(prod.shape[:-2] + (sizes[k],))
-            acc = prod if acc is None else acc + prod
-        out.append(acc)
-    return GradedElement(spec, tuple(out))
+    g0, h0 = g.levels[0], h.levels[0]
+    return GradedElement(g.spec, (g0 * h0, *_product(g.levels[1:], h.levels[1:], g0, h0)))
 
 
 def exp_t(x: GradedElement) -> GradedElement:

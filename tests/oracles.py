@@ -11,7 +11,9 @@ algebra instead of its flat-coordinate group law;
 package's flat-coordinate group law and chart maps, but without the kernel's
 conjugation form or its split of the subgroup grid;
 :func:`left_fold_signature`, which multiplies segment exponentials one at a
-time instead of in batched rounds; and :func:`frequency_plane_by_node`,
+time instead of in batched rounds; :func:`pairwise_mul_signature`, which
+takes the package's pairing order through public ``mul`` on whole elements
+instead of the level-array product; and :func:`frequency_plane_by_node`,
 which integrates the frequency plane through the package's public
 single-functional calls, one node and one chart at a time, instead of in
 mirror pairs.
@@ -24,7 +26,14 @@ import math
 
 import numpy as np
 
-from nilfourier import Functional, chart_for, is_generic, jump_sets, sqrt_det_d
+from nilfourier import (
+    Functional,
+    chart_for,
+    is_generic,
+    jump_sets,
+    segment_signature,
+    sqrt_det_d,
+)
 from nilfourier.tensor_algebra import (
     GradedElement,
     exp_t,
@@ -128,6 +137,27 @@ def left_fold_signature(spec, path) -> GradedElement:
     sig = GradedElement.identity(spec)
     for inc in path.increments():
         sig = mul(sig, exp_t(GradedElement.from_level1(spec, inc)))
+    return sig
+
+
+def pairwise_mul_signature(spec, path, block: int | None = None) -> GradedElement:
+    """Signature by the package's pairing order, built from public ``mul`` and
+    ``take``: segments in blocks of ``block`` (all in one when ``None``), each
+    block in rounds that multiply neighbouring pairs and carry an odd last
+    element, and the block products folded left to right."""
+    increments = path.increments()
+    block = block or len(increments)
+    sig = None
+    for lo in range(0, len(increments), block):
+        part = segment_signature(spec, increments[lo : lo + block])
+        while (m := part.batch_shape[0]) > 1:
+            paired = mul(part.take(slice(0, m - 1, 2)), part.take(slice(1, m, 2)))
+            if m % 2:
+                levels = [np.concatenate((p, lv[-1:])) for p, lv in zip(paired.levels, part.levels)]
+                paired = GradedElement(spec, tuple(levels))
+            part = paired
+        part = part.take(0)
+        sig = part if sig is None else mul(sig, part)
     return sig
 
 

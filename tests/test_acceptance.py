@@ -114,26 +114,31 @@ def test_bracket_expansion_in_word_basis_has_unit_coefficients():
 # ---------------------------------------------------------------------------
 
 
+def _assert_generic_flag_matches(basis, draws) -> dict:
+    """Assert ``is_generic`` is "maximal orbit dimension in every quotient" on
+    each draw; return the generic orbit-dimension table."""
+    generic_table = None
+    for flat in draws:
+        ell = Functional(basis, flat)
+        numeric = orbit_dim_numeric_all(ell)
+        if generic_table is None:
+            generic_table = {km: orbit_dim_quotient_generic(basis.spec, *km) for km in numeric}
+        matches = all(numeric[km] == generic_table[km] for km in numeric)
+        assert is_generic(ell) == matches
+    return generic_table
+
+
 def test_generic_flag_equals_numerically_maximal_orbit_dimensions():
     start = time.perf_counter()
     for d, N in [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (2, 4)]:
         basis = build_layered_basis(GroupSpec(d, N))
         spec = basis.spec
         rng = np.random.default_rng(1000 + 10 * d + N)
-        generic_table = None
         # Normal draws, then integer draws in {-2..2}: their exact zeros can
         # make a jump block singular while its whole pairing block keeps rank.
         draws = [rng.standard_normal(basis.dim) for _ in range(100)]
         draws += [rng.integers(-2, 3, basis.dim).astype(float) for _ in range(100)]
-        for flat in draws:
-            ell = Functional(basis, flat)
-            numeric = orbit_dim_numeric_all(ell)
-            if generic_table is None:
-                generic_table = {
-                    km: orbit_dim_quotient_generic(spec, *km) for km in numeric
-                }
-            matches = all(numeric[km] == generic_table[km] for km in numeric)
-            assert is_generic(ell) == matches
+        generic_table = _assert_generic_flag_matches(basis, draws)
         # Zeroing the whole top layer must lose dimension in some quotient.
         top = [
             basis.flat_index(spec.N, i)
@@ -146,6 +151,13 @@ def test_generic_flag_equals_numerically_maximal_orbit_dimensions():
             assert not is_generic(ell)
             numeric = orbit_dim_numeric_all(ell)
             assert any(numeric[km] < generic_table[km] for km in numeric)
+    # Integer draws on (2,5): where their exact zeros kill every true entry of
+    # a pairing block, what is left must be exact zeros, not rounding noise.
+    basis = build_layered_basis(GroupSpec(2, 5))
+    rng = np.random.default_rng(7)
+    _assert_generic_flag_matches(
+        basis, [rng.integers(-2, 3, basis.dim).astype(float) for _ in range(300)]
+    )
     assert time.perf_counter() - start < 300.0
 
 

@@ -111,6 +111,16 @@ def test_brackets_respect_grading():
                     assert basis.layer_of_flat(t)[0] == ka + kb
 
 
+@pytest.mark.parametrize(
+    "d,N,flavor",
+    [(3, 3, "FreeNilpotent"), (2, 5, "FreeNilpotent"), (3, 4, "FreeNilpotent"),
+     (2, 2, "FullTensor")],
+)
+def test_structure_tensor_holds_exact_zeros_not_rounding_noise(d, N, flavor):
+    sc = np.abs(build_layered_basis(GroupSpec(d, N, Flavor(flavor))).structure_tensor)
+    assert np.all((sc == 0.0) | (sc >= 1e-12 * sc.max()))
+
+
 @pytest.mark.parametrize("d,N", [(2, 2), (3, 2), (2, 3), (3, 3), (2, 4)])
 def test_bch_coords_matches_tensor_route(d, N):
     basis = build_layered_basis(GroupSpec(d, N))

@@ -14,6 +14,7 @@ from nilfourier import (
     exp_t,
     group_inverse,
     log_signature,
+    log_t,
     mul,
     path_signature,
     read_path_csv,
@@ -21,7 +22,7 @@ from nilfourier import (
 from nilfourier import signatures
 from nilfourier.signatures import segment_signature
 
-from oracles import iterated_integral, left_fold_signature
+from oracles import iterated_integral, left_fold_signature, pairwise_mul_signature
 
 # The acceptance battery's groups, plus a deeper d = 1 group.
 COMBOS = [(1, 2), (2, 2), (3, 2), (2, 3), (3, 3), (2, 4), (3, 4), (1, 5)]
@@ -83,12 +84,22 @@ def _brownian_path(rng, d, segments):
     return PiecewiseLinearPath(np.vstack([np.zeros(d), np.cumsum(steps, axis=0)]))
 
 
-def _assert_matches_left_fold(spec, path):
+def _assert_matches_left_fold(spec, path, block=None):
+    """Close to the left fold, and bit for bit the pairing order of public
+    ``mul`` on whole elements (:func:`pairwise_mul_signature`), which it returns."""
     sig = path_signature(spec, path)
     ref = left_fold_signature(spec, path)
     assert sig.batch_shape == () and sig.role is ref.role
     scale = max(float(np.max(np.abs(lv))) for lv in ref.levels)
     assert sig.max_abs_diff(ref) <= 1e-13 * (1.0 + scale)
+    pairwise = pairwise_mul_signature(spec, path, block)
+    assert all(np.array_equal(a, b) for a, b in zip(sig.levels, pairwise.levels))
+    return pairwise
+
+
+def _assert_log_signature_bit_for_bit(spec, path, pairwise):
+    basis = build_layered_basis(spec)
+    assert np.array_equal(log_signature(path, basis), basis.flat_coords(log_t(pairwise)))
 
 
 @pytest.mark.parametrize("d,N", COMBOS)
@@ -117,7 +128,8 @@ def test_pairwise_chen_product_matches_left_fold(d, N):
     spec = GroupSpec(d, N)
     rng = np.random.default_rng(40 + 10 * d + N)
     for segments in (1, 2, 3, 7, 64):
-        _assert_matches_left_fold(spec, _brownian_path(rng, d, segments))
+        path = _brownian_path(rng, d, segments)
+        _assert_log_signature_bit_for_bit(spec, path, _assert_matches_left_fold(spec, path))
 
 
 @pytest.mark.parametrize("d,N", COMBOS)
@@ -125,13 +137,15 @@ def test_blocked_chen_product_folds_blocks_in_order(d, N, monkeypatch):
     # Blocks of five segments: 23 segments make four full blocks and a short one.
     spec = GroupSpec(d, N)
     monkeypatch.setattr(signatures, "_BLOCK_BUDGET", 5 * sum(spec.tensor_level_sizes()))
-    _assert_matches_left_fold(spec, _brownian_path(np.random.default_rng(60 + d + N), d, 23))
+    path = _brownian_path(np.random.default_rng(60 + d + N), d, 23)
+    _assert_log_signature_bit_for_bit(spec, path, _assert_matches_left_fold(spec, path, block=5))
 
 
 def test_path_longer_than_one_block_matches_left_fold():
     spec = GroupSpec(3, 4)
     block = signatures._BLOCK_BUDGET // sum(spec.tensor_level_sizes())
-    _assert_matches_left_fold(spec, _brownian_path(np.random.default_rng(7), 3, 2 * block + 3))
+    path = _brownian_path(np.random.default_rng(7), 3, 2 * block + 3)
+    _assert_matches_left_fold(spec, path, block=block)
 
 
 # ---------------------------------------------------------------------------

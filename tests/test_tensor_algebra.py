@@ -192,6 +192,27 @@ def test_batched_mul_matches_loop():
         assert prod.take(i).max_abs_diff(single) < 1e-14
 
 
+@pytest.mark.parametrize("d,N", [(1, 3), (2, 3), (3, 4)])
+def test_mul_of_raw_elements_equals_the_outer_product_definition_bit_for_bit(d, N):
+    # Scalar levels other than 0 and 1: no unit-scalar shortcut may apply.
+    spec = GroupSpec(d, N)
+    rng = np.random.default_rng(13 + d + N)
+
+    def raw(p0, batch):
+        x = _rand_alg(spec, rng, batch=batch)
+        return GradedElement(spec, (np.full(batch + (1,), p0),) + x.levels[1:])
+
+    g, h = raw(2.5, (3, 1)), raw(-0.5, (4,))
+    prod = mul(g, h)
+    assert g.role is h.role is Role.RAW and prod.batch_shape == (3, 4)
+    for k, got in enumerate(prod.levels):
+        terms = [
+            (g.levels[i][..., :, None] * h.levels[k - i][..., None, :]).reshape((3, 4, d**k))
+            for i in range(k + 1)
+        ]
+        assert np.array_equal(got, sum(terms[1:], terms[0]))
+
+
 def test_broadcast_batches():
     spec = GroupSpec(2, 2)
     rng = np.random.default_rng(11)
