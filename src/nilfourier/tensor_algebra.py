@@ -223,31 +223,34 @@ def mul(g: GradedElement, h: GradedElement) -> GradedElement:
     return GradedElement(g.spec, (g0 * h0, *_product(g.levels[1:], h.levels[1:], g0, h0)))
 
 
+def _powers(x: list[np.ndarray], ratios: list[float]) -> list[list[np.ndarray]]:
+    """Levels ``1..N`` of ``t_1 = x`` and ``t_k = r_k t_{k-1} (x) x`` for ``r_2, r_3, ...``,
+    from levels ``1..N`` of ``x``; its scalar level counts as exactly 0."""
+    terms = [x]
+    for r in ratios:
+        terms.append([r * lv for lv in _product(terms[-1], x, 0.0, 0.0)])
+    return terms
+
+
 def exp_t(x: GradedElement) -> GradedElement:
-    """Truncated exponential ``1 + x + x^2/2! + ... + x^N/N!`` of an algebra element."""
+    """Truncated exponential ``1 + x + x^2/2! + ... + x^N/N!`` of an algebra element.
+    The scalar level of ``x`` is read as exactly 0, also when up to ``_ROLE_TOL`` off."""
     if x.role is not Role.ALGEBRA:
         raise RoleError("exp_t needs an algebra element (scalar level 0)")
-    spec = x.spec
-    acc = GradedElement.identity(spec, x.batch_shape) + x
-    term = x
-    for k in range(2, spec.N + 1):
-        term = mul(term, x).scale(1.0 / k)
-        acc = acc + term
-    return acc
+    terms = _powers(x.levels[1:], [1.0 / k for k in range(2, x.spec.N + 1)])
+    levels = [sum(lvs) for lvs in zip(*terms)]
+    return GradedElement(x.spec, (np.ones(x.batch_shape + (1,)), *levels))
 
 
 def log_t(g: GradedElement) -> GradedElement:
-    """Truncated logarithm ``sum_k (-1)^(k+1) (g - 1)^k / k`` of a group element."""
+    """Truncated logarithm ``sum_k (-1)^(k+1) (g - 1)^k / k`` of a group element.
+    The scalar level of ``g`` is read as exactly 1, also when up to ``_ROLE_TOL`` off."""
     if g.role is not Role.GROUP:
         raise RoleError("log_t needs a group element (scalar level 1)")
-    spec = g.spec
-    x = g - GradedElement.identity(spec, g.batch_shape)
-    acc = x
-    term = x
-    for k in range(2, spec.N + 1):
-        term = mul(term, x)
-        acc = acc + term.scale((-1.0) ** (k + 1) / k)
-    return acc
+    terms = _powers(g.levels[1:], [1.0] * (g.spec.N - 1))
+    coeffs = [(-1.0) ** (k + 1) / k for k in range(1, g.spec.N + 1)]
+    levels = [sum(c * lv for c, lv in zip(coeffs, lvs)) for lvs in zip(*terms)]
+    return GradedElement(g.spec, (np.zeros(g.batch_shape + (1,)), *levels))
 
 
 def commutator(x: GradedElement, y: GradedElement) -> GradedElement:
@@ -291,18 +294,10 @@ def scaled_exponential(x: GradedElement, t: np.ndarray) -> GradedElement:
         raise RoleError("scaled_exponential needs an algebra element")
     if x.batch_shape != ():
         raise DimensionMismatch("scaled_exponential expects an unbatched direction")
-    spec = x.spec
+    N = x.spec.N
     t = np.asarray(t, dtype=float)
-    powers = [GradedElement.identity(spec)]
-    term = x
-    powers.append(term)
-    for j in range(2, spec.N + 1):
-        term = mul(term, x).scale(1.0 / j)
-        powers.append(term)
-    tj = np.stack([t**j for j in range(spec.N + 1)], axis=-1)  # (*batch, N+1)
-    levels = []
-    for k in range(spec.N + 1):
-        stack = np.stack([p.levels[k] for p in powers], axis=0)  # (N+1, d^k)
-        levels.append(np.tensordot(tj, stack, axes=([-1], [0])))
-    return GradedElement(spec, tuple(levels))
-
+    terms = _powers(x.levels[1:], [1.0 / j for j in range(2, N + 1)])
+    tj = np.stack([t**j for j in range(N + 1)], axis=-1)  # (*batch, N+1)
+    zero = [np.zeros_like(lv) for lv in terms[0]]  # j = 0 row: keeps the summation order
+    levels = [np.tensordot(tj, np.stack(lvs), axes=([-1], [0])) for lvs in zip(zero, *terms)]
+    return GradedElement(x.spec, (np.ones(t.shape + (1,)), *levels))

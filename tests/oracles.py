@@ -13,7 +13,11 @@ conjugation form or its split of the subgroup grid;
 :func:`left_fold_signature`, which multiplies segment exponentials one at a
 time instead of in batched rounds; :func:`pairwise_mul_signature`, which
 takes the package's pairing order through public ``mul`` on whole elements
-instead of the level-array product; and :func:`frequency_plane_by_node`,
+instead of the level-array product; :func:`series_exp_t`,
+:func:`series_log_t` and :func:`series_scaled_exponential`, which run the
+truncated series step by step through public ``mul``, ``+`` and ``scale`` on
+whole elements instead of the level-array power-series core; and
+:func:`frequency_plane_by_node`,
 which integrates the frequency plane through the package's public
 single-functional calls, one node and one chart at a time, instead of in
 mirror pairs.
@@ -36,6 +40,7 @@ from nilfourier import (
 )
 from nilfourier.tensor_algebra import (
     GradedElement,
+    commutator,
     exp_t,
     group_inverse,
     log_t,
@@ -159,6 +164,67 @@ def pairwise_mul_signature(spec, path, block: int | None = None) -> GradedElemen
         part = part.take(0)
         sig = part if sig is None else mul(sig, part)
     return sig
+
+
+# ---------------------------------------------------------------------------
+# Truncated series step by step on whole elements: each term is one public
+# ``mul``, ``scale`` and ``+``, in the order of the series.
+# ---------------------------------------------------------------------------
+
+
+def series_exp_t(x: GradedElement) -> GradedElement:
+    """``1 + x + x^2/2! + ... + x^N/N!``, with ``x^k/k! = (x^(k-1)/(k-1)!) x / k``."""
+    acc = GradedElement.identity(x.spec, x.batch_shape) + x
+    term = x
+    for k in range(2, x.spec.N + 1):
+        term = mul(term, x).scale(1.0 / k)
+        acc = acc + term
+    return acc
+
+
+def series_log_t(g: GradedElement) -> GradedElement:
+    """``sum_k (-1)^(k+1) (g - 1)^k / k``."""
+    x = g - GradedElement.identity(g.spec, g.batch_shape)
+    acc = x
+    term = x
+    for k in range(2, g.spec.N + 1):
+        term = mul(term, x)
+        acc = acc + term.scale((-1.0) ** (k + 1) / k)
+    return acc
+
+
+def series_bch(x: GradedElement, y: GradedElement) -> GradedElement:
+    return series_log_t(mul(series_exp_t(x), series_exp_t(y)))
+
+
+def series_group_inverse(g: GradedElement) -> GradedElement:
+    return series_exp_t(-series_log_t(g))
+
+
+def series_adjoint(g: GradedElement, y: GradedElement) -> GradedElement:
+    """``sum_k ad(log g)^k y / k!``, each term the commutator of the last."""
+    x = series_log_t(g)
+    acc = y
+    term = y
+    for k in range(1, y.spec.N):
+        term = commutator(x, term).scale(1.0 / k)
+        acc = acc + term
+    return acc
+
+
+def series_scaled_exponential(x: GradedElement, t: np.ndarray) -> GradedElement:
+    """``exp(t x)`` as powers of ``t`` contracted with the elements ``x^j / j!``,
+    ``j = 0..N`` (the identity at ``j = 0``)."""
+    t = np.asarray(t, dtype=float)
+    powers = [GradedElement.identity(x.spec), x]
+    for j in range(2, x.spec.N + 1):
+        powers.append(mul(powers[-1], x).scale(1.0 / j))
+    tj = np.stack([t**j for j in range(x.spec.N + 1)], axis=-1)
+    levels = [
+        np.tensordot(tj, np.stack([p.levels[k] for p in powers]), axes=([-1], [0]))
+        for k in range(x.spec.N + 1)
+    ]
+    return GradedElement(x.spec, tuple(levels))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from nilfourier import (
     GroupSpec,
     Role,
     RoleError,
+    SpecMismatch,
     adjoint,
     bch,
     commutator,
@@ -21,7 +22,15 @@ from nilfourier import (
     scaled_exponential,
 )
 
-from oracles import bch_degree3
+from oracles import (
+    bch_degree3,
+    series_adjoint,
+    series_bch,
+    series_exp_t,
+    series_group_inverse,
+    series_log_t,
+    series_scaled_exponential,
+)
 
 
 def _rand_alg(spec, rng, batch=()):
@@ -96,10 +105,56 @@ def test_exp_log_role_checks():
     rng = np.random.default_rng(3)
     x = _rand_alg(spec, rng)
     g = exp_t(x)
-    with pytest.raises(RoleError):
-        exp_t(g)
-    with pytest.raises(RoleError):
-        log_t(x)
+    needs_algebra = r"exp_t needs an algebra element \(scalar level 0\)"
+    needs_group = r"log_t needs a group element \(scalar level 1\)"
+    for call, message in (
+        (lambda: exp_t(g), needs_algebra),
+        (lambda: log_t(x), needs_group),
+        (lambda: bch(g, x), needs_algebra),
+        (lambda: bch(x, g), needs_algebra),
+        (lambda: group_inverse(x), needs_group),
+        (lambda: commutator(g, x), "commutator needs algebra elements"),
+        (lambda: commutator(x, g), "commutator needs algebra elements"),
+        (lambda: adjoint(g, g), "adjoint acts on algebra elements"),
+        (lambda: adjoint(x, x), needs_group),
+        (lambda: scaled_exponential(g, np.ones(3)), "scaled_exponential needs an algebra element"),
+    ):
+        with pytest.raises(RoleError, match=f"^{message}$"):
+            call()
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        mul,
+        lambda a, b: a + b,
+        lambda a, b: a - b,
+        commutator,
+        bch,
+        lambda a, b: adjoint(exp_t(a), b),
+    ],
+    ids=["mul", "add", "sub", "commutator", "bch", "adjoint"],
+)
+def test_elements_over_two_specs_are_refused(op):
+    # Same level sizes, so only the spec check can tell the two apart.
+    rng = np.random.default_rng(14)
+    free, full = GroupSpec(2, 2), GroupSpec(2, 2, "FullTensor")
+    a, b = _rand_alg(free, rng), _rand_alg(full, rng)
+    assert free.tensor_level_sizes() == full.tensor_level_sizes()
+    with pytest.raises(SpecMismatch, match="^cannot combine elements over"):
+        op(a, b)
+
+
+def test_scalar_level_within_the_role_tolerance_is_read_as_exact():
+    spec = GroupSpec(2, 3)
+    rng = np.random.default_rng(15)
+    x = _rand_alg(spec, rng, batch=(4,))
+    g = exp_t(x)
+    for elt, f, offset in ((g, log_t, 1.0 + 5e-13), (x, exp_t, 5e-13)):
+        shifted = GradedElement(spec, (np.full((4, 1), offset),) + elt.levels[1:])
+        assert shifted.role is elt.role
+        got, exact = f(shifted), f(elt)
+        assert all(np.array_equal(a, b) for a, b in zip(got.levels, exact.levels))
 
 
 def test_scaled_exponential_matches_exp():
@@ -112,6 +167,41 @@ def test_scaled_exponential_matches_exp():
     for i, t in enumerate(ts):
         single = exp_t(x.scale(float(t)))
         assert batch.take(i).max_abs_diff(single) < 1e-13
+
+
+BIT_SPECS = [(1, 3), (2, 2), (2, 3), (2, 4), (3, 3), (3, 4), (2, 6)]
+
+
+def _assert_same_bits(got, want):
+    assert got.spec == want.spec and len(got.levels) == len(want.levels)
+    for a, b in zip(got.levels, want.levels):
+        assert a.shape == b.shape and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("flavor", ["FreeNilpotent", "FullTensor"])
+@pytest.mark.parametrize("d,N", BIT_SPECS)
+def test_series_equal_the_step_by_step_series_bit_for_bit(d, N, flavor):
+    # The step-by-step series build an element per term through mul, + and
+    # scale; the level-array core must reproduce them exactly.
+    spec = GroupSpec(d, N, flavor)
+    rng = np.random.default_rng(100 * d + N)
+    for batch in ((), (7,), (3, 4)):
+        x = _rand_alg(spec, rng, batch=batch)
+        y = _rand_alg(spec, rng, batch=batch)
+        raw = _rand_alg(spec, rng, batch=batch)
+        g = GradedElement(spec, (np.ones(batch + (1,)),) + raw.levels[1:])
+        _assert_same_bits(exp_t(x), series_exp_t(x))
+        _assert_same_bits(log_t(g), series_log_t(g))
+        _assert_same_bits(log_t(exp_t(x)), series_log_t(series_exp_t(x)))
+        _assert_same_bits(bch(x, y), series_bch(x, y))
+        _assert_same_bits(group_inverse(g), series_group_inverse(g))
+        _assert_same_bits(adjoint(g, y), series_adjoint(g, y))
+        # scaled_exponential keeps the zero j = 0 row in its contraction, so
+        # numpy sums in the same order and the match is bit for bit (d = 1
+        # included); dropping the row moves the last bit.
+        direction = _rand_alg(spec, rng)
+        t = 2.0 * rng.standard_normal(batch)
+        _assert_same_bits(scaled_exponential(direction, t), series_scaled_exponential(direction, t))
 
 
 # ---------------------------------------------------------------------------
