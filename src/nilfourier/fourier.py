@@ -21,13 +21,16 @@ shifted trace). Kernel integrands use the conjugation form ``log(x u y^-1) =
 bch(Ad_x log u, log(x y^-1))`` with a per-pair adjoint matrix. The frame of
 the reframing is the exact differential of that map, ``B(ad log(x y^-1))
 Ad_x`` with ``B(z) = z / (e^z - 1)``, a finite series because ``ad`` is
-nilpotent. The leading central block of the subgroup grid only shifts a point
-by a central vector, so it is added, and the group law runs once per point of
-the rest of the grid. The subgroup character is separable over the axes of the
-tensor grid. The per-pair work (frame, group law, phases) runs once per block
-of section pairs and ``f`` on sub-chunks of a block, both sized by one budget.
-The frequency plane runs in mirror pairs ``ell``, ``-ell``, which share the
-chart, the section grid and the samples of ``f``; only their phases differ.
+nilpotent. ``ad`` kills the centre, so the leading central block of the
+subgroup grid shifts every pair's points by the same central vector and its
+phases by the same character: both are built once per call, the central block
+is contracted first, as one matrix product, and the group law runs once per
+point of the rest of the grid, whose character is separable over its axes.
+The per-pair work (frame, group law, phases) runs once per block of section
+pairs and ``f`` on sub-chunks of a block, both sized by one budget. The
+frequency plane runs in mirror pairs ``ell``, ``-ell``, which share the chart,
+the section grid and the samples of ``f``; for real ``f`` the kernel at
+``-ell`` is the conjugate of the kernel at ``ell``.
 """
 
 from __future__ import annotations
@@ -58,6 +61,7 @@ from .errors import (
 )
 from .lie_basis import LayeredBasis, json_number
 from .polarization import Subalgebra, generic_polarization
+from .polarization import _checked_candidate, _layer_candidate
 from .tensor_algebra import GradedElement, Role, log_t
 
 __all__ = [
@@ -389,7 +393,7 @@ def _resolvable_rate(qspec: QuadratureSpec) -> float:
     return 0.9 * math.pi * (qspec.h_nodes - 1) / (2.0 * qspec.h_halfwidth)
 
 
-def _h_phase_rate(ell: Functional, chart: MalcevChart) -> float:
+def _h_phase_rate(ell: Functional, rows: np.ndarray) -> float:
     """Peak oscillation rate of the subgroup integral for this functional.
 
     The character contributes ``exp(i a . ell_H)`` inside every subgroup
@@ -397,10 +401,10 @@ def _h_phase_rate(ell: Functional, chart: MalcevChart) -> float:
     box can slow down. Frequency nodes whose rate exceeds the subgroup
     grid's resolvable rate produce aliased garbage rather than small values,
     so integrators skip them (coarse grids then integrate a smaller resolved
-    frequency box, a smooth truncation instead of a wild error).
+    frequency box, a smooth truncation instead of a wild error). ``rows`` are
+    orthonormal rows spanning the subalgebra, so no chart is needed.
     """
-    ell_h = (ell.flat @ chart.W)[: chart.q_h]
-    return float(np.linalg.norm(ell_h))
+    return float(np.linalg.norm(rows @ ell.flat))
 
 
 def _check_h_box(f: SchwartzFunction, qspec: QuadratureSpec) -> None:
@@ -446,6 +450,9 @@ def kernel_values(
     have shape ``(P, L)``. The integrand samples ``f(x gamma_h(a) y^-1)`` do
     not depend on the functional, so they are evaluated once for all members;
     only the phases, the recentring factor and the contraction are per member.
+    For real samples and a tuple ``(ell, -ell)`` of exactly negated values,
+    ``-ell``'s values are the conjugates of ``ell``'s (``pi_{-ell}(f) = conj
+    pi_ell(f)`` for real ``f``), so only ``ell`` is contracted.
 
     The subgroup integral runs over a per-pair affine reframing ``a = a* +
     R^-1 b`` of the chart coordinates, where ``J = QR`` is the Jacobian of
@@ -459,12 +466,16 @@ def kernel_values(
     ``Ad_x``, so the Jacobian is exact: ``J = B(ad c0) Ad_x W_h`` with ``B(z)
     = z / (e^z - 1)``, the differential of ``bch(., c0)`` at zero (Hall,
     *Lie Groups, Lie Algebras, and Representations*, Thm 5.4). The chart's
-    leading ``q_c`` subgroup columns ``W_c`` are central and ``R^-1`` is upper
-    triangular, so the grid's central block ``b_c`` only adds ``W_c
-    R^-1[:q_c, :q_c] b_c`` to a point: one :meth:`LayeredBasis.bch_coords`
-    pass per point of the non-central block ``b_r``, then a broadcast sum.
-    The character ``exp(i a . ell_h)`` factors over the grid axes, and the
-    values are contracted one axis at a time.
+    leading ``q_c`` subgroup columns ``W_c`` are central and ``ad`` kills
+    them, so ``J = [W_c | J_r]`` and ``R = [[I, W_c^T J_r], [0, R_rr]]``, with
+    a QR of ``(I - W_c W_c^T) J_r`` only. The grid's central block ``b_c``
+    then adds ``W_c b_c`` to a point and ``exp(i ell_c . b_c)`` to its phase
+    for every pair alike, so both are built once per call, and the group law
+    runs once per point of the non-central block ``b_r``. The samples of a
+    sub-chunk are laid out as (pair, ``b_r``, ``b_c``); the central block is
+    contracted first, as one matrix product (with real ``[Re | Im]`` columns
+    for real samples), then the ``b_r`` axes one at a time with per-pair
+    phases, one exponential table per distinct rate.
 
     Pairs run in blocks of ``_CHUNK_BUDGET // (max(m_c, m_r, n) n)``, ``m_c``
     and ``m_r`` the point counts of the two grid blocks, so every per-pair
@@ -476,7 +487,7 @@ def kernel_values(
     ells = _functionals(ell)
     basis = chart.basis
     n = basis.dim
-    q_h = chart.q_h
+    q_h, q_c = chart.q_h, chart.q_c
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if xs.ndim != 2:
@@ -488,62 +499,78 @@ def kernel_values(
     P = xs.shape[0]
 
     nodes, weights = _axis(qspec.h_nodes, qspec.h_halfwidth)
-    q_c = chart.q_c
-    # The grid points b, coordinates first, split into the leading central
-    # block b_c and the rest b_r; the weights enter per axis below.
-    grid_c, grid_r = (
-        _tensor_grid([(qspec.h_nodes, qspec.h_halfwidth)] * k)[0].T for k in (q_c, q_h - q_c)
+    # The grid points b, split into the leading central block b_c, with its
+    # product weights, and the rest b_r.
+    (grid_c, w_grid_c), (grid_r, _) = (
+        _tensor_grid([(qspec.h_nodes, qspec.h_halfwidth)] * k) for k in (q_c, q_h - q_c)
     )
-    m_c, m_r = grid_c.shape[1], grid_r.shape[1]
-    M = m_c * m_r
-    w_h = chart.W[:, :q_h]
-    ell_h = np.stack([e.flat for e in ells]) @ w_h  # (L, q_h)
+    m_c, m_r = grid_c.shape[0], grid_r.shape[0]
+    w_c, w_r = chart.W[:, :q_c], chart.W[:, q_c:q_h]
+    ell_h = np.stack([e.flat for e in ells]) @ chart.W[:, :q_h]  # (L, q_h)
     L = len(ells)
+    mirror = L == 2 and np.array_equal(ells[1].flat, -ells[0].flat)
+    # Once per call: the central shift W_c b_c, (n, m_c), and the weighted
+    # central characters w(b_c) exp(i ell_c . b_c), one column per member.
+    shift = w_c @ grid_c.T
+    central = w_grid_c[:, None] * np.exp(1j * (grid_c @ ell_h[:, :q_c].T))  # (m_c, L)
     bch = basis.bch_coords
     exp_coeffs, dlog_coeffs = _exp_series(basis.spec.N), _bernoulli_series(basis.spec.N)
 
     out = np.empty((P, L), dtype=complex)
     block = max(1, _CHUNK_BUDGET // (max(m_c, m_r, n) * n))
-    chunk = max(1, _CHUNK_BUDGET // (M * n))
+    chunk = max(1, _CHUNK_BUDGET // (m_c * m_r * n))
     for lo in range(0, P, block):
         hi = min(P, lo + block)
         cx = chart.section(xs[lo:hi])
-        c0 = bch(cx, -chart.section(ys[lo:hi]))[:, None]
+        c0 = bch(cx, -chart.section(ys[lo:hi]))
         if not q_h:
-            out[lo:hi] = f(c0[:, 0])[:, None]
+            out[lo:hi] = f(c0)[:, None]
             continue
         ad_x = _ad_series(basis, cx, exp_coeffs)  # (C, n, n)
-        # d/da bch(Ad_x log gamma_h(a), c0) at a = 0 is B(ad c0) Ad_x W_h.
-        jac = _ad_series(basis, c0[:, 0], dlog_coeffs) @ (ad_x @ w_h)
-        # B(ad c0) Ad_x is unipotent (determinant 1) and W_h has orthonormal
-        # columns, so jac has full column rank and R is invertible.
-        qmat, rmat = np.linalg.qr(jac)  # jac: (C, n, q_h)
+        # ad kills the centre, so J = B(ad c0) Ad_x W_h = [W_c | J_r] = [W_c | Q_r] R
+        # with T = W_c^T J_r, J_r - W_c T = Q_r R_rr and R = [[I, T], [0, R_rr]],
+        # invertible because B(ad c0) Ad_x is unipotent.
+        jac = _ad_series(basis, c0, dlog_coeffs) @ (ad_x @ w_r)  # (C, n, q_r)
+        top = w_c.T @ jac
+        qmat, rmat = np.linalg.qr(jac - w_c @ top)
         rinv = np.linalg.inv(rmat)
-        astar = -np.einsum("pij,pj->pi", rinv, np.einsum("pni,pn->pi", qmat, c0[:, 0]))
         det_r = np.abs(np.prod(np.diagonal(rmat, axis1=-2, axis2=-1), axis=-1))
-        # R^-1 is upper triangular, so b_c moves only the central coordinates
-        # a_c. The group law runs on the points with b_c = 0; u is
-        # coordinates-first, (C, n, m_r), so elementwise steps run over the grid.
-        apts = np.swapaxes(astar[..., None] + rinv[..., q_c:] @ grid_r, -1, -2)
+        # The b_r columns of R^-1 = [[I, -T R_rr^-1], [0, R_rr^-1]], and the
+        # recentring a* = -R^-1 Q^T c0.
+        cols = np.concatenate([-top @ rinv, rinv], axis=1)  # (C, q_h, q_r)
+        astar = -(cols @ np.einsum("pni,pn->pi", qmat, c0)[..., None])[..., 0]
+        astar[:, :q_c] -= c0 @ w_c
+        # The group law runs on the points with b_c = 0; u is coordinates
+        # first, (C, n, m_r), so elementwise steps run over the grid.
+        apts = np.swapaxes(astar[..., None] + cols @ grid_r.T, -1, -2)
         u = ad_x @ np.swapaxes(chart.gamma_h(apts), -1, -2)
-        pts = bch(np.swapaxes(u, -1, -2), c0)  # (C, m_r, n)
-        # Ad_x fixes a central W_c and bch(u + z, c0) = bch(u, c0) + z, so b_c
-        # adds W_c R^-1[:q_c, :q_c] b_c, in grid order (b_c, b_r).
-        shift = np.swapaxes(w_h[:, :q_c] @ rinv[:, :q_c, :q_c] @ grid_c, -1, -2)
-        # exp(i a . ell_h) = exp(i a* . ell_h) prod_k exp(i b_k (R^-T ell_h)_k)
-        rate = np.swapaxes(ell_h @ rinv, -1, -2)  # (C, q_h, L)
-        phases = weights * np.exp(1j * rate[..., None] * nodes)  # (C, q_h, L, nodes)
+        pts = np.swapaxes(bch(np.swapaxes(u, -1, -2), c0[:, None]), -1, -2)  # (C, n, m_r)
+        # exp(i a . ell_h) = exp(i a* . ell_h) exp(i b_c . ell_c) prod_k
+        # exp(i b_k rate_k) over the b_r axes, one table per distinct rate.
+        rate = ell_h @ cols  # (C, L, q_r)
+        rates, index = np.unique(rate, return_inverse=True)
+        phases = (weights * np.exp(1j * rates[:, None] * nodes))[index]  # (C, L, q_r, nodes)
         scale = np.exp(1j * (astar @ ell_h.T)) / det_r[:, None]  # (C, L)
         for s in range(0, hi - lo, chunk):
             e = min(hi - lo, s + chunk)
-            vals = f((shift[s:e, :, None] + pts[s:e, None]).reshape(e - s, M, n))
-            # The last axis for all members in one matmul, (C, rest, L), then
-            # the other axes member by member.
-            vals = vals.reshape(e - s, -1, nodes.size) @ np.swapaxes(phases[s:e, -1], -1, -2)
-            vals = np.swapaxes(vals, -1, -2)
-            for k in range(q_h - 2, -1, -1):
-                vals = (vals.reshape(e - s, L, -1, nodes.size) @ phases[s:e, k, ..., None])[..., 0]
-            out[lo + s : lo + e] = vals[..., 0] * scale[s:e]
+            # Ad_x fixes W_c and bch(u + z, c0) = bch(u, c0) + z, so b_c adds
+            # W_c b_c. Samples in (pair, b_r, b_c) order, coordinates first.
+            vals = f(np.moveaxis(pts[s:e, :, :, None] + shift[:, None], 1, -1))
+            real = not np.iscomplexobj(vals)
+            keep = 1 if mirror and real else L
+            # The central block for every pair and b_r in one matrix product
+            # (real samples meet [Re, Im] column pairs), then the b_r axes
+            # pair by pair, last axis first.
+            if real:
+                vals = (vals.reshape(-1, m_c) @ central.view(float)[:, : 2 * keep]).view(complex)
+            else:
+                vals = vals.reshape(-1, m_c) @ central
+            vals = np.swapaxes(vals.reshape(e - s, m_r, keep), 1, 2)
+            for k in range(q_h - q_c - 1, -1, -1):
+                vals = vals.reshape(e - s, keep, -1, nodes.size) @ phases[s:e, :keep, k, :, None]
+            out[lo + s : lo + e, :keep] = vals.reshape(e - s, keep) * scale[s:e, :keep]
+            if keep < L:
+                out[lo + s : lo + e, 1] = out[lo + s : lo + e, 0].conj()
     return out[:, 0] if isinstance(ell, Functional) else out
 
 
@@ -679,6 +706,8 @@ def _frequency_plane(
     ``det D`` that is only rounding noise does not count. Nodes whose subgroup
     phase rate the grid cannot resolve contribute zero too (see
     :func:`_h_phase_rate`; at the reference resolution no node is dropped).
+    The rate is read from the layer-built polarization's rows before they are
+    checked and charted, so a skipped pair builds no chart.
     Pairs run on at most NILFOURIER_THREADS workers, and never more than there
     are pairs; the parts come back in node order either way, so reductions do
     not depend on the count.
@@ -698,9 +727,10 @@ def _frequency_plane(
         sd = sqrt_det_d(ell, jump)
         if sd <= 0.0:
             return []
-        chart = chart_for(ell)
-        if _h_phase_rate(ell, chart) > rate_limit:
+        sub = _layer_candidate(ell)
+        if _h_phase_rate(ell, sub.vectors) > rate_limit:
             return []
+        chart = MalcevChart(basis, _checked_candidate(sub, ell)[0])
         mirror = M - 1 - i
         ells = (ell,) if mirror == i else (ell, Functional(basis, -flat))
         values = integrand(ells, chart)

@@ -131,10 +131,15 @@ def generic_polarization(ell: Functional) -> Subalgebra:
 def _checked_generic_polarization(ell: Functional) -> tuple[Subalgebra, dict]:
     """:func:`generic_polarization` and the :func:`polarization_check` report
     it passed."""
-    basis = ell.basis
-    N = basis.spec.N
     if not is_generic(ell):
         raise NotGeneric("generic_polarization needs a generic functional")
+    return _checked_candidate(_layer_candidate(ell), ell)
+
+
+def _layer_candidate(ell: Functional) -> Subalgebra:
+    """The layer-built candidate of :func:`generic_polarization`, unchecked."""
+    basis = ell.basis
+    N = basis.spec.N
     blocks = []
     # the layers above the middle, then the middle, then the layers below
     for k in [*range(N // 2 + 1, N + 1), *range(N // 2, 0, -1)]:
@@ -148,7 +153,11 @@ def _checked_generic_polarization(ell: Functional) -> tuple[Subalgebra, dict]:
         block = np.zeros((rows.shape[0], basis.dim))
         block[:, sl] = rows
         blocks.append(block)
-    sub = Subalgebra(basis, _orthonormal_rows(np.concatenate(blocks)))
+    return Subalgebra(basis, _orthonormal_rows(np.concatenate(blocks)))
+
+
+def _checked_candidate(sub: Subalgebra, ell: Functional) -> tuple[Subalgebra, dict]:
+    """The candidate with its passed :func:`polarization_check` report, or NotGeneric."""
     report = polarization_check(sub, ell)
     if not report["passed"]:
         raise NotGeneric(

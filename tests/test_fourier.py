@@ -30,6 +30,7 @@ from nilfourier import (
     character,
     chart_for,
     d_matrix,
+    generic_polarization,
     hs_norm_sq,
     invert,
     is_generic,
@@ -510,13 +511,18 @@ def test_kernel_values_do_not_depend_on_how_pairs_are_batched(monkeypatch, d, N,
         f = SchwartzFunction(
             basis.dim, lambda c: gauss(c) * np.exp(1j * (c @ freq)), gauss.decay_box
         )
+    # with real samples the mirror tuple takes the conjugate route
+    targets = [ell] if complex_f else [ell, (ell, Functional(basis, -ell.flat))]
     q = _low_res()
     P = 60
     xs, ys = 0.8 * np.random.default_rng(12).standard_normal((2, P, chart.q))
     cuts = [0, 1, 9, 31, P]
-    parts = np.concatenate(
-        [kernel_values(f, ell, chart, q, xs[a:b], ys[a:b]) for a, b in zip(cuts, cuts[1:])]
-    )
+    parts = [
+        np.concatenate(
+            [kernel_values(f, t, chart, q, xs[a:b], ys[a:b]) for a, b in zip(cuts, cuts[1:])]
+        )
+        for t in targets
+    ]
     # A budget of 23 pairs per block splits the whole batch into uneven
     # blocks (two section calls each), and each block into integrand sub-chunks.
     m_c, m_r = (q.h_nodes**k for k in (chart.q_c, chart.q_h - chart.q_c))
@@ -529,9 +535,73 @@ def test_kernel_values_do_not_depend_on_how_pairs_are_batched(monkeypatch, d, N,
         return section(y)
 
     monkeypatch.setattr(chart, "section", counted)
-    whole = kernel_values(f, ell, chart, q, xs, ys)
-    assert sections == [23, 23, 23, 23, 14, 14]
-    assert np.max(np.abs(whole - parts)) <= 1e-14 * np.max(np.abs(parts))
+    for target, part in zip(targets, parts):
+        sections.clear()
+        whole = kernel_values(f, target, chart, q, xs, ys)
+        assert sections == [23, 23, 23, 23, 14, 14]
+        assert np.max(np.abs(whole - part)) <= 1e-14 * np.max(np.abs(part))
+
+
+@pytest.mark.parametrize("d,N", [(2, 2), (3, 2), (2, 3)])
+def test_real_samples_give_the_mirror_functional_by_conjugation(d, N):
+    # pi_{-ell}(f) = conj pi_ell(f) for real f: the tuple (ell, -ell) computes
+    # ell alone and conjugates it
+    basis = _basis(d, N)
+    rng = np.random.default_rng(5)
+    ell = sample_generic(basis, rng)
+    neg = Functional(basis, -ell.flat)
+    chart = chart_for(ell)
+    f = SchwartzFunction.gaussian(basis.dim)
+    q = _low_res()
+    xs, ys = 0.8 * rng.standard_normal((2, 7, chart.q))
+    pair = kernel_values(f, (ell, neg), chart, q, xs, ys)
+    assert np.array_equal(pair[:, 1], np.conj(pair[:, 0]))
+    direct = kernel_values(f, neg, chart, q, xs, ys)
+    scale = np.max(np.abs(pair))
+    assert np.max(np.abs(pair[:, 1] - direct)) <= 1e-14 * scale
+    # complex values with zero imaginary part take the complex route
+    as_complex = SchwartzFunction(basis.dim, lambda c: f(c) + 0j, f.decay_box)
+    routed = kernel_values(as_complex, (ell, neg), chart, q, xs, ys)
+    assert np.max(np.abs(routed - pair)) <= 1e-14 * scale
+    # members that are not exactly negated are each contracted
+    other = Functional(basis, -0.5 * ell.flat)
+    both = kernel_values(f, (ell, other), chart, q, xs, ys)
+    assert np.max(np.abs(both[:, 1] - kernel_values(f, other, chart, q, xs, ys))) <= 1e-14 * scale
+
+
+def _abelian_ideal_chart(basis: LayeredBasis) -> MalcevChart:
+    """The chart of ``span(e_1, [e_j, e_1] for j > 1)``, an abelian ideal whose
+    bracket part is central: ``d - 1`` central axes and one other."""
+    e = np.eye(basis.dim)[[basis.flat_index(1, j) for j in range(1, basis.spec.d + 1)]]
+    rows = np.array([e[0]] + [basis.bracket_coords(v, e[0]) for v in e[1:]])
+    return MalcevChart(basis, Subalgebra(basis, rows / np.linalg.norm(rows, axis=1)[:, None]))
+
+
+@pytest.mark.parametrize(
+    "spec,complex_f",
+    [
+        (GroupSpec(2, 4), False),
+        (GroupSpec(2, 2, "FullTensor"), False),
+        (GroupSpec(4, 2), False),
+        (GroupSpec(4, 2), True),
+    ],
+    ids=["2,4-real", "FullTensor-2,2-real", "4,2-real", "4,2-complex"],
+)
+def test_kernel_with_several_central_axes_matches_the_oracles(spec, complex_f):
+    # the central block is contracted as one GEMM over all its axes: three on
+    # (2, 4) and on the (4, 2) ideal chart, four on FullTensor (2, 2). The
+    # generic (4, 2) chart has q_h = 8, 8^8 points a pair at the smallest grid.
+    basis = build_layered_basis(spec)
+    ell = sample_generic(basis, np.random.default_rng(7))
+    chart = _abelian_ideal_chart(basis) if spec.d == 4 else chart_for(ell)
+    assert chart.q_c >= 3 and chart.q_h > chart.q_c
+    f = _complex_gaussian(basis.dim) if complex_f else SchwartzFunction.gaussian(basis.dim)
+    q = _low_res()
+    xs, ys = 0.8 * np.random.default_rng(9).standard_normal((2, 2, chart.q))
+    kv = kernel_values(f, ell, chart, q, xs, ys)
+    route = flat_route_kernel if spec.N > 2 else tensor_route_kernel
+    oracle = route(f, ell, chart, q, xs, ys, ORACLE_FRAME_STEP)
+    assert np.max(np.abs(kv - oracle)) <= 1e-10 * np.max(np.abs(oracle))
 
 
 @pytest.mark.parametrize("d,N", [(2, 2), (2, 3), (3, 2), (2, 4)])
@@ -547,7 +617,8 @@ def test_mirror_functional_shares_the_node_set_up(d, N):
         assert is_generic(neg)
         assert sqrt_det_d(neg, jump) == pytest.approx(sqrt_det_d(ell, jump), rel=1e-14)
         chart = chart_for(ell)
-        assert _h_phase_rate(neg, chart) == pytest.approx(_h_phase_rate(ell, chart), rel=1e-14)
+        rows = chart.W[:, : chart.q_h].T
+        assert _h_phase_rate(neg, rows) == pytest.approx(_h_phase_rate(ell, rows), rel=1e-14)
         sub = Subalgebra(basis, chart.W[:, : chart.q_h].T)
         assert polarization_check(sub, ell)["passed"]
         assert polarization_check(sub, neg)["passed"]
@@ -756,9 +827,17 @@ def test_section_scale_tightens_on_coarse_subgroup_grids():
 
 
 def test_phase_rate_equals_subgroup_component_norm():
+    # the frequency plane reads |ell_h| from the polarization's rows before
+    # any chart is built; it is the chart's |ell_h|
     ell = _heisenberg_functional(1.75)
-    chart = chart_for(ell)
-    assert _h_phase_rate(ell, chart) == pytest.approx(1.75, rel=1e-12)
+    assert _h_phase_rate(ell, generic_polarization(ell).vectors) == pytest.approx(1.75, rel=1e-12)
+    rng = np.random.default_rng(13)
+    for d, N in [(2, 2), (2, 3), (3, 2), (2, 4)] * 5:
+        ell = sample_generic(_basis(d, N), rng)
+        chart = chart_for(ell)
+        expect = np.linalg.norm((ell.flat @ chart.W)[: chart.q_h])
+        got = _h_phase_rate(ell, generic_polarization(ell).vectors)
+        assert abs(got - expect) <= 1e-14 * expect
 
 
 # ---------------------------------------------------------------------------
