@@ -61,7 +61,7 @@ from .errors import (
 )
 from .lie_basis import LayeredBasis, json_number
 from .polarization import Subalgebra, generic_polarization
-from .polarization import _checked_candidate, _layer_candidate
+from .polarization import _layer_candidate
 from .tensor_algebra import GradedElement, Role, log_t
 
 __all__ = [
@@ -546,10 +546,11 @@ def kernel_values(
         u = ad_x @ np.swapaxes(chart.gamma_h(apts), -1, -2)
         pts = np.swapaxes(bch(np.swapaxes(u, -1, -2), c0[:, None]), -1, -2)  # (C, n, m_r)
         # exp(i a . ell_h) = exp(i a* . ell_h) exp(i b_c . ell_c) prod_k
-        # exp(i b_k rate_k) over the b_r axes, one table per distinct rate.
+        # exp(i b_k rate_k) over the b_r axes, one table per distinct rate;
+        # phases is (C, L, q_r, nodes) (NumPy < 2 returns a flat inverse).
         rate = ell_h @ cols  # (C, L, q_r)
         rates, index = np.unique(rate, return_inverse=True)
-        phases = (weights * np.exp(1j * rates[:, None] * nodes))[index]  # (C, L, q_r, nodes)
+        phases = (weights * np.exp(1j * rates[:, None] * nodes))[index.reshape(rate.shape)]
         scale = np.exp(1j * (astar @ ell_h.T)) / det_r[:, None]  # (C, L)
         for s in range(0, hi - lo, chunk):
             e = min(hi - lo, s + chunk)
@@ -706,8 +707,9 @@ def _frequency_plane(
     ``det D`` that is only rounding noise does not count. Nodes whose subgroup
     phase rate the grid cannot resolve contribute zero too (see
     :func:`_h_phase_rate`; at the reference resolution no node is dropped).
-    The rate is read from the layer-built polarization's rows before they are
-    checked and charted, so a skipped pair builds no chart.
+    The rate is read from the layer-built polarization's rows, so
+    :func:`chart_for` runs only for pairs that pass and a skipped pair builds
+    no chart.
     Pairs run on at most NILFOURIER_THREADS workers, and never more than there
     are pairs; the parts come back in node order either way, so reductions do
     not depend on the count.
@@ -727,10 +729,9 @@ def _frequency_plane(
         sd = sqrt_det_d(ell, jump)
         if sd <= 0.0:
             return []
-        sub = _layer_candidate(ell)
-        if _h_phase_rate(ell, sub.vectors) > rate_limit:
+        if _h_phase_rate(ell, _layer_candidate(ell).vectors) > rate_limit:
             return []
-        chart = MalcevChart(basis, _checked_candidate(sub, ell)[0])
+        chart = chart_for(ell)
         mirror = M - 1 - i
         ells = (ell,) if mirror == i else (ell, Functional(basis, -flat))
         values = integrand(ells, chart)

@@ -133,7 +133,14 @@ def _checked_generic_polarization(ell: Functional) -> tuple[Subalgebra, dict]:
     it passed."""
     if not is_generic(ell):
         raise NotGeneric("generic_polarization needs a generic functional")
-    return _checked_candidate(_layer_candidate(ell), ell)
+    sub = _layer_candidate(ell)
+    report = polarization_check(sub, ell)
+    if not report["passed"]:
+        raise NotGeneric(
+            "layer-built candidate failed the polarization checks "
+            f"(dim {sub.dim}, expected {report['expected_dim']})"
+        )
+    return sub, report
 
 
 def _layer_candidate(ell: Functional) -> Subalgebra:
@@ -154,17 +161,6 @@ def _layer_candidate(ell: Functional) -> Subalgebra:
         block[:, sl] = rows
         blocks.append(block)
     return Subalgebra(basis, _orthonormal_rows(np.concatenate(blocks)))
-
-
-def _checked_candidate(sub: Subalgebra, ell: Functional) -> tuple[Subalgebra, dict]:
-    """The candidate with its passed :func:`polarization_check` report, or NotGeneric."""
-    report = polarization_check(sub, ell)
-    if not report["passed"]:
-        raise NotGeneric(
-            "layer-built candidate failed the polarization checks "
-            f"(dim {sub.dim}, expected {report['expected_dim']})"
-        )
-    return sub, report
 
 
 def vergne_polarization(ell: Functional) -> Subalgebra:

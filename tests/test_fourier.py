@@ -542,6 +542,26 @@ def test_kernel_values_do_not_depend_on_how_pairs_are_batched(monkeypatch, d, N,
         assert np.max(np.abs(whole - part)) <= 1e-14 * np.max(np.abs(part))
 
 
+@pytest.mark.parametrize("d,N", [(2, 2), (2, 3)])
+def test_kernel_values_do_not_depend_on_the_shape_of_uniques_inverse(monkeypatch, d, N):
+    # NumPy 2 gives np.unique's inverse the input's shape, NumPy 1 flattens it.
+    basis = _basis(d, N)
+    ell = sample_generic(basis, np.random.default_rng(7))
+    chart = chart_for(ell)
+    f = SchwartzFunction.gaussian(basis.dim)
+    xs, ys = 0.8 * np.random.default_rng(12).standard_normal((2, 5, chart.q))
+    target = (ell, Functional(basis, 0.5 * ell.flat))
+    expected = kernel_values(f, target, chart, _low_res(), xs, ys)
+    unique = np.unique
+
+    def flat_inverse(ar, **kwargs):
+        values, inverse = unique(ar, **kwargs)
+        return values, inverse.ravel()
+
+    monkeypatch.setattr(np, "unique", flat_inverse)
+    assert np.array_equal(kernel_values(f, target, chart, _low_res(), xs, ys), expected)
+
+
 @pytest.mark.parametrize("d,N", [(2, 2), (3, 2), (2, 3)])
 def test_real_samples_give_the_mirror_functional_by_conjugation(d, N):
     # pi_{-ell}(f) = conj pi_ell(f) for real f: the tuple (ell, -ell) computes
