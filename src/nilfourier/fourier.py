@@ -9,7 +9,7 @@ integrable function ``f`` has integral kernel
 
 ``K_f(x, y) = integral over H of f(x u y^-1) exp(i ell(log u)) du``.
 
-This module computes such kernels numerically (with a per-evaluation affine
+This module computes such kernels numerically (with a per-coset affine
 reframing of the ``H`` integral that keeps sheared integrands inside a fixed
 box -- exact by translation invariance), shifted traces, the square-rooted
 skew determinant over the jump indices, the inversion integral over the
@@ -17,20 +17,26 @@ transverse frequency plane, and both sides of the Plancherel identity. Charts,
 kernels, characters and traces compose group elements in flat Malcev log
 coordinates with the group law :meth:`LayeredBasis.bch_coords`; Lie-membership
 is certified only where elements enter as dense tensors (the point ``x`` of a
-shifted trace). Kernel integrands use the conjugation form ``log(x u y^-1) =
-bch(Ad_x log u, log(x y^-1))`` with a per-pair adjoint matrix. The frame of
-the reframing is the exact differential of that map, ``B(ad log(x y^-1))
-Ad_x`` with ``B(z) = z / (e^z - 1)``, a finite series because ``ad`` is
+shifted trace). Every chart prefix spans an ideal, so ``H`` is normal and the
+kernel takes the coset form ``K_f(x, y) = exp(-i lam(log(x y^-1 s^-1)))
+integral over H of f(u s) exp(i lam(log u)) du`` with ``lam = ell o
+Ad_{x^-1}`` and ``s`` the section point of the coset ``H x y^-1``: the
+samples of ``f`` depend on the coset alone. Kernel values come in rows of
+section pairs that share a coset; ``f``, the frame and the group law run
+once per row, and each pair adds only its functional ``lam`` and a unimodular
+twist. The frame of the reframing is the exact differential ``B(ad log s)
+W_h`` with ``B(z) = z / (e^z - 1)``, a finite series because ``ad`` is
 nilpotent. ``ad`` kills the centre, so the leading central block of the
-subgroup grid shifts every pair's points by the same central vector and its
+subgroup grid shifts every row's points by the same central vector and its
 phases by the same character: both are built once per call, the central block
 is contracted first, as one matrix product, and the group law runs once per
 point of the rest of the grid, whose character is separable over its axes.
-The per-pair work (frame, group law, phases) runs once per block of section
-pairs and ``f`` on sub-chunks of a block, both sized by one budget. The
-frequency plane runs in mirror pairs ``ell``, ``-ell``, which share the chart,
-the section grid and the samples of ``f``; for real ``f`` the kernel at
-``-ell`` is the conjugate of the kernel at ``ell``.
+Rows run in blocks and ``f`` on sub-chunks of a block, both sized by one
+budget. ``hs_norm_sq`` passes one row per coset of its grid and
+``trace_shifted`` one row in all. The frequency plane runs in mirror pairs
+``ell``, ``-ell``, which share the chart, the section grid and the samples of
+``f``; for real ``f`` the kernel at ``-ell`` is the conjugate of the kernel at
+``ell``.
 """
 
 from __future__ import annotations
@@ -85,10 +91,10 @@ __all__ = [
 ]
 
 #: Coordinates (points times algebra dimension) per vectorized array in
-#: kernel evaluation. It sizes both the blocks of section pairs that share one
-#: pass of per-pair work and the integrand sub-chunks within a block. Arrays
-#: much above a megabyte measured slower per point: each chunk then
-#: page-faults its fresh temporaries.
+#: kernel evaluation. It sizes the blocks of rows that share one pass of
+#: per-row work, the chunks of their pairs, and the integrand sub-chunks
+#: within a block. Arrays much above a megabyte measured slower per point:
+#: each chunk then page-faults its fresh temporaries.
 _CHUNK_BUDGET = 100_000
 
 #: Monte Carlo samples per vectorized chunk in :func:`haar_invariance_check`.
@@ -117,7 +123,7 @@ class QuadratureSpec:
     """Node counts and boxes for the three integration stages.
 
     ``h_*`` controls the polarization-subgroup integral (evaluated in a
-    per-pair reframed box), ``section_*`` the section/trace integrals, and
+    per-coset reframed box), ``section_*`` the section/trace integrals, and
     ``t_*`` the transverse frequency plane. The section box is rescaled per
     functional by ``clamp(1/|ell_T|, 1, section_scale_cap)`` so that traces
     keep uniform coverage and resolution across the frequency plane.
@@ -346,9 +352,13 @@ class MalcevChart:
         return sec, cur
 
 
-def chart_for(ell: Functional) -> MalcevChart:
-    """Chart from the layer-built polarization at a generic functional."""
-    return MalcevChart(ell.basis, generic_polarization(ell))
+def chart_for(ell: Functional, candidate: Subalgebra | None = None) -> MalcevChart:
+    """Chart from the layer-built polarization at a generic functional.
+
+    ``candidate`` hands over the layer-built rows from a caller that has
+    already checked that ``ell`` is generic (see :func:`generic_polarization`).
+    """
+    return MalcevChart(ell.basis, generic_polarization(ell, candidate))
 
 
 def character(ell: Functional, chart: MalcevChart, a: np.ndarray) -> np.ndarray:
@@ -442,137 +452,166 @@ def kernel_values(
     xs: np.ndarray,
     ys: np.ndarray,
 ) -> np.ndarray:
-    """Kernel ``K_f(section(x), section(y))`` for paired section coordinates.
+    """Kernel ``K_f(section(x), section(y))`` for section pairs laid out in rows.
 
-    ``xs`` and ``ys`` have shape ``(P, q)``; returns complex values ``(P,)``.
-    ``ell`` may also be a tuple of ``L`` functionals on one basis that the
-    chart's subalgebra polarizes (``ell`` and ``-ell``, say); the values then
-    have shape ``(P, L)``. The integrand samples ``f(x gamma_h(a) y^-1)`` do
-    not depend on the functional, so they are evaluated once for all members;
-    only the phases, the recentring factor and the contraction are per member.
-    For real samples and a tuple ``(ell, -ell)`` of exactly negated values,
-    ``-ell``'s values are the conjugates of ``ell``'s (``pi_{-ell}(f) = conj
-    pi_ell(f)`` for real ``f``), so only ``ell`` is contracted.
+    ``xs`` and ``ys`` have shape ``(R, M, q)``: ``R`` rows of ``M`` pairs, the
+    pairs of a row sharing one coset ``H x y^-1``; returns complex values
+    ``(R, M)``. A pair list ``(P, q)`` keeps its meaning, each pair a row of
+    its own, with values ``(P,)``. ``ell`` may also be a tuple of ``L``
+    functionals on one basis that the chart's subalgebra polarizes (``ell``
+    and ``-ell``, say); the values then gain a last axis of length ``L``. The
+    samples of ``f`` do not depend on the functional, so they are evaluated
+    once for all members. For real samples and a tuple ``(ell, -ell)`` of
+    exactly negated values, ``-ell``'s values are the conjugates of ``ell``'s
+    (``pi_{-ell}(f) = conj pi_ell(f)`` for real ``f``), so only ``ell`` is
+    contracted.
 
-    The subgroup integral runs over a per-pair affine reframing ``a = a* +
-    R^-1 b`` of the chart coordinates, where ``J = QR`` is the Jacobian of
-    ``a -> exp-coords(x gamma_h(a) y^-1)`` at ``a = 0`` and ``a*`` recenters
-    the integrand. The substitution is exact (the subgroup's Haar measure is
-    Lebesgue in its chart), and it keeps the effective integrand inside the
-    fixed box even when large section values shear it.
+    Coset form: every chart prefix spans an ideal, so ``H`` is normal and
+    ``x h y^-1 = (x h x^-1) x y^-1``. Conjugation by ``x`` preserves Haar
+    measure on ``H``, hence ``K_f(x, y) = exp(-i lam(log(x y^-1 s^-1)))
+    integral over H of f(h s) exp(i lam(log h)) dh`` with ``lam = ell o
+    Ad_{x^-1}``, where ``s = section(w)`` is the section point of the coset
+    and ``w`` comes from :meth:`MalcevChart.decompose` of the row's first
+    ``log(x y^-1)``. The samples ``f(gamma_h(a) s)`` depend on the row alone;
+    each pair adds its functional ``lam`` (rates ``lam_h R^-1`` on the grid
+    axes) and the unimodular twist, whose argument must lie in ``h``: a row
+    whose pairs do not share the coset raises :class:`DimensionMismatch`.
 
-    Points use the conjugation form ``log(x gamma_h(a) y^-1) = bch(Ad_x log
-    gamma_h(a), c0)`` with ``c0 = log(x y^-1)`` after a per-pair matrix
-    ``Ad_x``, so the Jacobian is exact: ``J = B(ad c0) Ad_x W_h`` with ``B(z)
-    = z / (e^z - 1)``, the differential of ``bch(., c0)`` at zero (Hall,
-    *Lie Groups, Lie Algebras, and Representations*, Thm 5.4). The chart's
-    leading ``q_c`` subgroup columns ``W_c`` are central and ``ad`` kills
-    them, so ``J = [W_c | J_r]`` and ``R = [[I, W_c^T J_r], [0, R_rr]]``, with
-    a QR of ``(I - W_c W_c^T) J_r`` only. The grid's central block ``b_c``
-    then adds ``W_c b_c`` to a point and ``exp(i ell_c . b_c)`` to its phase
-    for every pair alike, so both are built once per call, and the group law
-    runs once per point of the non-central block ``b_r``. The samples of a
-    sub-chunk are laid out as (pair, ``b_r``, ``b_c``); the central block is
-    contracted first, as one matrix product (with real ``[Re | Im]`` columns
-    for real samples), then the ``b_r`` axes one at a time with per-pair
-    phases, one exponential table per distinct rate.
+    The subgroup integral runs over a per-row affine reframing ``a = a* + R^-1
+    b`` of the chart coordinates, where ``J = QR`` is the Jacobian of ``a ->
+    log(gamma_h(a) s)`` at ``a = 0`` and ``a*`` recentres the integrand. The
+    substitution is exact (the subgroup's Haar measure is Lebesgue in its
+    chart), and it keeps the integrand inside the fixed box even when large
+    section values shear it. ``J = B(ad log s) W_h`` with ``B(z) = z / (e^z -
+    1)``, the differential of ``bch(., log s)`` at zero (Hall, *Lie Groups,
+    Lie Algebras, and Representations*, Thm 5.4). The chart's leading ``q_c``
+    subgroup columns ``W_c`` are central and ``ad`` kills them, so ``J = [W_c
+    | J_r]`` and ``R = [[I, W_c^T J_r], [0, R_rr]]``, with a QR of ``(I - W_c
+    W_c^T) J_r`` only. The grid's central block ``b_c`` then adds ``W_c b_c``
+    to a point and ``exp(i ell_c . b_c)`` to its phase (``Ad`` fixes the
+    centre, so ``lam_c = ell_c``) for every row alike: both are built once per
+    call, and the group law runs once per point of the non-central block
+    ``b_r`` of each row. The samples of a row are laid out as (``b_r``,
+    ``b_c``); the central block is contracted first, as one matrix product
+    (with real ``[Re | Im]`` columns for real samples), then the ``b_r`` axes
+    one at a time with per-pair phases, one exponential table per distinct
+    rate.
 
-    Pairs run in blocks of ``_CHUNK_BUDGET // (max(m_c, m_r, n) n)``, ``m_c``
-    and ``m_r`` the point counts of the two grid blocks, so every per-pair
-    array of a block fits the budget: one pass of the frame, the group law
-    and the phases per block. Within a block ``f`` is evaluated on sub-chunks
-    of ``_CHUNK_BUDGET // (m_c m_r n)`` pairs.
+    Rows run in blocks of ``_CHUNK_BUDGET // max(max(m_c, m_r) n, M p)``,
+    ``m_c`` and ``m_r`` the point counts of the two grid blocks and ``p =
+    max(n, L m_r / h_nodes) n`` the coordinates of one pair's adjoint matrix
+    and contraction, so that a block's rows and pairs fit the budget: one pass
+    of the frame and the group law per block. Within a block ``f`` is
+    evaluated on sub-chunks of ``_CHUNK_BUDGET // (m_c m_r n)`` rows, and the
+    pairs run on chunks of members that keep rows times members within the
+    budget.
     """
     _check_h_box(f, qspec)
     ells = _functionals(ell)
     basis = chart.basis
-    n = basis.dim
+    n, N = basis.dim, basis.spec.N
     q_h, q_c = chart.q_h, chart.q_c
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    if xs.ndim != 2:
-        xs = xs.reshape(-1, chart.q)
-    if ys.ndim != 2:
-        ys = ys.reshape(-1, chart.q)
-    if xs.shape != ys.shape or xs.shape[1] != chart.q:
+    rows = xs.ndim == 3
+    if not rows:
+        xs, ys = np.atleast_2d(xs)[:, None], np.atleast_2d(ys)[:, None]
+    if xs.shape != ys.shape or xs.ndim != 3 or xs.shape[-1] != chart.q:
         raise DimensionMismatch("xs and ys must pair up with the section dimension")
-    P = xs.shape[0]
-
-    nodes, weights = _axis(qspec.h_nodes, qspec.h_halfwidth)
-    # The grid points b, split into the leading central block b_c, with its
-    # product weights, and the rest b_r.
-    (grid_c, w_grid_c), (grid_r, _) = (
-        _tensor_grid([(qspec.h_nodes, qspec.h_halfwidth)] * k) for k in (q_c, q_h - q_c)
-    )
-    m_c, m_r = grid_c.shape[0], grid_r.shape[0]
-    w_c, w_r = chart.W[:, :q_c], chart.W[:, q_c:q_h]
-    ell_h = np.stack([e.flat for e in ells]) @ chart.W[:, :q_h]  # (L, q_h)
+    R, M = xs.shape[:2]
+    flats = np.stack([e.flat for e in ells])  # (L, n)
     L = len(ells)
-    mirror = L == 2 and np.array_equal(ells[1].flat, -ells[0].flat)
-    # Once per call: the central shift W_c b_c, (n, m_c), and the weighted
-    # central characters w(b_c) exp(i ell_c . b_c), one column per member.
-    shift = w_c @ grid_c.T
-    central = w_grid_c[:, None] * np.exp(1j * (grid_c @ ell_h[:, :q_c].T))  # (m_c, L)
+    mirror = L == 2 and np.array_equal(flats[1], -flats[0])
     bch = basis.bch_coords
-    exp_coeffs, dlog_coeffs = _exp_series(basis.spec.N), _bernoulli_series(basis.spec.N)
 
-    out = np.empty((P, L), dtype=complex)
-    block = max(1, _CHUNK_BUDGET // (max(m_c, m_r, n) * n))
-    chunk = max(1, _CHUNK_BUDGET // (m_c * m_r * n))
-    for lo in range(0, P, block):
-        hi = min(P, lo + block)
-        cx = chart.section(xs[lo:hi])
-        c0 = bch(cx, -chart.section(ys[lo:hi]))
-        if not q_h:
-            out[lo:hi] = f(c0)[:, None]
-            continue
-        ad_x = _ad_series(basis, cx, exp_coeffs)  # (C, n, n)
-        # ad kills the centre, so J = B(ad c0) Ad_x W_h = [W_c | J_r] = [W_c | Q_r] R
-        # with T = W_c^T J_r, J_r - W_c T = Q_r R_rr and R = [[I, T], [0, R_rr]],
-        # invertible because B(ad c0) Ad_x is unipotent.
-        jac = _ad_series(basis, c0, dlog_coeffs) @ (ad_x @ w_r)  # (C, n, q_r)
-        top = w_c.T @ jac
-        qmat, rmat = np.linalg.qr(jac - w_c @ top)
-        rinv = np.linalg.inv(rmat)
-        det_r = np.abs(np.prod(np.diagonal(rmat, axis1=-2, axis2=-1), axis=-1))
-        # The b_r columns of R^-1 = [[I, -T R_rr^-1], [0, R_rr^-1]], and the
-        # recentring a* = -R^-1 Q^T c0.
-        cols = np.concatenate([-top @ rinv, rinv], axis=1)  # (C, q_h, q_r)
-        astar = -(cols @ np.einsum("pni,pn->pi", qmat, c0)[..., None])[..., 0]
-        astar[:, :q_c] -= c0 @ w_c
-        # The group law runs on the points with b_c = 0; u is coordinates
-        # first, (C, n, m_r), so elementwise steps run over the grid.
-        apts = np.swapaxes(astar[..., None] + cols @ grid_r.T, -1, -2)
-        u = ad_x @ np.swapaxes(chart.gamma_h(apts), -1, -2)
-        pts = np.swapaxes(bch(np.swapaxes(u, -1, -2), c0[:, None]), -1, -2)  # (C, n, m_r)
-        # exp(i a . ell_h) = exp(i a* . ell_h) exp(i b_c . ell_c) prod_k
-        # exp(i b_k rate_k) over the b_r axes, one table per distinct rate;
-        # phases is (C, L, q_r, nodes) (NumPy < 2 returns a flat inverse).
-        rate = ell_h @ cols  # (C, L, q_r)
-        rates, index = np.unique(rate, return_inverse=True)
-        phases = (weights * np.exp(1j * rates[:, None] * nodes))[index.reshape(rate.shape)]
-        scale = np.exp(1j * (astar @ ell_h.T)) / det_r[:, None]  # (C, L)
-        for s in range(0, hi - lo, chunk):
-            e = min(hi - lo, s + chunk)
-            # Ad_x fixes W_c and bch(u + z, c0) = bch(u, c0) + z, so b_c adds
-            # W_c b_c. Samples in (pair, b_r, b_c) order, coordinates first.
-            vals = f(np.moveaxis(pts[s:e, :, :, None] + shift[:, None], 1, -1))
-            real = not np.iscomplexobj(vals)
+    out = np.empty((R, M, L), dtype=complex)
+    if not q_h:
+        # A trivial subgroup: the kernel is f itself.
+        pairs = (xs.reshape(-1, chart.q), ys.reshape(-1, chart.q))
+        out[:] = f(bch(chart.section(pairs[0]), -chart.section(pairs[1]))).reshape(R, M, 1)
+    else:
+        nodes, weights = _axis(qspec.h_nodes, qspec.h_halfwidth)
+        # The grid points b, split into the leading central block b_c, with its
+        # product weights, and the rest b_r.
+        (grid_c, w_grid_c), (grid_r, _) = (
+            _tensor_grid([(qspec.h_nodes, qspec.h_halfwidth)] * k) for k in (q_c, q_h - q_c)
+        )
+        m_c, m_r = grid_c.shape[0], grid_r.shape[0]
+        w_c, w_r, w_h = chart.W[:, :q_c], chart.W[:, q_c:q_h], chart.W[:, :q_h]
+        # Once per call: the central shift W_c b_c, (n, m_c), and the weighted
+        # central characters w(b_c) exp(i ell_c . b_c), one column per member.
+        shift = w_c @ grid_c.T
+        central = w_grid_c[:, None] * np.exp(1j * (grid_c @ (flats @ w_c).T))  # (m_c, L)
+        exp_coeffs, dlog_coeffs = _exp_series(N), _bernoulli_series(N)
+        pair_size = max(n, L * m_r // nodes.size) * n
+        block = max(1, _CHUNK_BUDGET // max(max(m_c, m_r) * n, M * pair_size))
+        chunk = max(1, _CHUNK_BUDGET // (m_c * m_r * n))
+        for lo in range(0, R, block):
+            hi = min(R, lo + block)
+            cx = chart.section(xs[lo:hi])
+            c0 = bch(cx, -chart.section(ys[lo:hi]))  # log(x y^-1), (C, M, n)
+            cs = chart.section(chart.decompose(c0[:, 0])[0])  # log s, (C, n)
+            # Every pair's twist argument log(x y^-1 s^-1) lies in h.
+            twist = bch(c0, -cs[:, None])
+            size = (1.0 + np.abs(c0).max(axis=-1) + np.abs(cs).max(axis=-1)[:, None]) ** N
+            if np.any(np.abs(twist @ chart.W[:, q_h:]).max(axis=-1, initial=0.0) > 1e-9 * size):
+                raise DimensionMismatch("the pairs of a row must share one coset H x y^-1")
+            # ad kills the centre, so J = B(ad log s) W_h = [W_c | J_r] = [W_c | Q_r] R
+            # with T = W_c^T J_r, J_r - W_c T = Q_r R_rr and R = [[I, T], [0, R_rr]],
+            # invertible because B(ad log s) is unipotent.
+            jac = _ad_series(basis, cs, dlog_coeffs) @ w_r  # (C, n, q_r)
+            top = w_c.T @ jac
+            qmat, rmat = np.linalg.qr(jac - w_c @ top)
+            rinv = np.linalg.inv(rmat)
+            det_r = np.abs(np.prod(np.diagonal(rmat, axis1=-2, axis2=-1), axis=-1))
+            # The b_r columns of R^-1 = [[I, -T R_rr^-1], [0, R_rr^-1]], and the
+            # recentring a* = -R^-1 Q^T log s.
+            cols = np.concatenate([-top @ rinv, rinv], axis=1)  # (C, q_h, q_r)
+            astar = -(cols @ np.einsum("cni,cn->ci", qmat, cs)[..., None])[..., 0]
+            astar[:, :q_c] -= cs @ w_c
+            # The group law runs on the points with b_c = 0, coordinates first:
+            # (C, n, m_r), so elementwise steps run over the grid.
+            apts = np.swapaxes(astar[..., None] + cols @ grid_r.T, -1, -2)
+            pts = np.swapaxes(bch(chart.gamma_h(apts), cs[:, None]), -1, -2)
+            vals, real = [], True
+            for s in range(0, hi - lo, chunk):
+                e = min(hi - lo, s + chunk)
+                # b_c adds W_c b_c (bch(u + z, c) = bch(u, c) + z for central z).
+                # Samples in (row, b_r, b_c) order, coordinates first; the central
+                # block of every row in one matrix product (real samples meet
+                # [Re, Im] column pairs).
+                samples = f(np.moveaxis(pts[s:e, :, :, None] + shift[:, None], 1, -1))
+                if np.iscomplexobj(samples):
+                    real = False
+                    vals.append(samples.reshape(-1, m_c) @ central)
+                else:
+                    vals.append((samples.reshape(-1, m_c) @ central.view(float)).view(complex))
+            vals = np.swapaxes(np.concatenate(vals).reshape(hi - lo, m_r, L), 1, 2)  # (C, L, m_r)
             keep = 1 if mirror and real else L
-            # The central block for every pair and b_r in one matrix product
-            # (real samples meet [Re, Im] column pairs), then the b_r axes
-            # pair by pair, last axis first.
-            if real:
-                vals = (vals.reshape(-1, m_c) @ central.view(float)[:, : 2 * keep]).view(complex)
-            else:
-                vals = vals.reshape(-1, m_c) @ central
-            vals = np.swapaxes(vals.reshape(e - s, m_r, keep), 1, 2)
-            for k in range(q_h - q_c - 1, -1, -1):
-                vals = vals.reshape(e - s, keep, -1, nodes.size) @ phases[s:e, :keep, k, :, None]
-            out[lo + s : lo + e, :keep] = vals.reshape(e - s, keep) * scale[s:e, :keep]
-            if keep < L:
-                out[lo + s : lo + e, 1] = out[lo + s : lo + e, 0].conj()
-    return out[:, 0] if isinstance(ell, Functional) else out
+            members = max(1, _CHUNK_BUDGET // ((hi - lo) * pair_size))
+            for a in range(0, M, members):
+                b = min(M, a + members)
+                # lam = ell o Ad_{x^-1}, as rows (C, m, keep, n).
+                lam = flats[:keep] @ _ad_series(basis, -cx[:, a:b], exp_coeffs)
+                lam_h = lam @ w_h
+                # exp(i a . lam_h) = exp(i a* . lam_h) exp(i b_c . ell_c) prod_k
+                # exp(i b_k rate_k) over the b_r axes, one table per distinct rate;
+                # phases is (C, m, keep, q_r, nodes) (NumPy < 2 returns a flat inverse).
+                rate = lam_h @ cols[:, None]
+                rates, index = np.unique(rate, return_inverse=True)
+                phases = (weights * np.exp(1j * rates[:, None] * nodes))[index.reshape(rate.shape)]
+                arg = lam_h @ astar[:, None, :, None] - lam @ twist[:, a:b, :, None]
+                scale = np.exp(1j * arg[..., 0]) / det_r[:, None, None]  # (C, m, keep)
+                # The b_r axes pair by pair, last axis first.
+                v = vals[:, None, :keep]
+                for k in range(q_h - q_c - 1, -1, -1):
+                    v = v.reshape(v.shape[:3] + (-1, nodes.size)) @ phases[:, :, :, k, :, None]
+                out[lo:hi, a:b, :keep] = v.reshape(v.shape[:3]) * scale
+                if keep < L:
+                    out[lo:hi, a:b, 1] = out[lo:hi, a:b, 0].conj()
+    if not rows:
+        out = out[:, 0]
+    return out[..., 0] if isinstance(ell, Functional) else out
 
 
 @dataclass(frozen=True, eq=False)
@@ -649,7 +688,9 @@ def trace_shifted(
     ys, wy = _tensor_grid([(qspec.section_nodes, qspec.section_halfwidth * scale)] * chart.q)
     ws, rem = chart.decompose(basis.bch_coords(cx, chart.section(ys)))
     twist = np.exp(-1j * (rem @ np.stack([e.flat for e in ells], axis=-1)))  # (P, L)
-    kv = kernel_values(f, ells, chart, qspec, ws, ys)
+    # section(w) section(y)^-1 = x section(y) h^-1 section(y)^-1 lies in x H for
+    # every node: the pairs form one row.
+    kv = kernel_values(f, ells, chart, qspec, ws[None], ys[None])[0]
     traces = np.sum(wy * (twist * kv).T, axis=-1)
     return complex(traces[0]) if isinstance(ell, Functional) else traces
 
@@ -709,7 +750,8 @@ def _frequency_plane(
     :func:`_h_phase_rate`; at the reference resolution no node is dropped).
     The rate is read from the layer-built polarization's rows, so
     :func:`chart_for` runs only for pairs that pass and a skipped pair builds
-    no chart.
+    no chart; a pair that runs hands its rows to :func:`chart_for`, so it
+    builds them and runs :func:`is_generic` once.
     Pairs run on at most NILFOURIER_THREADS workers, and never more than there
     are pairs; the parts come back in node order either way, so reductions do
     not depend on the count.
@@ -729,9 +771,10 @@ def _frequency_plane(
         sd = sqrt_det_d(ell, jump)
         if sd <= 0.0:
             return []
-        if _h_phase_rate(ell, _layer_candidate(ell).vectors) > rate_limit:
+        candidate = _layer_candidate(ell)
+        if _h_phase_rate(ell, candidate.vectors) > rate_limit:
             return []
-        chart = chart_for(ell)
+        chart = chart_for(ell, candidate)
         mirror = M - 1 - i
         ells = (ell,) if mirror == i else (ell, Functional(basis, -flat))
         values = integrand(ells, chart)
@@ -804,11 +847,16 @@ def hs_norm_sq(
 ) -> float | np.ndarray:
     """Squared Hilbert-Schmidt norm of the kernel operator.
 
-    Integrates ``|K(x, y)|^2`` in rotated coordinates ``u = x - y`` (fixed
-    box: the kernel decays like the function there) and ``v = x + y``
-    (adaptively scaled box), which stays uniformly resolved over the
-    frequency plane where a plain product grid would alias the diagonal
-    ridge.
+    Integrates ``|K(x, y)|^2`` in rotated coordinates: ``u``, the coset
+    ``H section(x) section(y)^-1 = H section(u)`` (fixed box: the kernel
+    decays like the function there), and ``v = 2x - u`` (adaptively scaled
+    box), which stays uniformly resolved over the frequency plane where a
+    plain product grid would alias the diagonal ridge. ``y`` follows from
+    ``(u, x)`` through :meth:`MalcevChart.decompose`; on an abelian quotient
+    ``G/H`` that is ``u = x - y``, ``v = x + y``. Haar measure on ``G/H`` is
+    Lebesgue in the section coordinates, so ``dx dy = dx du = 2^-q du dv``.
+    Each ``u`` is one row of :func:`kernel_values`: ``f`` is sampled once per
+    coset.
 
     ``ell`` may be a tuple of functionals that the chart polarizes and that
     share ``|ell_T|``, hence one grid; the norms then come back as an array
@@ -824,12 +872,13 @@ def hs_norm_sq(
     vpts, vw = _tensor_grid(
         [(qspec.section_nodes, 2.0 * qspec.section_halfwidth * scale)] * q
     )
-    mu, mv = upts.shape[0], vpts.shape[0]
-    ui, vi = np.meshgrid(np.arange(mu), np.arange(mv), indexing="ij")
-    xs = 0.5 * (vpts[vi.ravel()] + upts[ui.ravel()])
-    ys = 0.5 * (vpts[vi.ravel()] - upts[ui.ravel()])
-    kv = kernel_values(f, ells, chart, qspec, xs, ys)
-    dens = (np.abs(kv.T) ** 2).reshape(len(ells), mu, mv)
+    xs = 0.5 * (vpts[None] + upts[:, None])  # (mu, mv, q)
+    # y with section(x) section(y)^-1 in H section(u): section(y) H =
+    # section(u)^-1 section(x) H, which is x - u on an abelian quotient.
+    cosets = chart.basis.bch_coords(-chart.section(upts)[:, None], chart.section(xs))
+    ys = chart.decompose(cosets)[0]
+    kv = kernel_values(f, ells, chart, qspec, xs, ys)  # one row per u
+    dens = np.moveaxis(np.abs(kv) ** 2, -1, 0)  # (L, mu, mv)
     norms = 2.0**-q * (uw @ dens @ vw)
     return float(norms[0]) if isinstance(ell, Functional) else norms
 

@@ -114,7 +114,7 @@ def is_subordinate(sub: Subalgebra, ell: Functional, tol: float = CLOSURE_TOL) -
     return resid <= tol * scale
 
 
-def generic_polarization(ell: Functional) -> Subalgebra:
+def generic_polarization(ell: Functional, candidate: Subalgebra | None = None) -> Subalgebra:
     """Layer-built polarization at a generic functional.
 
     Spans, for each layer ``k`` of a depth-``N`` algebra: the whole layer if
@@ -124,16 +124,23 @@ def generic_polarization(ell: Functional) -> Subalgebra:
     layer when that one is empty). Verifies subordination, closure, and the
     expected dimension a posteriori and raises :class:`NotGeneric` if the
     candidate fails to polarize (it never does on the tested families).
+
+    A caller that has already checked :func:`is_generic` and built the
+    candidate with :func:`_layer_candidate` may hand it over as
+    ``candidate``; it is then checked, not rebuilt.
     """
-    return _checked_generic_polarization(ell)[0]
+    return _checked_generic_polarization(ell, candidate)[0]
 
 
-def _checked_generic_polarization(ell: Functional) -> tuple[Subalgebra, dict]:
+def _checked_generic_polarization(
+    ell: Functional, sub: Subalgebra | None = None
+) -> tuple[Subalgebra, dict]:
     """:func:`generic_polarization` and the :func:`polarization_check` report
     it passed."""
-    if not is_generic(ell):
-        raise NotGeneric("generic_polarization needs a generic functional")
-    sub = _layer_candidate(ell)
+    if sub is None:
+        if not is_generic(ell):
+            raise NotGeneric("generic_polarization needs a generic functional")
+        sub = _layer_candidate(ell)
     report = polarization_check(sub, ell)
     if not report["passed"]:
         raise NotGeneric(

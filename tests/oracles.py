@@ -7,9 +7,11 @@ The exceptions are the chart maps :func:`tensor_chart_product` and
 :func:`tensor_chart_decompose` and the kernel :func:`tensor_route_kernel`
 built on them, which compose group elements in the package's dense tensor
 algebra instead of its flat-coordinate group law;
-:func:`flat_route_kernel`, which composes every integrand point with the
-package's flat-coordinate group law and chart maps, but without the kernel's
-conjugation form or its split of the subgroup grid;
+:func:`flat_route_kernel`, which composes every integrand point of the
+package's coset form with its flat-coordinate group law and chart maps, but
+without the kernel's adjoint matrices or its split of the subgroup grid;
+:func:`conjugation_route_kernel`, the same on the conjugation form that the
+coset form replaced;
 :func:`left_fold_signature`, which multiplies segment exponentials one at a
 time instead of in batched rounds; :func:`pairwise_mul_signature`, which
 takes the package's pairing order through public ``mul`` on whole elements
@@ -377,16 +379,15 @@ def tensor_chart_decompose(chart, g):
 ORACLE_FRAME_STEP = 1e-3
 
 
-def _framed_kernel(f, ell, chart, qspec, xs, ys, step, point_map, log_gamma_h):
-    """``K_f(section(x), section(y))`` one pair at a time on the package's frame.
+def _framed_kernel(f, chart, qspec, xs, ys, step, route):
+    """``K_f(section(x), section(y))`` one pair at a time on a reframed grid.
 
-    ``point_map(x, y)`` returns the map from subgroup coordinates ``a`` of
-    shape ``(m, q_h)`` to the log coordinates of ``x gamma_h(a) y^-1``, and
-    ``log_gamma_h(a)`` gives those of ``gamma_h(a)``. The frame follows the
-    package's construction, with the Jacobian of that map at ``a = 0`` taken
-    by central differences with step ``step``: QR, recentering, identity frame
-    when ``R`` is rank deficient, on the same trapezoid grid; the character is
-    the per-point ``exp(i ell(log gamma_h(a)))``.
+    ``route(x, y)`` returns the map from subgroup coordinates ``a`` of shape
+    ``(m, q_h)`` to the log coordinates of the integrand's points and their
+    unimodular phases. The frame is the package's kind, with the Jacobian of
+    the point map at ``a = 0`` taken by central differences with step
+    ``step``: QR, recentering, identity frame when ``R`` is rank deficient, on
+    the same trapezoid grid.
     """
     n, q_h = chart.basis.dim, chart.q_h
     nodes = np.linspace(-qspec.h_halfwidth, qspec.h_halfwidth, qspec.h_nodes)
@@ -399,65 +400,113 @@ def _framed_kernel(f, ell, chart, qspec, xs, ys, step, point_map, log_gamma_h):
         bw = np.outer(bw, w).ravel()
     out = []
     for x, y in zip(xs, ys):
-        log_point = point_map(x, y)
-        c0 = log_point(np.zeros((1, q_h)))[0]
+        integrand = route(x, y)
+        c0 = integrand(np.zeros((1, q_h)))[0][0]
         probes = step * np.eye(q_h)
-        jac = (log_point(probes) - log_point(-probes)).T / (2.0 * step)
+        jac = (integrand(probes)[0] - integrand(-probes)[0]).T / (2.0 * step)
         qmat, rmat = np.linalg.qr(jac)
         diag = np.abs(np.diag(rmat))
         if diag.min() <= 1e-12 * max(diag.max(), 1.0):
             qmat, rmat = np.eye(n, q_h), np.eye(q_h)
         rinv = np.linalg.inv(rmat)
         apts = -rinv @ (qmat.T @ c0) + bpts @ rinv.T
-        phase = np.exp(1j * (log_gamma_h(apts) @ ell.flat))
-        total = np.sum(bw * f(log_point(apts)) * phase)
+        points, phases = integrand(apts)
+        total = np.sum(bw * f(points) * phases)
         out.append(total / abs(np.prod(np.diag(rmat))))
     return np.array(out)
 
 
 def tensor_route_kernel(f, ell, chart, qspec, xs, ys, step):
-    """``K_f(section(x), section(y))`` one pair at a time, on dense tensors.
+    """``K_f(section(x), section(y))`` one pair at a time in coset form, on
+    dense tensors.
 
-    Uses the package's per-pair frame and trapezoid grid (see
-    :func:`_framed_kernel`), but composes every integrand point with ``mul``,
-    ``group_inverse`` and ``flat_coords(log_t(.))``.
+    With ``s = section(w)`` the section point of the coset ``H x y^-1``
+    (``w`` from :func:`tensor_chart_decompose`), the points are ``log(gamma_h(a)
+    s)``, the character is ``lam = ell o Ad_{x^-1}``, read as ``ell(log(x^-1 u
+    x))``, and the twist is ``exp(-i lam(log(x y^-1 s^-1)))``: the package's
+    construction, on its frame and trapezoid grid (see :func:`_framed_kernel`),
+    with every product, inverse and log taken by ``mul``, ``group_inverse`` and
+    ``flat_coords(log_t(.))``.
     """
     basis = chart.basis
 
-    def log_gamma_h(a):
-        return basis.flat_coords(log_t(tensor_chart_product(chart, a, 0)))
-
-    def point_map(x, y):
+    def route(x, y):
         gx = tensor_chart_product(chart, x, chart.q_h)
-        gyi = group_inverse(tensor_chart_product(chart, y, chart.q_h))
+        gxi = group_inverse(gx)
+        g0 = mul(gx, group_inverse(tensor_chart_product(chart, y, chart.q_h)))
+        gs = tensor_chart_product(chart, tensor_chart_decompose(chart, g0)[0], chart.q_h)
 
-        def log_point(a):
-            m = a.shape[0]
+        def lam(u):
+            m = u.batch_shape
+            conj = mul(mul(gxi.broadcast_to(m), u), gx.broadcast_to(m))
+            return basis.flat_coords(log_t(conj)) @ ell.flat
+
+        twist = np.exp(-1j * lam(mul(g0, group_inverse(gs)).broadcast_to((1,))))
+
+        def integrand(a):
             gh = tensor_chart_product(chart, a, 0)
-            g = mul(mul(gx.broadcast_to((m,)), gh), gyi.broadcast_to((m,)))
-            return basis.flat_coords(log_t(g))
+            points = basis.flat_coords(log_t(mul(gh, gs.broadcast_to((a.shape[0],)))))
+            return points, twist * np.exp(1j * lam(gh))
 
-        return log_point
+        return integrand
 
-    return _framed_kernel(f, ell, chart, qspec, xs, ys, step, point_map, log_gamma_h)
+    return _framed_kernel(f, chart, qspec, xs, ys, step, route)
 
 
 def flat_route_kernel(f, ell, chart, qspec, xs, ys, step):
-    """``K_f(section(x), section(y))`` one pair at a time, in flat coordinates.
+    """``K_f(section(x), section(y))`` one pair at a time in coset form, in
+    flat coordinates.
 
-    Uses the package's per-pair frame and trapezoid grid (see
-    :func:`_framed_kernel`) and composes every point of the full grid as
-    ``bch(bch(section(x), gamma_h(a)), -section(y))`` with the chart maps and
-    :meth:`LayeredBasis.bch_coords`: no conjugation form and no split of the
-    grid into its central block and the rest.
+    The construction of :func:`tensor_route_kernel`, composed with the chart
+    maps and :meth:`LayeredBasis.bch_coords`: points ``bch(gamma_h(a), log s)``
+    on the full grid, the character ``ell(bch(bch(-log x, log u), log x))``
+    and the twist; no adjoint matrices and no split of the grid into its
+    central block and the rest.
     """
     bch = chart.basis.bch_coords
 
-    def point_map(x, y):
-        sx, syi = chart.section(x), -chart.section(y)
-        return lambda a: bch(bch(sx, chart.gamma_h(a)), syi)
+    def route(x, y):
+        cx = chart.section(x)
+        c0 = bch(cx, -chart.section(y))
+        cs = chart.section(chart.decompose(c0)[0])
 
-    return _framed_kernel(f, ell, chart, qspec, xs, ys, step, point_map, chart.gamma_h)
+        def lam(c):
+            return bch(bch(-cx, c), cx) @ ell.flat
+
+        twist = np.exp(-1j * lam(bch(c0, -cs)))
+
+        def integrand(a):
+            u = chart.gamma_h(a)
+            return bch(u, cs), twist * np.exp(1j * lam(u))
+
+        return integrand
+
+    return _framed_kernel(f, chart, qspec, xs, ys, step, route)
+
+
+def conjugation_route_kernel(f, ell, chart, qspec, xs, ys, step):
+    """``K_f(section(x), section(y))`` one pair at a time in conjugation form,
+    in flat coordinates.
+
+    Points ``bch(bch(section(x), gamma_h(a)), -section(y))`` on the full
+    grid, with the character ``exp(i ell(gamma_h(a)))`` and no twist, on the
+    frame of that map (see :func:`_framed_kernel`): the package's kernel before
+    the coset form. It integrates the same kernel over another parametrization
+    of ``H``: on an abelian subgroup and on every depth-2 group the two frames
+    give the same grid; elsewhere they differ by the grid's quadrature error.
+    """
+    bch = chart.basis.bch_coords
+
+    def route(x, y):
+        sx, syi = chart.section(x), -chart.section(y)
+
+        def integrand(a):
+            u = chart.gamma_h(a)
+            return bch(bch(sx, u), syi), np.exp(1j * (u @ ell.flat))
+
+        return integrand
+
+    return _framed_kernel(f, chart, qspec, xs, ys, step, route)
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,7 @@ from nilfourier.errors import (
     QuadratureUnderflow,
     SpecMismatch,
 )
-from nilfourier import fourier
+from nilfourier import fourier, polarization
 from nilfourier.fourier import (
     _h_phase_rate,
     _resolvable_rate,
@@ -65,6 +65,7 @@ from nilfourier.tensor_algebra import exp_t, group_inverse, log_t, mul
 from oracles import (
     HEISENBERG_C_NORM,
     ORACLE_FRAME_STEP,
+    conjugation_route_kernel,
     flat_route_kernel,
     frequency_plane_by_node,
     heisenberg_hs_sq,
@@ -454,48 +455,64 @@ def test_kernel_matches_flat_route_oracle(d, N):
     assert np.max(np.abs(kv - oracle)) <= 1e-10 * np.max(np.abs(oracle))
 
 
+def _coset_rows(chart: MalcevChart, rng: np.random.Generator, rows: int, members: int):
+    """Section pairs ``(rows, members, q)`` whose rows each share one coset
+    ``H x y^-1 = H section(w)``: ``x`` at random, and ``section(y) H =
+    section(w)^-1 section(x) H`` for a random ``w`` per row."""
+    w = 0.8 * rng.standard_normal((rows, 1, chart.q))
+    xs = 0.8 * rng.standard_normal((rows, members, chart.q))
+    ys = chart.decompose(chart.basis.bch_coords(-chart.section(w), chart.section(xs)))[0]
+    return xs, ys
+
+
+def _counted_bch(monkeypatch, basis: LayeredBasis) -> list[int]:
+    """The point count of every group-law call on ``basis`` from now on."""
+    points = []
+    bch = basis.bch_coords
+
+    def counted(x, y):
+        out = bch(x, y)
+        points.append(out[..., 0].size)
+        return out
+
+    monkeypatch.setattr(basis, "bch_coords", counted)
+    return points
+
+
 def test_kernel_runs_the_group_law_only_off_the_central_block(monkeypatch):
     basis = _basis(2, 2)
     ell = _heisenberg_functional(0.9, 0.3, -0.2)
     chart = chart_for(ell)
-    assert (chart.q_h, chart.q_c) == (2, 1)
-    points = []
-    bch = basis.bch_coords
-
-    def counted(x, y):
-        out = bch(x, y)
-        points.append(out[..., 0].size)
-        return out
-
-    monkeypatch.setattr(basis, "bch_coords", counted)
+    assert (chart.q_h, chart.q_c, chart.q) == (2, 1, 1)
+    R, M = 5, 3
+    xs, ys = _coset_rows(chart, np.random.default_rng(4), R, M)
+    points = _counted_bch(monkeypatch, basis)
     q = _low_res()
-    P = 5
-    xs, ys = np.random.default_rng(4).standard_normal((2, P, chart.q))
     kernel_values(SchwartzFunction.gaussian(basis.dim), ell, chart, q, xs, ys)
-    # recentring (P points), integrand (P h_nodes^(q_h - q_c)); the frame is exact
-    assert sorted(points) == [P, P * q.h_nodes ** (chart.q_h - chart.q_c)]
+    # log(x y^-1) and the twist argument of every pair (R M points each), the
+    # coset point of every row (one decompose step, R points) and the integrand,
+    # R h_nodes^(q_h - q_c) points; the frame is exact
+    expected = [R * M, R * M, R, R * q.h_nodes ** (chart.q_h - chart.q_c)]
+    assert sorted(points) == sorted(expected)
 
 
 def test_kernel_runs_the_group_law_once_per_block_of_pairs(monkeypatch):
-    # 200 pairs are more than one integrand sub-chunk (57 pairs at 24 nodes),
-    # but the per-pair work still takes a single pass
+    # 100 rows are more than one integrand sub-chunk (57 rows at 24 nodes),
+    # but the per-row and per-pair work still takes a single pass
     basis = _basis(2, 2)
     ell = _heisenberg_functional(0.9, 0.3, -0.2)
     chart = chart_for(ell)
-    points = []
-    bch = basis.bch_coords
-
-    def counted(x, y):
-        out = bch(x, y)
-        points.append(out[..., 0].size)
-        return out
-
-    monkeypatch.setattr(basis, "bch_coords", counted)
+    R, M = 100, 2
+    xs, ys = _coset_rows(chart, np.random.default_rng(5), R, M)
+    points = _counted_bch(monkeypatch, basis)
+    rows = []
+    gauss = SchwartzFunction.gaussian(basis.dim)
+    f = SchwartzFunction(basis.dim, lambda c: rows.append(len(c)) or gauss(c), gauss.decay_box)
     q = _low_res(h_nodes=24)
-    P = 200
-    xs, ys = np.random.default_rng(5).standard_normal((2, P, chart.q))
-    kernel_values(SchwartzFunction.gaussian(basis.dim), ell, chart, q, xs, ys)
-    assert sorted(points) == [P, P * q.h_nodes ** (chart.q_h - chart.q_c)]
+    kernel_values(f, ell, chart, q, xs, ys)
+    assert rows == [57, 43]
+    expected = [R * M, R * M, R, R * q.h_nodes ** (chart.q_h - chart.q_c)]
+    assert sorted(points) == sorted(expected)
 
 
 @pytest.mark.parametrize("d,N", [(2, 2), (3, 2), (2, 3)])
@@ -504,13 +521,7 @@ def test_kernel_values_do_not_depend_on_how_pairs_are_batched(monkeypatch, d, N,
     basis = _basis(d, N)
     ell = sample_generic(basis, np.random.default_rng(7))
     chart = chart_for(ell)
-    f = SchwartzFunction.gaussian(basis.dim)
-    if complex_f:
-        freq = np.linspace(-0.6, 0.9, basis.dim)
-        gauss = f
-        f = SchwartzFunction(
-            basis.dim, lambda c: gauss(c) * np.exp(1j * (c @ freq)), gauss.decay_box
-        )
+    f = _complex_gaussian(basis.dim) if complex_f else SchwartzFunction.gaussian(basis.dim)
     # with real samples the mirror tuple takes the conjugate route
     targets = [ell] if complex_f else [ell, (ell, Functional(basis, -ell.flat))]
     q = _low_res()
@@ -523,8 +534,9 @@ def test_kernel_values_do_not_depend_on_how_pairs_are_batched(monkeypatch, d, N,
         )
         for t in targets
     ]
-    # A budget of 23 pairs per block splits the whole batch into uneven
-    # blocks (two section calls each), and each block into integrand sub-chunks.
+    # A pair list is a list of rows of one pair. A budget of 23 rows per block
+    # splits the whole batch into uneven blocks (three section calls each: x,
+    # y and the coset points), and each block into integrand sub-chunks.
     m_c, m_r = (q.h_nodes**k for k in (chart.q_c, chart.q_h - chart.q_c))
     monkeypatch.setattr(fourier, "_CHUNK_BUDGET", 23 * max(m_c, m_r, basis.dim) * basis.dim)
     sections = []
@@ -538,8 +550,116 @@ def test_kernel_values_do_not_depend_on_how_pairs_are_batched(monkeypatch, d, N,
     for target, part in zip(targets, parts):
         sections.clear()
         whole = kernel_values(f, target, chart, q, xs, ys)
-        assert sections == [23, 23, 23, 23, 14, 14]
+        assert sections == [23] * 6 + [14] * 3
         assert np.max(np.abs(whole - part)) <= 1e-14 * np.max(np.abs(part))
+
+
+@pytest.mark.parametrize("d,N", [(2, 2), (3, 2), (2, 3)])
+@pytest.mark.parametrize("complex_f", [False, True])
+def test_kernel_values_do_not_depend_on_how_rows_are_batched(monkeypatch, d, N, complex_f):
+    basis = _basis(d, N)
+    n = basis.dim
+    ell = sample_generic(basis, np.random.default_rng(7))
+    chart = chart_for(ell)
+    f = _complex_gaussian(n) if complex_f else SchwartzFunction.gaussian(n)
+    targets = [ell] if complex_f else [ell, (ell, Functional(basis, -ell.flat))]
+    q = _low_res()
+    R, M = 12, 5
+    xs, ys = _coset_rows(chart, np.random.default_rng(12), R, M)
+    expected = [kernel_values(f, t, chart, q, xs, ys) for t in targets]
+    m_c, m_r = (q.h_nodes**k for k in (chart.q_c, chart.q_h - chart.q_c))
+    sections, pairs, sampled = [], [], []
+    section, ad_matrix = chart.section, basis.ad_matrix
+
+    def counted_section(y):
+        sections.append(len(y))
+        return section(y)
+
+    def counted_ad(x):
+        if x.ndim == 3:  # the per-pair adjoints: (rows, members, n)
+            pairs.append(x.shape[0] * x.shape[1])
+        return ad_matrix(x)
+
+    gauss = f
+    counted_f = SchwartzFunction(n, lambda c: sampled.append(len(c)) or gauss(c), f.decay_box)
+    monkeypatch.setattr(chart, "section", counted_section)
+    monkeypatch.setattr(basis, "ad_matrix", counted_ad)
+    for target, want in zip(targets, expected):
+        L = 1 if isinstance(target, Functional) else len(target)
+        pair = max(n, L * m_r // q.h_nodes) * n  # one pair's adjoint and contraction
+        row = max(m_c, m_r) * n
+        # Blocks of 5 rows whose pairs all fit; then a budget below one row's
+        # pairs: a row per block, its members in chunks of 2.
+        for budget, blocks in ((5 * max(row, M * pair), [5, 5, 2]), (2 * pair, [1] * R)):
+            monkeypatch.setattr(fourier, "_CHUNK_BUDGET", budget)
+            sections.clear(), pairs.clear(), sampled.clear()
+            got = kernel_values(counted_f, target, chart, q, xs, ys)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+            # x, y and the coset points of each block's rows
+            assert sections == [b for b in blocks for _ in range(3)]
+            # rows times members of every per-pair pass within the budget
+            assert sum(pairs) == R * M and all(p * pair <= budget for p in pairs)
+            assert sum(sampled) == R
+            assert all(s <= max(1, budget // (m_c * m_r * n)) for s in sampled)
+        assert max(pairs) == 2
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [GroupSpec(2, 2), GroupSpec(3, 2), GroupSpec(2, 2, "FullTensor")],
+    ids=["2,2", "3,2", "FullTensor-2,2"],
+)
+@pytest.mark.parametrize("complex_f", [False, True])
+def test_rows_of_pairs_match_rows_of_one_pair(spec, complex_f):
+    basis = build_layered_basis(spec)
+    rng = np.random.default_rng(3)
+    ell = sample_generic(basis, rng)
+    chart = chart_for(ell)
+    f = _complex_gaussian(basis.dim) if complex_f else SchwartzFunction.gaussian(basis.dim)
+    q = _low_res()
+    R, M = 4, 6
+    xs, ys = _coset_rows(chart, rng, R, M)
+    for target, tail in ((ell, ()), ((ell, Functional(basis, -ell.flat)), (2,))):
+        rows = kernel_values(f, target, chart, q, xs, ys)
+        pairs = (xs.reshape(-1, chart.q), ys.reshape(-1, chart.q))
+        singles = kernel_values(f, target, chart, q, *pairs).reshape(rows.shape)
+        assert rows.shape == (R, M) + tail
+        assert np.max(np.abs(rows - singles)) <= 1e-13 * np.max(np.abs(singles))
+
+
+@pytest.mark.parametrize("d,N", [(2, 2), (2, 3)])
+def test_a_row_whose_pairs_do_not_share_a_coset_is_refused(d, N):
+    basis = _basis(d, N)
+    ell = sample_generic(basis, np.random.default_rng(7))
+    chart = chart_for(ell)
+    f = SchwartzFunction.gaussian(basis.dim)
+    xs, ys = _coset_rows(chart, np.random.default_rng(2), 3, 4)
+    ys[1, 2] += 0.5  # G/H is the line of the section coordinate: another coset
+    with pytest.raises(DimensionMismatch, match="coset"):
+        kernel_values(f, ell, chart, _low_res(), xs, ys)
+    # as rows of one pair each, every pair names its own coset
+    kernel_values(f, ell, chart, _low_res(), xs.reshape(-1, chart.q), ys.reshape(-1, chart.q))
+
+
+def test_f_is_sampled_once_per_coset():
+    basis = _basis(2, 2)
+    ell = _heisenberg_functional(0.9)
+    target = (ell, Functional(basis, -ell.flat))
+    chart = chart_for(ell)
+    q = _low_res(h_nodes=12, section_nodes=10)
+    points = []
+    gauss = SchwartzFunction.gaussian(basis.dim)
+    f = SchwartzFunction(
+        basis.dim, lambda c: points.append(c[..., 0].size) or gauss(c), gauss.decay_box
+    )
+    # one row per coset u of the Hilbert-Schmidt grid, whatever the number of v
+    hs_norm_sq(f, target, chart, q)
+    assert sum(points) == q.section_nodes**chart.q * q.h_nodes**chart.q_h
+    # every node of a shifted trace lies in the coset of the point
+    points.clear()
+    x = exp_t(basis.algebra_element(np.array([0.1, 0.3, -0.2])))
+    trace_shifted(f, target, chart, q, x)
+    assert sum(points) == q.h_nodes**chart.q_h
 
 
 @pytest.mark.parametrize("d,N", [(2, 2), (2, 3)])
@@ -622,6 +742,62 @@ def test_kernel_with_several_central_axes_matches_the_oracles(spec, complex_f):
     route = flat_route_kernel if spec.N > 2 else tensor_route_kernel
     oracle = route(f, ell, chart, q, xs, ys, ORACLE_FRAME_STEP)
     assert np.max(np.abs(kv - oracle)) <= 1e-10 * np.max(np.abs(oracle))
+
+
+@pytest.mark.parametrize(
+    "spec,pairs",
+    [
+        (GroupSpec(2, 2), 3),
+        (GroupSpec(3, 2), 3),
+        (GroupSpec(2, 2, "FullTensor"), 3),
+        (GroupSpec(4, 2), 3),
+        (GroupSpec(2, 4), 1),
+    ],
+    ids=["2,2", "3,2", "FullTensor-2,2", "4,2-ideal", "2,4"],
+)
+def test_conjugation_form_matches_where_the_frames_coincide(spec, pairs):
+    # h -> x h x^-1 carries the conjugation form's grid onto the coset form's
+    # whenever the map a -> log(gamma_h(a) s) is affine: on every depth-2 group
+    # and on an abelian subgroup, here (2, 4)'s (about 0.4 s a pair). (4, 2)
+    # uses its abelian ideal chart.
+    basis = build_layered_basis(spec)
+    ell = sample_generic(basis, np.random.default_rng(7))
+    chart = _abelian_ideal_chart(basis) if spec.d == 4 else chart_for(ell)
+    xs, ys = 0.8 * np.random.default_rng(9).standard_normal((2, pairs, chart.q))
+    q = _low_res()
+    for f in (SchwartzFunction.gaussian(basis.dim), _complex_gaussian(basis.dim)):
+        kv = kernel_values(f, ell, chart, q, xs, ys)
+        oracle = conjugation_route_kernel(f, ell, chart, q, xs, ys, ORACLE_FRAME_STEP)
+        assert np.max(np.abs(kv - oracle)) <= 1e-10 * np.max(np.abs(oracle))
+
+
+@pytest.mark.parametrize("complex_f", [False, True])
+def test_coset_and_conjugation_forms_converge_together_on_a_non_abelian_subgroup(complex_f):
+    # On (2, 3) the subgroup is not abelian, and the two forms place their
+    # grids differently: they integrate the same kernel and differ by the
+    # quadrature error of the grid. At the fixed half-width 8 that error stalls
+    # near 2e-4 of max |K| from 16 nodes on (the conjugation form's sheared
+    # integrand is truncated by the box), so the box grows with the node count
+    # at a spacing of about one. Measured differences, relative to max |K|, at
+    # (half-width, nodes) = (8, 16), (10, 20), (12, 24): 1.2e-6, 2.3e-7,
+    # 2.4e-8 for the real f and 5.5e-6, 2.9e-7, 2.8e-8 for the complex one.
+    # The bounds are about twice those.
+    bounds = [2.4e-6, 4.6e-7, 4.8e-8] if not complex_f else [1.1e-5, 5.8e-7, 5.6e-8]
+    grids = [(8.0, 16), (10.0, 20), (12.0, 24)]
+    basis = _basis(2, 3)
+    ell = sample_generic(basis, np.random.default_rng(7))
+    chart = chart_for(ell)
+    assert not chart._commutes[: chart.q_h, : chart.q_h].all()
+    f = _complex_gaussian(basis.dim) if complex_f else SchwartzFunction.gaussian(basis.dim)
+    xs, ys = 0.8 * np.random.default_rng(9).standard_normal((2, 1, chart.q))
+    diffs = []
+    for (halfwidth, nodes), bound in zip(grids, bounds):
+        q = _low_res(h_nodes=nodes, h_halfwidth=halfwidth)
+        kv = kernel_values(f, ell, chart, q, xs, ys)
+        oracle = conjugation_route_kernel(f, ell, chart, q, xs, ys, ORACLE_FRAME_STEP)
+        diffs.append(np.max(np.abs(kv - oracle)) / np.max(np.abs(oracle)))
+        assert diffs[-1] <= bound
+    assert diffs[0] > diffs[1] > diffs[2]
 
 
 @pytest.mark.parametrize("d,N", [(2, 2), (2, 3), (3, 2), (2, 4)])
@@ -926,6 +1102,40 @@ def test_plancherel_abelian_line_is_parseval():
         q = _low_res(h_nodes=48, section_nodes=48, t_nodes=48)
         res = plancherel(f, basis, q)
         assert res["ratio"] == pytest.approx(1.0, abs=1e-6)
+
+
+def test_frequency_plane_builds_the_rows_of_a_pair_once(monkeypatch):
+    # a pair that runs hands its layer-built rows to chart_for: one build of
+    # the rows and one genericity test per pair, and one chart and one
+    # polarization check per pair that runs
+    basis = _basis(2, 2)
+    q = _low_res(h_nodes=24)
+    calls = {}
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in [
+        (fourier, "_layer_candidate"),
+        (polarization, "_layer_candidate"),
+        (fourier, "is_generic"),
+        (polarization, "is_generic"),
+        (fourier, "chart_for"),
+        (polarization, "polarization_check"),
+    ]:
+        count(module, name)
+    invert(SchwartzFunction.gaussian(basis.dim), GradedElement.identity(basis.spec), basis, q)
+    # the top coordinate at +-8, +-5.7, +-3.4, +-1.1: the first two pairs
+    # oscillate faster than the subgroup grid samples
+    assert _resolvable_rate(q) == pytest.approx(4.06, abs=0.01)
+    expected = {"is_generic": 4, "_layer_candidate": 4, "chart_for": 2, "polarization_check": 2}
+    assert calls == expected
 
 
 def test_transforms_are_zero_when_every_frequency_node_is_skipped():
