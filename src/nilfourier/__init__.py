@@ -62,7 +62,6 @@ from .coadjoint import (
     full_orbit_dim,
     is_generic,
     jump_sets,
-    orbit_dim_numeric,
     orbit_dim_numeric_all,
     orbit_dim_quotient_generic,
     quotient_prefix_len,
@@ -85,7 +84,6 @@ from .fourier import (
     character,
     chart_for,
     d_matrix,
-    haar_invariance_check,
     hs_norm_sq,
     invert,
     kernel_values,
@@ -149,7 +147,6 @@ __all__ = [
     "is_generic",
     "orbit_dim_quotient_generic",
     "quotient_prefix_len",
-    "orbit_dim_numeric",
     "orbit_dim_numeric_all",
     "full_orbit_dim",
     "jump_sets",
@@ -176,5 +173,4 @@ __all__ = [
     "invert",
     "hs_norm_sq",
     "plancherel",
-    "haar_invariance_check",
 ]

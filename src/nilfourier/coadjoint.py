@@ -19,6 +19,7 @@ a given functional as ranks of row blocks of its skew form.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,7 +40,6 @@ __all__ = [
     "dim_km",
     "is_generic",
     "orbit_dim_quotient_generic",
-    "orbit_dim_numeric",
     "orbit_dim_numeric_all",
     "full_orbit_dim",
     "jump_sets",
@@ -53,12 +53,12 @@ GENERIC_RANK_RTOL = 1e-8
 RANK_FLOOR = 1e-30
 
 
-def _svd_rank(s: np.ndarray, rtol: float, top: float | None = None) -> int:
-    """Number of singular values ``s`` above ``max(rtol * top, RANK_FLOOR)``;
-    ``top`` defaults to the largest of ``s``."""
+def _svd_rank(s: np.ndarray, rtol: float, top: np.ndarray | None = None) -> np.ndarray:
+    """Number of singular values ``s`` above ``max(rtol * top, RANK_FLOOR)``,
+    batched over leading axes; ``top`` defaults to the largest of ``s``."""
     if top is None:
-        top = s.max(initial=0.0)
-    return int(np.count_nonzero(s > max(rtol * top, RANK_FLOOR)))
+        top = s.max(axis=-1, initial=0.0)
+    return (s > np.maximum(rtol * top, RANK_FLOOR)[..., None]).sum(axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,36 +221,60 @@ def dim_km(spec: GroupSpec, k: int, m: int) -> int:
     return min(_block_rank(spec, k), m)
 
 
-def b_matrix_ranks(ell: Functional) -> dict[int, int]:
+def _functionals(ell: Functional | Sequence[Functional]) -> tuple[Functional, ...]:
+    """The functionals of one call: ``ell`` itself, or the members of a
+    sequence, which must be non-empty and share one basis."""
+    ells = (ell,) if isinstance(ell, Functional) else tuple(ell)
+    if not ells or any(e.basis is not ells[0].basis for e in ells):
+        raise DimensionMismatch("a sequence of functionals must be non-empty and share one basis")
+    return ells
+
+
+def _block_ranks(basis: LayeredBasis, skews: np.ndarray) -> dict[int, np.ndarray]:
     """Rank of the leading ``r_k x r_k`` block of each pairing block ``B^k``
     (``k <= N/2``, layers ``k`` and ``N-k`` nonempty, ``r_k`` from
-    :func:`_block_rank`), whose rows and columns are the jump indices of the
-    two layers. The cut is relative to the largest singular value of the whole
-    ``B^k``, so rounding noise in a small leading block is not taken for rank.
+    :func:`_block_rank`) for a stack of skew forms ``(P, n, n)``, one rank
+    per form. The rows and columns of the leading block are the jump indices
+    of the two layers. The cut is relative to the largest singular value of
+    the whole ``B^k``, so rounding noise in a small leading block is not taken
+    for rank.
     """
-    basis = ell.basis
     spec = basis.spec
     N = spec.N
     dims = spec.layer_dims()
     ranks = {}
     for k in range(1, N // 2 + 1):
         if dims[k - 1] and dims[N - k - 1]:
-            block = ell.skew[basis.layer_slice(k), basis.layer_slice(N - k)]
+            block = skews[:, basis.layer_slice(k), basis.layer_slice(N - k)]
             r = _block_rank(spec, k)
             s = np.linalg.svd(block, compute_uv=False)
-            top = s.max(initial=0.0)
-            if (r, r) != block.shape:
-                s = np.linalg.svd(block[:r, :r], compute_uv=False)
+            top = s.max(axis=-1, initial=0.0)
+            if (r, r) != block.shape[1:]:
+                s = np.linalg.svd(block[:, :r, :r], compute_uv=False)
             ranks[k] = _svd_rank(s, GENERIC_RANK_RTOL, top)
     return ranks
 
 
-def is_generic(ell: Functional) -> bool:
+def b_matrix_ranks(ell: Functional) -> dict[int, int]:
+    """:func:`_block_ranks` of one functional."""
+    return {k: int(r[0]) for k, r in _block_ranks(ell.basis, ell.skew[None]).items()}
+
+
+def is_generic(ell: Functional | Sequence[Functional]) -> bool | np.ndarray:
     """Whether the functional is in general position: the leading block of
-    every pairing block ``B^k`` (:func:`b_matrix_ranks`) is nonsingular, which
-    is ``Pf_S(ell) != 0`` over the jump set ``S``."""
-    spec = ell.spec
-    return all(rank == _block_rank(spec, k) for k, rank in b_matrix_ranks(ell).items())
+    every pairing block ``B^k`` (:func:`_block_ranks`) is nonsingular, which
+    is ``Pf_S(ell) != 0`` over the jump set ``S``.
+
+    A sequence of functionals on one basis is decided in one stacked pass and
+    gives a boolean array, one entry per member; one functional is the
+    one-member case and gives a ``bool``.
+    """
+    ells = _functionals(ell)
+    basis = ells[0].basis
+    generic = np.ones(len(ells), dtype=bool)
+    for k, rank in _block_ranks(basis, np.stack([e.skew for e in ells])).items():
+        generic &= rank == _block_rank(basis.spec, k)
+    return bool(generic[0]) if isinstance(ell, Functional) else generic
 
 
 def orbit_dim_quotient_generic(spec: GroupSpec, k: int, m: int) -> int:
@@ -290,7 +314,7 @@ def _prefix_rank(ell: Functional, p: int) -> int:
     action of ``exp(t)`` on the ideal and ``Psi`` the differential of
     ``exp``; both are invertible, so its rank is the same at every ``t``.
     """
-    return _svd_rank(np.linalg.svd(ell.skew[:p], compute_uv=False), GENERIC_RANK_RTOL)
+    return int(_svd_rank(np.linalg.svd(ell.skew[:p], compute_uv=False), GENERIC_RANK_RTOL))
 
 
 def orbit_dim_numeric_all(ell: Functional) -> dict[tuple[int, int], int]:
@@ -304,32 +328,6 @@ def orbit_dim_numeric_all(ell: Functional) -> dict[tuple[int, int], int]:
     spec = basis.spec
     labels = [(0, spec.layer_dims()[spec.N - 1])] + _quotient_labels(spec)
     return {(k, m): _prefix_rank(ell, quotient_prefix_len(basis, k, m)) for k, m in labels}
-
-
-def orbit_dim_numeric(
-    ell: Functional,
-    k: int | None = None,
-    m: int | None = None,
-    *,
-    prefix_len: int | None = None,
-) -> int:
-    """Orbit dimension of one Malcev-prefix quotient (:func:`_prefix_rank`).
-
-    With no quotient arguments this is the dimension of the full orbit;
-    ``(k, m)`` selects a layer quotient and ``prefix_len`` an arbitrary
-    Malcev-prefix quotient.
-    """
-    basis = ell.basis
-    if prefix_len is None:
-        if k is None:
-            prefix_len = basis.dim
-        else:
-            if m is None:
-                raise IndexOutOfRange("orbit_dim_numeric needs m alongside k")
-            prefix_len = quotient_prefix_len(basis, k, m)
-    if not 0 <= prefix_len <= basis.dim:
-        raise IndexOutOfRange(f"prefix length {prefix_len} outside 0..{basis.dim}")
-    return _prefix_rank(ell, prefix_len)
 
 
 def full_orbit_dim(ell: Functional) -> int:

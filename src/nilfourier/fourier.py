@@ -36,13 +36,15 @@ budget. ``hs_norm_sq`` passes one row per coset of its grid and
 ``trace_shifted`` one row in all. The frequency plane runs in mirror pairs
 ``ell``, ``-ell``, which share the chart, the section grid and the samples of
 ``f``; for real ``f`` the kernel at ``-ell`` is the conjugate of the kernel at
-``ell``.
+``ell``. Every pair is decided in one batched pass before any pair runs.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
@@ -54,6 +56,7 @@ from .coadjoint import (
     _ad_series,
     _bernoulli_series,
     _exp_series,
+    _functionals,
     _svd_rank,
     is_generic,
     jump_sets,
@@ -66,8 +69,7 @@ from .errors import (
     QuadratureUnderflow,
 )
 from .lie_basis import LayeredBasis, json_number
-from .polarization import Subalgebra, generic_polarization
-from .polarization import _layer_candidate
+from .polarization import Subalgebra, _layer_rows, generic_polarization
 from .tensor_algebra import GradedElement, Role, log_t
 
 __all__ = [
@@ -86,19 +88,16 @@ __all__ = [
     "invert",
     "hs_norm_sq",
     "plancherel",
-    "haar_invariance_check",
     "thread_count",
 ]
 
 #: Coordinates (points times algebra dimension) per vectorized array in
 #: kernel evaluation. It sizes the blocks of rows that share one pass of
-#: per-row work, the chunks of their pairs, and the integrand sub-chunks
-#: within a block. Arrays much above a megabyte measured slower per point:
-#: each chunk then page-faults its fresh temporaries.
+#: per-row work, the chunks of their pairs, the integrand sub-chunks within
+#: a block, and the chunks of skew forms the frequency plane decides at once.
+#: Arrays much above a megabyte measured slower per point: each chunk then
+#: page-faults its fresh temporaries.
 _CHUNK_BUDGET = 100_000
-
-#: Monte Carlo samples per vectorized chunk in :func:`haar_invariance_check`.
-_HAAR_CHUNK = 250_000
 
 
 def thread_count() -> int:
@@ -189,6 +188,17 @@ def _tensor_grid(axes: list[tuple[int, float]]) -> tuple[np.ndarray, np.ndarray]
     w = np.ones(pts.shape[0])
     for wm in wmesh:
         w = w * wm.ravel()
+    return pts, w
+
+
+@functools.lru_cache(maxsize=8)
+def _cube_grid(nodes: int, halfwidth: float, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_tensor_grid` with ``dim`` equal axes, built once per key and
+    read-only: the grids that depend only on the :class:`QuadratureSpec` (the
+    subgroup blocks, the ``u`` grid of :func:`hs_norm_sq`, the frequency
+    plane) serve every node and call."""
+    pts, w = _tensor_grid([(nodes, halfwidth)] * dim)
+    pts.flags.writeable = w.flags.writeable = False
     return pts, w
 
 
@@ -403,8 +413,9 @@ def _resolvable_rate(qspec: QuadratureSpec) -> float:
     return 0.9 * math.pi * (qspec.h_nodes - 1) / (2.0 * qspec.h_halfwidth)
 
 
-def _h_phase_rate(ell: Functional, rows: np.ndarray) -> float:
-    """Peak oscillation rate of the subgroup integral for this functional.
+def _h_phase_rate(flat: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Peak oscillation rate of the subgroup integral for a functional's
+    coordinates ``flat`` (batched: ``(..., n)`` with rows ``(..., r, n)``).
 
     The character contributes ``exp(i a . ell_H)`` inside every subgroup
     integral, an oscillation of rate ``|ell_H|`` that no choice of section
@@ -414,7 +425,7 @@ def _h_phase_rate(ell: Functional, rows: np.ndarray) -> float:
     frequency box, a smooth truncation instead of a wild error). ``rows`` are
     orthonormal rows spanning the subalgebra, so no chart is needed.
     """
-    return float(np.linalg.norm(rows @ ell.flat))
+    return np.linalg.norm(rows @ flat[..., None], axis=(-2, -1))
 
 
 def _check_h_box(f: SchwartzFunction, qspec: QuadratureSpec) -> None:
@@ -423,15 +434,6 @@ def _check_h_box(f: SchwartzFunction, qspec: QuadratureSpec) -> None:
             f"H box half-width {qspec.h_halfwidth} is smaller than the "
             f"function's decay box {float(np.max(f.decay_box))}"
         )
-
-
-def _functionals(ell: Functional | tuple[Functional, ...]) -> tuple[Functional, ...]:
-    """The functionals of one kernel call: ``ell`` itself, or the members of a
-    tuple, which must share one basis."""
-    ells = (ell,) if isinstance(ell, Functional) else tuple(ell)
-    if not ells or any(e.basis is not ells[0].basis for e in ells):
-        raise DimensionMismatch("a tuple of functionals must be non-empty and share one basis")
-    return ells
 
 
 def _shared_section_scale(
@@ -534,7 +536,7 @@ def kernel_values(
         # The grid points b, split into the leading central block b_c, with its
         # product weights, and the rest b_r.
         (grid_c, w_grid_c), (grid_r, _) = (
-            _tensor_grid([(qspec.h_nodes, qspec.h_halfwidth)] * k) for k in (q_c, q_h - q_c)
+            _cube_grid(qspec.h_nodes, qspec.h_halfwidth, k) for k in (q_c, q_h - q_c)
         )
         m_c, m_r = grid_c.shape[0], grid_r.shape[0]
         w_c, w_r, w_h = chart.W[:, :q_c], chart.W[:, q_c:q_h], chart.W[:, :q_h]
@@ -708,15 +710,21 @@ def d_matrix(ell: Functional, jump: JumpData | None = None) -> np.ndarray:
     return ell.skew[np.ix_(idx, idx)]
 
 
-def sqrt_det_d(ell: Functional, jump: JumpData | None = None) -> float:
-    """``sqrt(|det D|)`` for the jump-index skew matrix ``D``."""
-    dmat = d_matrix(ell, jump)
-    m = dmat.shape[0]
-    if m == 0:
-        return 1.0
-    if m % 2 == 1:
-        return 0.0
-    return math.sqrt(abs(np.linalg.det(dmat)))
+def sqrt_det_d(
+    ell: Functional | Sequence[Functional], jump: JumpData | None = None
+) -> float | np.ndarray:
+    """``sqrt(|det D|)`` for the jump-index skew matrix ``D`` (:func:`d_matrix`).
+
+    A sequence of functionals on one basis gives an array, one entry per
+    member, from one stacked determinant; one functional is the one-member
+    case and gives a ``float``.
+    """
+    ells = _functionals(ell)
+    if jump is None:
+        jump = jump_sets(ells[0].basis)
+    dmat = np.stack([d_matrix(e, jump) for e in ells])
+    sd = np.zeros(len(ells)) if len(jump.S) % 2 else np.sqrt(np.abs(np.linalg.det(dmat)))
+    return float(sd[0]) if isinstance(ell, Functional) else sd
 
 
 def c_norm(basis: LayeredBasis, jump: JumpData | None = None) -> float:
@@ -724,6 +732,50 @@ def c_norm(basis: LayeredBasis, jump: JumpData | None = None) -> float:
     if jump is None:
         jump = jump_sets(basis)
     return (2.0 * math.pi) ** (-(basis.dim - len(jump.S) / 2.0))
+
+
+def _plane_nodes(
+    basis: LayeredBasis, jump: JumpData, qspec: QuadratureSpec, t_nodes: int
+) -> tuple[np.ndarray, list]:
+    """The frequency plane's weights and the pairs that run, decided in one
+    batched pass.
+
+    Node ``i < (M + 1) // 2`` of the plane's ``M`` nodes stands for the pair
+    of itself and its mirror ``M - 1 - i``. A pair runs when it is generic,
+    ``sqrt(det D) > 0`` and its subgroup phase rate ``|ell_h|`` is within the
+    grid's resolvable rate. Every layer above the middle lies in the
+    layer-built polarization, so ``|ell_h|`` is at least the norm of those
+    layers of ``ell``: a pair over the rate limit by that norm alone (beyond a
+    relative ``1e-12`` of rounding) cannot run and is decided there. The rest
+    run in chunks of ``_CHUNK_BUDGET // n^2`` functionals (one skew form
+    each): one stacked :func:`is_generic` and one stacked :func:`sqrt_det_d`
+    per chunk, then the layer-built rows (:func:`_layer_rows`) and ``|ell_h|``
+    (:func:`_h_phase_rate`) of the pairs that pass both. The pairs that run
+    come back as ``(i, ell, sqrt(det D), candidate)`` in node order, with
+    ``candidate`` holding their rows.
+    """
+    pts, wts = _cube_grid(t_nodes, qspec.t_halfwidth, len(jump.T))
+    pairs = (len(wts) + 1) // 2
+    flats = np.zeros((pairs, basis.dim))
+    flats[:, [basis.flat_index(k, i) for (k, i) in jump.T]] = pts[:pairs]
+    rate_limit = _resolvable_rate(qspec)
+    N = basis.spec.N
+    upper = np.r_[tuple(basis.layer_slice(k) for k in range(N // 2 + 1, N + 1))]
+    near = np.flatnonzero(np.linalg.norm(flats[:, upper], axis=-1) <= rate_limit * (1 + 1e-12))
+    step = max(1, _CHUNK_BUDGET // basis.dim**2)
+    running = []
+    for lo in range(0, near.size, step):
+        nodes = near[lo : lo + step]
+        ells = [Functional(basis, flats[i]) for i in nodes]
+        sds = sqrt_det_d(ells, jump)
+        live = np.flatnonzero(is_generic(ells) & (sds > 0.0))
+        if not live.size:
+            continue
+        for members, rows in _layer_rows(basis, np.stack([ells[j].skew for j in live])):
+            resolved = _h_phase_rate(flats[nodes[live[members]]], rows) <= rate_limit
+            for j, r in zip(live[members][resolved], rows[resolved]):
+                running.append((nodes[j], ells[j], sds[j], Subalgebra(basis, r)))
+    return wts, sorted(running, key=lambda node: node[0])
 
 
 def _frequency_plane(
@@ -743,52 +795,39 @@ def _frequency_plane(
     polarizes ``-ell``), so they run once per pair. A centre node (every
     axis odd) is its own mirror and gets ``(ell,)``.
 
-    Non-generic nodes contribute zero. They are the null set where
-    ``sqrt(det D) = 0``, found by the block ranks of :func:`is_generic`, so a
-    ``det D`` that is only rounding noise does not count. Nodes whose subgroup
-    phase rate the grid cannot resolve contribute zero too (see
-    :func:`_h_phase_rate`; at the reference resolution no node is dropped).
-    The rate is read from the layer-built polarization's rows, so
-    :func:`chart_for` runs only for pairs that pass and a skipped pair builds
-    no chart; a pair that runs hands its rows to :func:`chart_for`, so it
-    builds them and runs :func:`is_generic` once.
-    Pairs run on at most NILFOURIER_THREADS workers, and never more than there
-    are pairs; the parts come back in node order either way, so reductions do
-    not depend on the count.
+    Every pair is decided before any runs, in one batched pass
+    (:func:`_plane_nodes`). Non-generic nodes contribute zero. They are the
+    null set where ``sqrt(det D) = 0``, found by the block ranks of
+    :func:`is_generic`, so a ``det D`` that is only rounding noise does not
+    count. Nodes whose subgroup phase rate the grid cannot resolve contribute
+    zero too (see :func:`_h_phase_rate`; at the reference resolution no node
+    is dropped). The rate is read from the layer-built polarization's rows,
+    built in the same pass, so a skipped pair builds no chart, and a pair that
+    runs hands its rows to :func:`chart_for`, which checks them once.
+    Pairs that run do so on at most NILFOURIER_THREADS workers, and never more
+    than there are such pairs; the parts come back in node order either way,
+    so reductions do not depend on the count.
     """
-    pts, wts = _tensor_grid([(t_nodes, qspec.t_halfwidth)] * len(jump.T))
-    t_idx = [basis.flat_index(k, i) for (k, i) in jump.T]
-    rate_limit = _resolvable_rate(qspec)
+    wts, running = _plane_nodes(basis, jump, qspec, t_nodes)
     M = len(wts)
 
-    def pair(i: int) -> list:
-        """Parts of node ``i`` and its mirror; none for a skipped pair."""
-        flat = np.zeros(basis.dim)
-        flat[t_idx] = pts[i]
-        ell = Functional(basis, flat)
-        if not is_generic(ell):
-            return []
-        sd = sqrt_det_d(ell, jump)
-        if sd <= 0.0:
-            return []
-        candidate = _layer_candidate(ell)
-        if _h_phase_rate(ell, candidate.vectors) > rate_limit:
-            return []
+    def pair(node: tuple) -> list:
+        """Parts of node ``i`` and its mirror."""
+        i, ell, sd, candidate = node
         chart = chart_for(ell, candidate)
         mirror = M - 1 - i
-        ells = (ell,) if mirror == i else (ell, Functional(basis, -flat))
+        ells = (ell,) if mirror == i else (ell, Functional(basis, -ell.flat))
         values = integrand(ells, chart)
         return [wts[j] * sd * v for j, v in zip((i, mirror), values)]
 
-    pairs = (M + 1) // 2
-    workers = min(thread_count(), pairs)
+    workers = min(thread_count(), len(running))
     if workers <= 1:
-        results = [pair(i) for i in range(pairs)]
+        results = [pair(node) for node in running]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(pair, range(pairs)))
+            results = list(pool.map(pair, running))
     parts: list = [0.0] * M  # skipped nodes contribute zero
-    for i, values in enumerate(results):
+    for (i, *_), values in zip(running, results):
         for j, value in zip((i, M - 1 - i), values):
             parts[j] = value
     return parts
@@ -868,7 +907,7 @@ def hs_norm_sq(
         jump = jump_sets(chart.basis)
     q = chart.q
     scale = _shared_section_scale(ells, jump, qspec)
-    upts, uw = _tensor_grid([(qspec.section_nodes, qspec.section_halfwidth)] * q)
+    upts, uw = _cube_grid(qspec.section_nodes, qspec.section_halfwidth, q)
     vpts, vw = _tensor_grid(
         [(qspec.section_nodes, 2.0 * qspec.section_halfwidth * scale)] * q
     )
@@ -914,80 +953,3 @@ def plancherel(
     parts = _frequency_plane(basis, jump, qspec, qspec.t_nodes, integrand)
     rhs = c_norm(basis, jump) * math.fsum(parts)
     return {"lhs": lhs, "rhs": rhs, "ratio": rhs / lhs if lhs else math.inf}
-
-
-# ---------------------------------------------------------------------------
-# Haar measure check
-# ---------------------------------------------------------------------------
-
-
-def _three_sigma(total: float, total_sq: float, n: int, vol: float) -> dict:
-    """Scaled mean and standard error of ``n`` paired differences from their
-    sum and sum of squares, and whether the mean is within three errors of 0."""
-    mean = total / n
-    var = max(total_sq / n - mean**2, 0.0) / n
-    dev = vol * mean
-    se = vol * math.sqrt(var)
-    return {"deviation": dev, "se": se, "passed": abs(dev) <= 3.0 * se + 1e-12}
-
-
-def haar_invariance_check(
-    basis: LayeredBasis,
-    rng: np.random.Generator | None = None,
-    n_translates: int = 10,
-    n_samples: int = 1_000_000,
-    box: float = 12.0,
-    translate_scale: float = 0.3,
-) -> dict:
-    """Monte Carlo check that the chart pushes Lebesgue measure to Haar measure.
-
-    Integrates a fixed Gaussian observable of the exponential coordinates
-    against the chart measure, then against its pullback by random left
-    translations (paired samples), and against the one-shot exponential
-    parametrization. All estimates must agree within three standard errors.
-    """
-    if rng is None:
-        rng = np.random.default_rng()
-    chart = MalcevChart(basis)  # identity chart: plain Malcev ordering
-    n = basis.dim
-
-    def observable(coords: np.ndarray) -> np.ndarray:
-        return np.exp(-0.5 * np.sum(coords * coords, axis=-1))
-
-    # log coordinates of the translates exp(translate_scale * v)
-    translates = [translate_scale * rng.standard_normal(n) for _ in range(n_translates)]
-    base_sum = 0.0
-    trans_sum = np.zeros(n_translates)
-    trans_sq = np.zeros(n_translates)
-    exp_sum = 0.0
-    exp_sq = 0.0
-    done = 0
-    while done < n_samples:
-        m = min(_HAAR_CHUNK, n_samples - done)
-        alpha = rng.uniform(-box, box, size=(m, n))
-        c = chart.gamma(alpha)
-        phi = observable(c)
-        base_sum += float(np.sum(phi))
-        # one-shot exponential parametrization of the same coordinates
-        diff = observable(alpha) - phi
-        exp_sum += float(np.sum(diff))
-        exp_sq += float(np.sum(diff * diff))
-        for t, c0 in enumerate(translates):
-            phi_t = observable(basis.bch_coords(c0, c))
-            diff = phi_t - phi
-            trans_sum[t] += float(np.sum(diff))
-            trans_sq[t] += float(np.sum(diff * diff))
-        done += m
-
-    vol = (2.0 * box) ** n
-    base = vol * base_sum / n_samples
-    results = [_three_sigma(s, sq, n_samples, vol) for s, sq in zip(trans_sum, trans_sq)]
-    exp = _three_sigma(exp_sum, exp_sq, n_samples, vol)
-    return {
-        "base_integral": base,
-        "translates": results,
-        "exp_chart_deviation": exp["deviation"],
-        "exp_chart_se": exp["se"],
-        "passed": bool(all(r["passed"] for r in results) and exp["passed"]),
-    }
-

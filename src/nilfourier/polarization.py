@@ -44,25 +44,47 @@ __all__ = [
 CLOSURE_TOL = 1e-10
 
 
-def _orthonormal_rows(vectors: np.ndarray, rtol: float = 1e-12) -> np.ndarray:
-    """Orthonormal basis (as rows) of the row space of ``vectors``."""
-    _, s, vt = np.linalg.svd(vectors, full_matrices=False)
-    return vt[: _svd_rank(s, rtol)]
+def _null_rows(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Null spaces of a stack of matrices ``(P, a, b)``: rows ``vt (P, b, b)``
+    and ranks ``(P,)``, member ``p``'s null space spanned by the orthonormal
+    rows ``vt[p, rank[p]:]`` (all of them when the matrices have no rows)."""
+    _, s, vt = np.linalg.svd(mats)
+    return vt, _svd_rank(s, GENERIC_RANK_RTOL)
 
 
-def _null_rows(mat: np.ndarray) -> np.ndarray:
-    """Orthonormal rows spanning the null space of ``mat`` (the whole space
-    when ``mat`` has no rows)."""
-    _, s, vt = np.linalg.svd(mat)
-    return vt[_svd_rank(s, GENERIC_RANK_RTOL) :]
+def _nested_null_rows(skews: np.ndarray, sl: slice) -> list:
+    """:func:`_null_rows` of every leading ``m x m`` block of the diagonal
+    block ``sl`` of a stack of skew forms, for ``m = 1 .. size``, each with
+    the columns its rows fill."""
+    block = skews[:, sl, sl]
+    return [
+        (*_null_rows(block[:, :m, :m]), slice(sl.start, sl.start + m))
+        for m in range(1, sl.stop - sl.start + 1)
+    ]
 
 
-def _nested_null_rows(skew: np.ndarray) -> np.ndarray:
-    """Null vectors of every leading ``m x m`` block of a skew matrix, as
-    rows zero-padded to its full size, for ``m = 1 .. size``."""
-    size = skew.shape[0]
-    pads = [np.pad(_null_rows(skew[:m, :m]), ((0, 0), (0, size - m))) for m in range(1, size + 1)]
-    return np.concatenate([np.zeros((0, size)), *pads])
+def _orthonormal_rows(basis: LayeredBasis, parts: list) -> list:
+    """Orthonormal rows spanning the null rows of ``parts`` (entries ``(vt,
+    rank, cols)`` of :func:`_null_rows` with the columns they fill), member by
+    member of the stack, as groups ``(members, rows (G, r, n))``.
+
+    Members with the same ranks stack the same shapes, so each group runs one
+    SVD per member as a lone member would, and gets the same rows."""
+    patterns: dict[tuple, list] = {}
+    for p, pattern in enumerate(zip(*(rank.tolist() for _, rank, _ in parts))):
+        patterns.setdefault(pattern, []).append(p)
+    groups = []
+    for pattern, members in patterns.items():
+        blocks = []
+        for (vt, _, cols), r in zip(parts, pattern):
+            block = np.zeros((len(members), vt.shape[1] - r, basis.dim))
+            block[..., cols] = vt[members, r:]
+            blocks.append(block)
+        _, s, vt = np.linalg.svd(np.concatenate(blocks, axis=1), full_matrices=False)
+        rank = _svd_rank(s, 1e-12)
+        members = np.array(members)
+        groups += [(members[rank == r], vt[rank == r, :r]) for r in sorted(set(rank.tolist()))]
+    return groups
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,7 +148,8 @@ def generic_polarization(ell: Functional, candidate: Subalgebra | None = None) -
     candidate fails to polarize (it never does on the tested families).
 
     A caller that has already checked :func:`is_generic` and built the
-    candidate with :func:`_layer_candidate` may hand it over as
+    candidate's rows (with :func:`_layer_rows`, which decides a whole stack of
+    functionals at once, as the frequency plane does) may hand them over as
     ``candidate``; it is then checked, not rebuilt.
     """
     return _checked_generic_polarization(ell, candidate)[0]
@@ -140,7 +163,8 @@ def _checked_generic_polarization(
     if sub is None:
         if not is_generic(ell):
             raise NotGeneric("generic_polarization needs a generic functional")
-        sub = _layer_candidate(ell)
+        [(_, rows)] = _layer_rows(ell.basis, ell.skew[None])
+        sub = Subalgebra(ell.basis, rows[0])
     report = polarization_check(sub, ell)
     if not report["passed"]:
         raise NotGeneric(
@@ -150,24 +174,25 @@ def _checked_generic_polarization(
     return sub, report
 
 
-def _layer_candidate(ell: Functional) -> Subalgebra:
-    """The layer-built candidate of :func:`generic_polarization`, unchecked."""
-    basis = ell.basis
+def _layer_rows(basis: LayeredBasis, skews: np.ndarray) -> list:
+    """Orthonormal rows of the layer-built candidate of
+    :func:`generic_polarization`, unchecked, at each of a stack of skew forms
+    ``(P, n, n)``, grouped as in :func:`_orthonormal_rows`; one functional is
+    the one-member stack ``ell.skew[None]``."""
     N = basis.spec.N
-    blocks = []
+    parts = []
     # the layers above the middle, then the middle, then the layers below
     for k in [*range(N // 2 + 1, N + 1), *range(N // 2, 0, -1)]:
         sl = basis.layer_slice(k)
         if 2 * k > N:
-            rows = np.eye(sl.stop - sl.start)
+            eye = np.eye(sl.stop - sl.start)
+            whole = np.broadcast_to(eye, (len(skews),) + eye.shape)
+            parts.append((whole, np.zeros(len(skews), dtype=int), sl))
         elif 2 * k == N:
-            rows = _nested_null_rows(ell.skew[sl, sl])
+            parts += _nested_null_rows(skews, sl)
         else:
-            rows = _null_rows(ell.skew[basis.layer_slice(N - k), sl])
-        block = np.zeros((rows.shape[0], basis.dim))
-        block[:, sl] = rows
-        blocks.append(block)
-    return Subalgebra(basis, _orthonormal_rows(np.concatenate(blocks)))
+            parts.append((*_null_rows(skews[:, basis.layer_slice(N - k), sl]), sl))
+    return _orthonormal_rows(basis, parts)
 
 
 def vergne_polarization(ell: Functional) -> Subalgebra:
@@ -177,7 +202,9 @@ def vergne_polarization(ell: Functional) -> Subalgebra:
     skew form of ``ell`` restricted to that prefix. Works for arbitrary
     functionals; for the zero functional it returns the whole algebra.
     """
-    return Subalgebra(ell.basis, _orthonormal_rows(_nested_null_rows(ell.skew)))
+    parts = _nested_null_rows(ell.skew[None], slice(0, ell.basis.dim))
+    [(_, rows)] = _orthonormal_rows(ell.basis, parts)
+    return Subalgebra(ell.basis, rows[0])
 
 
 def polarization_check(sub: Subalgebra, ell: Functional) -> dict:

@@ -22,7 +22,12 @@ whole elements instead of the level-array power-series core; and
 :func:`frequency_plane_by_node`,
 which integrates the frequency plane through the package's public
 single-functional calls, one node and one chart at a time, instead of in
-mirror pairs.
+mirror pairs; and :func:`plane_decisions_by_node`, which decides the plane's
+nodes one functional at a time from the package's skew forms, with SVDs and
+determinants of its own, instead of in stacked batches. The Monte Carlo
+check :func:`haar_invariance_check` integrates through the package's chart
+map ``MalcevChart.gamma`` and group law, since the chart measure is what it
+checks.
 """
 
 from __future__ import annotations
@@ -34,6 +39,8 @@ import numpy as np
 
 from nilfourier import (
     Functional,
+    LayeredBasis,
+    MalcevChart,
     chart_for,
     is_generic,
     jump_sets,
@@ -546,3 +553,172 @@ def frequency_plane_by_node(basis, qspec, integrand):
             continue
         total += math.prod(w[list(node)]) * sd * integrand(ell, chart)
     return total
+
+
+# ---------------------------------------------------------------------------
+# The frequency plane's node decisions, one functional at a time.
+# ---------------------------------------------------------------------------
+
+
+def _rank(s, top, rtol):
+    return int(np.count_nonzero(s > max(rtol * top, 1e-30)))
+
+
+def _null_space_rows(mat):
+    _, s, vt = np.linalg.svd(mat)
+    return vt[_rank(s, s.max(initial=0.0), 1e-8) :]
+
+
+def layer_rows_by_node(ell):
+    """Orthonormal rows of the layer-built candidate polarization at one
+    functional, built layer by layer from its own SVDs: every layer above the
+    middle, the null rows of every leading block of the middle layer's skew
+    block, and below the middle the null rows of the pairing with layer
+    ``N - k``; then one SVD of all of them, cut at a relative ``1e-12``."""
+    basis = ell.basis
+    n, N = basis.dim, basis.spec.N
+    blocks = []
+    for k in [*range(N // 2 + 1, N + 1), *range(N // 2, 0, -1)]:
+        sl = basis.layer_slice(k)
+        size = sl.stop - sl.start
+        if 2 * k > N:
+            pieces = [(np.eye(size), size)]
+        elif 2 * k == N:
+            pieces = [(_null_space_rows(ell.skew[sl, sl][:m, :m]), m) for m in range(1, size + 1)]
+        else:
+            pieces = [(_null_space_rows(ell.skew[basis.layer_slice(N - k), sl]), size)]
+        for rows, width in pieces:
+            block = np.zeros((rows.shape[0], n))
+            block[:, sl.start : sl.start + width] = rows
+            blocks.append(block)
+    _, s, vt = np.linalg.svd(np.concatenate(blocks), full_matrices=False)
+    return vt[: _rank(s, s.max(initial=0.0), 1e-12)]
+
+
+def plane_decisions_by_node(basis, qspec, pairs=None):
+    """The frequency plane's decisions, one grid functional at a time.
+
+    For each pair index ``i`` (node ``i`` of the plane's trapezoid grid and its
+    mirror; all pairs, or those in ``pairs``) this returns ``(flat, generic,
+    sqrt(det D), runs, rows)``, with ``flat`` the node's coordinates.
+    ``generic`` asks that the leading ``r_k x r_k`` block of every pairing
+    block ``B^k`` between layers ``k`` and ``N - k`` (``r_k = min(m_k,
+    m_{N-k})``, rounded down to even when ``2k = N``) have rank ``r_k``,
+    singular values cut at ``1e-8`` of the whole block's largest;
+    ``sqrt(det D)`` is ``sqrt(|det|)`` of the skew form over the jump indices;
+    a generic pair with ``sqrt(det D) > 0`` runs when ``|ell_h|``, the norm of
+    :func:`layer_rows_by_node` applied to ``ell``, is at most 90% of the
+    subgroup grid's Nyquist rate, and then ``rows`` are its rows (else
+    ``None``). Every node is decided in full: no rate bound, no stacking.
+    """
+    spec = basis.spec
+    N, dims = spec.N, spec.layer_dims()
+    jump = jump_sets(basis)
+    t_idx = [basis.flat_index(k, i) for (k, i) in jump.T]
+    s_idx = [basis.flat_index(k, i) for (k, i) in jump.S]
+    axis = np.linspace(-qspec.t_halfwidth, qspec.t_halfwidth, qspec.t_nodes)
+    nodes = list(itertools.product(range(axis.size), repeat=len(t_idx)))
+    rate_limit = 0.9 * math.pi * (qspec.h_nodes - 1) / (2.0 * qspec.h_halfwidth)
+    out = {}
+    for i in range((len(nodes) + 1) // 2) if pairs is None else pairs:
+        flat = np.zeros(basis.dim)
+        flat[t_idx] = axis[list(nodes[i])]
+        ell = Functional(basis, flat)
+        generic = True
+        for k in range(1, N // 2 + 1):
+            if dims[k - 1] and dims[N - k - 1]:
+                r = min(dims[k - 1], dims[N - k - 1])
+                r -= r % 2 if 2 * k == N else 0
+                block = ell.skew[basis.layer_slice(k), basis.layer_slice(N - k)]
+                top = np.linalg.svd(block, compute_uv=False).max(initial=0.0)
+                s = np.linalg.svd(block[:r, :r], compute_uv=False)
+                generic &= _rank(s, top, 1e-8) == r
+        dmat = ell.skew[np.ix_(s_idx, s_idx)]
+        sd = math.sqrt(abs(np.linalg.det(dmat))) if s_idx else 1.0
+        rows = None
+        if generic and sd > 0.0:
+            rows = layer_rows_by_node(ell)
+            if np.linalg.norm(rows @ flat) > rate_limit:
+                rows = None
+        out[i] = (flat, generic, sd, rows is not None, rows)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# The chart measure against Haar measure, by Monte Carlo.
+# ---------------------------------------------------------------------------
+
+
+#: Monte Carlo samples per vectorized chunk in :func:`haar_invariance_check`.
+_HAAR_CHUNK = 250_000
+
+
+def _three_sigma(total: float, total_sq: float, n: int, vol: float) -> dict:
+    """Scaled mean and standard error of ``n`` paired differences from their
+    sum and sum of squares, and whether the mean is within three errors of 0."""
+    mean = total / n
+    var = max(total_sq / n - mean**2, 0.0) / n
+    dev = vol * mean
+    se = vol * math.sqrt(var)
+    return {"deviation": dev, "se": se, "passed": abs(dev) <= 3.0 * se + 1e-12}
+
+
+def haar_invariance_check(
+    basis: LayeredBasis,
+    rng: np.random.Generator | None = None,
+    n_translates: int = 10,
+    n_samples: int = 1_000_000,
+    box: float = 12.0,
+    translate_scale: float = 0.3,
+) -> dict:
+    """Monte Carlo check that the chart pushes Lebesgue measure to Haar measure.
+
+    Integrates a fixed Gaussian observable of the exponential coordinates
+    against the chart measure, then against its pullback by random left
+    translations (paired samples), and against the one-shot exponential
+    parametrization. All estimates must agree within three standard errors.
+    """
+    if rng is None:
+        rng = np.random.default_rng()
+    chart = MalcevChart(basis)  # identity chart: plain Malcev ordering
+    n = basis.dim
+
+    def observable(coords: np.ndarray) -> np.ndarray:
+        return np.exp(-0.5 * np.sum(coords * coords, axis=-1))
+
+    # log coordinates of the translates exp(translate_scale * v)
+    translates = [translate_scale * rng.standard_normal(n) for _ in range(n_translates)]
+    base_sum = 0.0
+    trans_sum = np.zeros(n_translates)
+    trans_sq = np.zeros(n_translates)
+    exp_sum = 0.0
+    exp_sq = 0.0
+    done = 0
+    while done < n_samples:
+        m = min(_HAAR_CHUNK, n_samples - done)
+        alpha = rng.uniform(-box, box, size=(m, n))
+        c = chart.gamma(alpha)
+        phi = observable(c)
+        base_sum += float(np.sum(phi))
+        # one-shot exponential parametrization of the same coordinates
+        diff = observable(alpha) - phi
+        exp_sum += float(np.sum(diff))
+        exp_sq += float(np.sum(diff * diff))
+        for t, c0 in enumerate(translates):
+            phi_t = observable(basis.bch_coords(c0, c))
+            diff = phi_t - phi
+            trans_sum[t] += float(np.sum(diff))
+            trans_sq[t] += float(np.sum(diff * diff))
+        done += m
+
+    vol = (2.0 * box) ** n
+    base = vol * base_sum / n_samples
+    results = [_three_sigma(s, sq, n_samples, vol) for s, sq in zip(trans_sum, trans_sq)]
+    exp = _three_sigma(exp_sum, exp_sq, n_samples, vol)
+    return {
+        "base_integral": base,
+        "translates": results,
+        "exp_chart_deviation": exp["deviation"],
+        "exp_chart_se": exp["se"],
+        "passed": bool(all(r["passed"] for r in results) and exp["passed"]),
+    }

@@ -28,7 +28,6 @@ from nilfourier import (
     full_orbit_dim,
     generic_polarization,
     group_inverse,
-    haar_invariance_check,
     invert,
     is_generic,
     jump_sets,
@@ -50,6 +49,7 @@ from oracles import (
     JUMP_SET_EXAMPLES,
     bch_degree3,
     brute_force_witt,
+    haar_invariance_check,
     iterated_integral,
     refine_polyline,
 )

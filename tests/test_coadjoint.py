@@ -18,14 +18,19 @@ from nilfourier import (
     generic_polarization,
     is_generic,
     jump_sets,
-    orbit_dim_numeric,
     orbit_dim_numeric_all,
     orbit_dim_quotient_generic,
     quotient_prefix_len,
     sample_generic,
     sqrt_det_d,
 )
-from nilfourier.coadjoint import _ad_series, _bernoulli_series, _exp_series, b_matrix_ranks
+from nilfourier.coadjoint import (
+    _ad_series,
+    _bernoulli_series,
+    _exp_series,
+    _prefix_rank,
+    b_matrix_ranks,
+)
 from nilfourier.errors import DimensionMismatch, IndexOutOfRange, NotGeneric
 
 from oracles import FULL_ORBIT_DIMS, JUMP_SET_EXAMPLES
@@ -174,19 +179,17 @@ def test_generic_formula_matches_numeric_orbit_dims(d, N):
         )
         assert flagged == matches
         n_ok += int(flagged)
-        # the single-quotient entry point gives the same ranks
+        # one quotient at a time, through its Malcev prefix, gives the same ranks
         for (k, m), value in numeric.items():
-            assert orbit_dim_numeric(ell, k, m) == value
             prefix = quotient_prefix_len(basis, k, m)
-            assert orbit_dim_numeric(ell, prefix_len=prefix) == value
+            assert 0 <= prefix <= basis.dim
+            assert _prefix_rank(ell, prefix) == value
         if flagged:
-            assert orbit_dim_numeric(ell) == full_orbit_dim(ell)
+            full = quotient_prefix_len(basis, spec.N - 1, dims[0])
+            assert _prefix_rank(ell, full) == full_orbit_dim(ell)
     assert n_ok > 0  # random functionals are generic almost surely
     with pytest.raises(IndexOutOfRange):
-        orbit_dim_numeric(ell, 1)
-    for bad in (-1, basis.dim + 1):
-        with pytest.raises(IndexOutOfRange):
-            orbit_dim_numeric(ell, prefix_len=bad)
+        quotient_prefix_len(basis, 1, 0)
 
 
 @pytest.mark.parametrize("d,N,scale", [(3, 2, 1e-6), (2, 4, 1e-6), (3, 3, 1e-3)])

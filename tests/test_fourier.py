@@ -57,7 +57,6 @@ from nilfourier.fourier import (
     _h_phase_rate,
     _resolvable_rate,
     _section_scale,
-    haar_invariance_check,
     thread_count,
 )
 from nilfourier.tensor_algebra import exp_t, group_inverse, log_t, mul
@@ -68,10 +67,12 @@ from oracles import (
     conjugation_route_kernel,
     flat_route_kernel,
     frequency_plane_by_node,
+    haar_invariance_check,
     heisenberg_hs_sq,
     heisenberg_kernel,
     heisenberg_trace,
     pfaffian,
+    plane_decisions_by_node,
     tensor_chart_decompose,
     tensor_chart_product,
     tensor_route_kernel,
@@ -662,6 +663,38 @@ def test_f_is_sampled_once_per_coset():
     assert sum(points) == q.h_nodes**chart.q_h
 
 
+@pytest.mark.parametrize("d,N", [(2, 2), (3, 2)])
+def test_quadrature_grids_are_cached_read_only_and_change_no_value(d, N):
+    # the grids that depend only on the QuadratureSpec are built once per key
+    # and shared, so they are read-only; a cold cache gives the same bytes
+    basis = _basis(d, N)
+    ell = sample_generic(basis, np.random.default_rng(4))
+    target = (ell, Functional(basis, -ell.flat))
+    chart = chart_for(ell)
+    q = _low_res()
+    f = _complex_gaussian(basis.dim)
+    xs, ys = 0.8 * np.random.default_rng(6).standard_normal((2, 6, chart.q))
+
+    def run():
+        return kernel_values(f, target, chart, q, xs, ys), hs_norm_sq(f, target, chart, q)
+
+    warm = run()
+    hits = fourier._cube_grid.cache_info().hits
+    assert [a.tobytes() for a in run()] == [a.tobytes() for a in warm]
+    assert fourier._cube_grid.cache_info().hits > hits
+    fourier._cube_grid.cache_clear()
+    assert [a.tobytes() for a in run()] == [a.tobytes() for a in warm]
+    for dim in (chart.q_c, chart.q_h - chart.q_c):
+        pts, w = fourier._cube_grid(q.h_nodes, q.h_halfwidth, dim)
+        with pytest.raises(ValueError):
+            pts[...] = 0.0
+        with pytest.raises(ValueError):
+            w[...] = 0.0
+        # the general builder gives the same grid, its own to write
+        general = fourier._tensor_grid([(q.h_nodes, q.h_halfwidth)] * dim)
+        assert all(np.array_equal(a, b) and a.flags.writeable for a, b in zip(general, (pts, w)))
+
+
 @pytest.mark.parametrize("d,N", [(2, 2), (2, 3)])
 def test_kernel_values_do_not_depend_on_the_shape_of_uniques_inverse(monkeypatch, d, N):
     # NumPy 2 gives np.unique's inverse the input's shape, NumPy 1 flattens it.
@@ -814,7 +847,8 @@ def test_mirror_functional_shares_the_node_set_up(d, N):
         assert sqrt_det_d(neg, jump) == pytest.approx(sqrt_det_d(ell, jump), rel=1e-14)
         chart = chart_for(ell)
         rows = chart.W[:, : chart.q_h].T
-        assert _h_phase_rate(neg, rows) == pytest.approx(_h_phase_rate(ell, rows), rel=1e-14)
+        rate = _h_phase_rate(ell.flat, rows)
+        assert _h_phase_rate(neg.flat, rows) == pytest.approx(rate, rel=1e-14)
         sub = Subalgebra(basis, chart.W[:, : chart.q_h].T)
         assert polarization_check(sub, ell)["passed"]
         assert polarization_check(sub, neg)["passed"]
@@ -1026,13 +1060,14 @@ def test_phase_rate_equals_subgroup_component_norm():
     # the frequency plane reads |ell_h| from the polarization's rows before
     # any chart is built; it is the chart's |ell_h|
     ell = _heisenberg_functional(1.75)
-    assert _h_phase_rate(ell, generic_polarization(ell).vectors) == pytest.approx(1.75, rel=1e-12)
+    rate = _h_phase_rate(ell.flat, generic_polarization(ell).vectors)
+    assert rate == pytest.approx(1.75, rel=1e-12)
     rng = np.random.default_rng(13)
     for d, N in [(2, 2), (2, 3), (3, 2), (2, 4)] * 5:
         ell = sample_generic(_basis(d, N), rng)
         chart = chart_for(ell)
         expect = np.linalg.norm((ell.flat @ chart.W)[: chart.q_h])
-        got = _h_phase_rate(ell, generic_polarization(ell).vectors)
+        got = _h_phase_rate(ell.flat, generic_polarization(ell).vectors)
         assert abs(got - expect) <= 1e-14 * expect
 
 
@@ -1105,37 +1140,50 @@ def test_plancherel_abelian_line_is_parseval():
 
 
 def test_frequency_plane_builds_the_rows_of_a_pair_once(monkeypatch):
-    # a pair that runs hands its layer-built rows to chart_for: one build of
-    # the rows and one genericity test per pair, and one chart and one
-    # polarization check per pair that runs
+    # the plane decides its pairs in one batched pass per chunk: one stacked
+    # genericity test and one stacked build of the layer-built rows, which a
+    # pair that runs hands to chart_for; so one chart and one polarization
+    # check per pair that runs, and no rows are built again
     basis = _basis(2, 2)
     q = _low_res(h_nodes=24)
     calls = {}
 
     def count(module, name):
         original = getattr(module, name)
+        key = f"{module.__name__.rpartition('.')[2]}.{name}"
 
         def counted(*args, **kwargs):
-            calls[name] = calls.get(name, 0) + 1
+            # the size of a stacked call: the members of a sequence of
+            # functionals, the skew forms of a stack
+            arg = args[0] if name != "_layer_rows" else args[1]
+            size = len(arg) if isinstance(arg, (list, tuple, np.ndarray)) else 1
+            calls.setdefault(key, []).append(size)
             return original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
 
-    for module, name in [
-        (fourier, "_layer_candidate"),
-        (polarization, "_layer_candidate"),
-        (fourier, "is_generic"),
-        (polarization, "is_generic"),
-        (fourier, "chart_for"),
-        (polarization, "polarization_check"),
-    ]:
-        count(module, name)
-    invert(SchwartzFunction.gaussian(basis.dim), GradedElement.identity(basis.spec), basis, q)
+    # the plane's own calls, and those of the polarization it checks
+    for module in (fourier, polarization):
+        for name in ("is_generic", "_layer_rows"):
+            count(module, name)
+    count(fourier, "chart_for")
+    count(polarization, "polarization_check")
+    f = SchwartzFunction.gaussian(basis.dim)
+    ident = GradedElement.identity(basis.spec)
+    serial = invert(f, ident, basis, q)
     # the top coordinate at +-8, +-5.7, +-3.4, +-1.1: the first two pairs
-    # oscillate faster than the subgroup grid samples
+    # oscillate faster than the subgroup grid samples, which the top layer's
+    # norm alone shows; the other two are decided in one chunk and run
     assert _resolvable_rate(q) == pytest.approx(4.06, abs=0.01)
-    expected = {"is_generic": 4, "_layer_candidate": 4, "chart_for": 2, "polarization_check": 2}
-    assert calls == expected
+    expected = {"fourier.is_generic": [2], "fourier._layer_rows": [2]}
+    charts = {"fourier.chart_for": [1, 1], "polarization.polarization_check": [1, 1]}
+    assert calls == {**expected, **charts}
+    # chunks of one functional: one decision per chunk, the same charts
+    calls.clear()
+    monkeypatch.setattr(fourier, "_CHUNK_BUDGET", basis.dim**2 - 1)
+    assert invert(f, ident, basis, q) == serial
+    expected = {"fourier.is_generic": [1, 1], "fourier._layer_rows": [1, 1]}
+    assert calls == {**expected, **charts}
 
 
 def test_transforms_are_zero_when_every_frequency_node_is_skipped():
@@ -1179,7 +1227,8 @@ def test_thread_env_does_not_change_results(monkeypatch):
     basis = _basis(2, 2)
     f = SchwartzFunction.gaussian(basis.dim)
     ident = GradedElement.identity(basis.spec)
-    q = _low_res()
+    # every pair of the plane runs (see the Plancherel test below)
+    q = _low_res(h_nodes=24, t_halfwidth=4.0)
     monkeypatch.setenv("NILFOURIER_THREADS", "1")
     serial = invert(f, ident, basis, q)
     monkeypatch.setenv("NILFOURIER_THREADS", "3")
@@ -1190,7 +1239,10 @@ def test_thread_env_does_not_change_results(monkeypatch):
 def test_thread_env_does_not_change_plancherel(monkeypatch):
     basis = _basis(2, 2)
     f = _complex_gaussian(basis.dim)
-    q = _low_res()
+    # the top coordinate at +-4, +-2.9, +-1.7, +-0.57: every pair is within
+    # the subgroup grid's resolvable rate, 4.06, and runs
+    q = _low_res(h_nodes=24, t_halfwidth=4.0)
+    assert q.t_halfwidth < _resolvable_rate(q)
     workers = []
     pool = fourier.ThreadPoolExecutor
 
@@ -1204,7 +1256,7 @@ def test_thread_env_does_not_change_plancherel(monkeypatch):
     monkeypatch.setenv("NILFOURIER_THREADS", "3")
     threaded = plancherel(f, basis, q)
     assert serial == threaded  # byte-identical ordered reduction
-    # 8 nodes make 4 mirror pairs, and no more workers than pairs run
+    # 8 nodes make 4 mirror pairs that run, and no more workers than pairs run
     monkeypatch.setenv("NILFOURIER_THREADS", "16")
     assert plancherel(f, basis, q) == serial
     assert workers == [3, 4]
@@ -1232,6 +1284,62 @@ def test_transforms_match_the_plane_integrated_node_by_node(d, N, qspec):
         basis, qspec, lambda ell, chart: trace_shifted(f, ell, chart, qspec, x, jump)
     )
     assert abs(invert(f, x, basis, qspec) - value) <= 1e-13 * abs(value)
+
+
+@pytest.mark.parametrize(
+    "spec,qspec,sample,skips_by_rows",
+    [
+        (GroupSpec(2, 2), QuadratureSpec.demo(), None, False),
+        (GroupSpec(2, 3), QuadratureSpec.demo(), None, True),
+        (GroupSpec(3, 2), QuadratureSpec.demo(), 150, True),
+        (GroupSpec(2, 4), QuadratureSpec.demo(), 150, True),
+        (GroupSpec(2, 2, "FullTensor"), QuadratureSpec.demo(), 150, False),
+        (GroupSpec(2, 2), _low_res(h_nodes=24, t_nodes=9), None, False),  # a centre node
+    ],
+    ids=["2,2", "2,3", "3,2", "2,4", "FullTensor-2,2", "2,2-odd"],
+)
+def test_plane_decisions_match_the_walk_node_by_node(spec, qspec, sample, skips_by_rows):
+    # the batched pass decides every pair as the one-functional walk does: the
+    # same genericity, the same sqrt(det D) to the bit, the same rate skips,
+    # and a pair that runs gets the walk's rows to the bit. Rate skips come
+    # from the layers above the middle alone, or (skips_by_rows) also from the
+    # rows of pairs within the rate limit on those layers.
+    basis = build_layered_basis(spec)
+    jump = jump_sets(basis)
+    weights, running = fourier._plane_nodes(basis, jump, qspec, qspec.t_nodes)
+    pairs = (weights.size + 1) // 2
+    pairs_idx = None
+    if sample is not None:
+        # seeded pairs over the plane, and the pairs nearest its centre, where
+        # pairs run and the rate rule decides
+        pts = fourier._cube_grid(qspec.t_nodes, qspec.t_halfwidth, len(jump.T))[0][:pairs]
+        near = np.argsort(np.linalg.norm(pts, axis=1), kind="stable")[:sample]
+        seeded = np.random.default_rng(5).choice(pairs, sample, replace=False)
+        pairs_idx = sorted(set(near.tolist()) | set(seeded.tolist()))
+    walk = plane_decisions_by_node(basis, qspec, pairs_idx)
+    flats, generic, sds, runs, rows = zip(*walk.values())
+    ells = [Functional(basis, flat) for flat in flats]
+    assert is_generic(ells).tolist() == list(generic)
+    assert np.array_equal(sqrt_det_d(ells, jump), sds)
+    batched = {i: (sd, candidate) for i, _, sd, candidate in running}
+    assert [i in batched for i in walk] == list(runs)
+    for i, (_, _, sd, run, walk_rows) in walk.items():
+        if run:
+            assert batched[i][0] == sd
+            assert np.array_equal(batched[i][1].vectors, walk_rows)
+    # pairs run, and generic pairs with sqrt(det D) > 0 are skipped for their rate
+    assert any(runs)
+    skipped = [e for e, g, sd, run in zip(ells, generic, sds, runs) if g and sd > 0 and not run]
+    upper = np.r_[tuple(basis.layer_slice(k) for k in range(spec.N // 2 + 1, spec.N + 1))]
+    within = [np.linalg.norm(e.flat[upper]) <= _resolvable_rate(qspec) for e in skipped]
+    assert skipped and any(within) == skips_by_rows
+    if qspec.t_nodes % 2:
+        # the centre node is its own mirror, and it is not generic
+        assert not walk[pairs - 1][1]
+        parts = fourier._frequency_plane(
+            basis, jump, qspec, qspec.t_nodes, lambda ells, chart: [1.0] * len(ells)
+        )
+        assert parts[pairs - 1] == 0.0
 
 
 @pytest.mark.parametrize("raw", ["abc", "0"])

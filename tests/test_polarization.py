@@ -17,6 +17,7 @@ from nilfourier import (
     vergne_polarization,
 )
 
+from nilfourier.polarization import _layer_rows
 from oracles import POLARIZATION_DIMS
 
 
@@ -168,3 +169,24 @@ def test_heisenberg_generators_are_not_bracket_closed():
     sub = Subalgebra(basis, vecs)
     assert not sub.is_bracket_closed()
     assert Subalgebra(basis, vecs[:1]).is_bracket_closed()
+
+
+@pytest.mark.parametrize("d,N", [(2, 2), (3, 2), (2, 3), (2, 4)])
+def test_layer_rows_of_a_mixed_stack_match_one_member_stacks(d, N):
+    # members whose null spaces differ in size stack in separate groups; each
+    # member gets the rows of a stack of itself alone, to the bit
+    basis = _basis(d, N)
+    rng = np.random.default_rng(17)
+    top = basis.layer_slice(N)
+    flats = [rng.standard_normal(basis.dim) for _ in range(4)]
+    flats += [np.zeros(basis.dim), np.where(np.arange(basis.dim) < top.stop, 1.0, 0.0)]
+    flats += [np.where(np.arange(basis.dim) < top.stop, 0.0, f) for f in flats[:2]]
+    skews = np.stack([Functional(basis, f).skew for f in flats])
+    groups = _layer_rows(basis, skews)
+    assert len(groups) > 1
+    members = np.concatenate([m for m, _ in groups])
+    assert sorted(members.tolist()) == list(range(len(flats)))
+    for m, rows in groups:
+        for p, r in zip(m, rows):
+            [(_, alone)] = _layer_rows(basis, skews[p : p + 1])
+            assert np.array_equal(r, alone[0])
