@@ -51,11 +51,7 @@ from .lie_basis import (
     left_normed_degree3_words,
     witt_dimension,
 )
-from .polarization import (
-    _checked_generic_polarization,
-    polarization_check,
-    vergne_polarization,
-)
+from .polarization import _layer_polarization, polarization_check, vergne_polarization
 from .signatures import path_signature, read_path_csv
 from .tensor_algebra import GradedElement, exp_t, log_t
 
@@ -81,7 +77,7 @@ def _resolve_basis(args) -> LayeredBasis:
                 "--paper-basis provides the alternative degree-3 word basis and "
                 "requires the free nilpotent spec 3,3"
             )
-        return build_layered_basis(spec, mode="user", user_words=left_normed_degree3_words())
+        return build_layered_basis(spec, left_normed_degree3_words())
     return build_layered_basis(spec)
 
 
@@ -275,11 +271,9 @@ def _cmd_jump_sets(args) -> int:
 def _cmd_polarization(args) -> int:
     basis = _resolve_basis(args)
     ell = _load_functional(args, basis)
-    if args.method == "generic":
-        sub, report = _checked_generic_polarization(ell)
-    else:
-        sub = vergne_polarization(ell)
-        report = polarization_check(sub, ell)
+    construct = _layer_polarization if args.method == "generic" else vergne_polarization
+    sub = construct(ell)
+    report = polarization_check(sub, ell)
     payload = {
         "spec": basis.spec.to_json_dict(),
         "method": args.method,

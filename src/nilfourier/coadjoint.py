@@ -3,7 +3,9 @@
 A linear functional on the layered Lie algebra is stored by its coordinates
 against a layered basis. The coadjoint action of a group element ``g`` sends
 ``ell`` to ``ell . Ad(g^-1)``; since everything is nilpotent the adjoint
-series is an exact polynomial in the structure constants.
+series is an exact polynomial in the structure constants. A group point, here
+and in the transforms, enters through one helper that certifies it as one
+unbatched element of the basis's group.
 
 Genericity of a functional is read from its pairing blocks
 ``B^k[i, j] = ell([X_i^(k), X_j^(N-k)])`` between complementary layers, each
@@ -38,8 +40,10 @@ __all__ = [
     "JumpData",
     "coadjoint_apply",
     "dim_km",
+    "b_matrix_ranks",
     "is_generic",
     "orbit_dim_quotient_generic",
+    "quotient_prefix_len",
     "orbit_dim_numeric_all",
     "full_orbit_dim",
     "jump_sets",
@@ -51,6 +55,9 @@ GENERIC_RANK_RTOL = 1e-8
 
 #: Absolute floor below which singular values never count toward rank.
 RANK_FLOOR = 1e-30
+
+#: Draws :func:`sample_generic` makes before it gives up.
+SAMPLE_ATTEMPTS = 1000
 
 
 def _svd_rank(s: np.ndarray, rtol: float, top: np.ndarray | None = None) -> np.ndarray:
@@ -172,17 +179,18 @@ def _ad_series(basis: LayeredBasis, x_flat: np.ndarray, coeffs: list[float]) -> 
     return result
 
 
+def _point_coords(basis: LayeredBasis, x: GradedElement) -> np.ndarray:
+    """Flat log coordinates of one unbatched group element, certified by
+    :meth:`LayeredBasis.flat_coords` to lie in the basis's group."""
+    if x.role is not Role.GROUP or x.batch_shape != ():
+        raise DimensionMismatch("the point must be one unbatched group element")
+    return basis.flat_coords(log_t(x))
+
+
 def coadjoint_apply(g: GradedElement, ell: Functional) -> Functional:
     """Coadjoint action: ``(g . ell)(Y) = ell(Ad(g^-1) Y)``."""
     basis = ell.basis
-    if g.spec != basis.spec:
-        raise SpecMismatch("group element and functional specs differ")
-    if g.role is not Role.GROUP:
-        raise SpecMismatch("coadjoint_apply needs a group element")
-    if g.batch_shape != ():
-        raise DimensionMismatch("coadjoint_apply expects an unbatched group element")
-    x = basis.flat_coords(log_t(g))
-    mat = _ad_series(basis, -x, _exp_series(basis.spec.N))
+    mat = _ad_series(basis, -_point_coords(basis, g), _exp_series(basis.spec.N))
     return Functional(basis, mat.T @ ell.flat)
 
 
@@ -385,19 +393,11 @@ def jump_sets(basis: LayeredBasis) -> JumpData:
     return data
 
 
-def sample_generic(
-    basis: LayeredBasis,
-    rng: np.random.Generator | None = None,
-    scale: float = 1.0,
-    max_attempts: int = 1000,
-) -> Functional:
-    """Draw functionals with independent normal coordinates until one is generic."""
-    if rng is None:
-        rng = np.random.default_rng()
-    for _ in range(max_attempts):
-        ell = Functional(basis, scale * rng.standard_normal(basis.dim))
+def sample_generic(basis: LayeredBasis, rng: np.random.Generator) -> Functional:
+    """Draw functionals with independent standard normal coordinates until one
+    is generic, at most ``SAMPLE_ATTEMPTS`` times."""
+    for _ in range(SAMPLE_ATTEMPTS):
+        ell = Functional(basis, rng.standard_normal(basis.dim))
         if is_generic(ell):
             return ell
-    raise SamplingExhausted(
-        f"no generic functional found in {max_attempts} attempts"
-    )
+    raise SamplingExhausted(f"no generic functional found in {SAMPLE_ATTEMPTS} attempts")

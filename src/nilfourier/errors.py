@@ -7,6 +7,21 @@ errors and map them to machine-readable reports.
 
 from __future__ import annotations
 
+__all__ = [
+    "NilfourierError",
+    "DependentBasis",
+    "DegreeMismatch",
+    "NotInLieImage",
+    "SpecMismatch",
+    "RoleError",
+    "DimensionMismatch",
+    "IndexOutOfRange",
+    "SamplingExhausted",
+    "NotGeneric",
+    "QuadratureUnderflow",
+    "NonConvergence",
+]
+
 
 class NilfourierError(Exception):
     """Base class for all domain errors raised by this package."""

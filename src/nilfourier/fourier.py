@@ -37,6 +37,8 @@ budget. ``hs_norm_sq`` passes one row per coset of its grid and
 ``ell``, ``-ell``, which share the chart, the section grid and the samples of
 ``f``; for real ``f`` the kernel at ``-ell`` is the conjugate of the kernel at
 ``ell``. Every pair is decided in one batched pass before any pair runs.
+Functions that take jump data default it to the basis's own and refuse jump
+data of another spec.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ from .coadjoint import (
     _bernoulli_series,
     _exp_series,
     _functionals,
+    _point_coords,
     _svd_rank,
     is_generic,
     jump_sets,
@@ -67,10 +70,11 @@ from .errors import (
     NonConvergence,
     NotGeneric,
     QuadratureUnderflow,
+    SpecMismatch,
 )
 from .lie_basis import LayeredBasis, json_number
 from .polarization import Subalgebra, _layer_rows, generic_polarization
-from .tensor_algebra import GradedElement, Role, log_t
+from .tensor_algebra import GradedElement
 
 __all__ = [
     "QuadratureSpec",
@@ -222,8 +226,8 @@ class SchwartzFunction:
 
     def __post_init__(self) -> None:
         box = np.broadcast_to(np.asarray(self.decay_box, dtype=float), (self.n,)).copy()
-        if np.any(box <= 0):
-            raise DimensionMismatch("decay box half-widths must be positive")
+        if not np.all((box > 0) & np.isfinite(box)):
+            raise DimensionMismatch("decay box half-widths must be positive and finite")
         object.__setattr__(self, "decay_box", box)
 
     def __call__(self, coords: np.ndarray) -> np.ndarray:
@@ -379,6 +383,16 @@ def character(ell: Functional, chart: MalcevChart, a: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # kernels
 # ---------------------------------------------------------------------------
+
+
+def _checked_jump(basis: LayeredBasis, jump: JumpData | None) -> JumpData:
+    """``jump``, or :func:`jump_sets` of ``basis`` when it is ``None``. Jump
+    data of another spec raises :class:`SpecMismatch`."""
+    if jump is None:
+        return jump_sets(basis)
+    if jump.spec != basis.spec:
+        raise SpecMismatch(f"jump data over {jump.spec} does not match the basis over {basis.spec}")
+    return jump
 
 
 def _section_scale(ell: Functional, jump: JumpData, qspec: QuadratureSpec) -> float:
@@ -641,9 +655,7 @@ def build_operator(
     jump: JumpData | None = None,
 ) -> KernelOperator:
     """Sample the kernel on the (adaptively scaled) section grid."""
-    if jump is None:
-        jump = jump_sets(ell.basis)
-    scale = _section_scale(ell, jump, qspec)
+    scale = _section_scale(ell, _checked_jump(ell.basis, jump), qspec)
     nodes, weights = _tensor_grid(
         [(qspec.section_nodes, qspec.section_halfwidth * scale)] * chart.q
     )
@@ -651,14 +663,6 @@ def build_operator(
     xi, yi = np.meshgrid(np.arange(mq), np.arange(mq), indexing="ij")
     kv = kernel_values(f, ell, chart, qspec, nodes[xi.ravel()], nodes[yi.ravel()])
     return KernelOperator(ell, chart, nodes, weights, kv.reshape(mq, mq))
-
-
-def _point_coords(basis: LayeredBasis, x: GradedElement) -> np.ndarray:
-    """Flat log coordinates of one unbatched group element, certified by
-    :meth:`LayeredBasis.flat_coords` to lie in the basis's group."""
-    if x.role is not Role.GROUP or x.batch_shape != ():
-        raise DimensionMismatch("the point must be one unbatched group element")
-    return basis.flat_coords(log_t(x))
 
 
 def trace_shifted(
@@ -684,9 +688,7 @@ def trace_shifted(
     ells = _functionals(ell)
     basis = chart.basis
     cx = _point_coords(basis, x)
-    if jump is None:
-        jump = jump_sets(basis)
-    scale = _shared_section_scale(ells, jump, qspec)
+    scale = _shared_section_scale(ells, _checked_jump(basis, jump), qspec)
     ys, wy = _tensor_grid([(qspec.section_nodes, qspec.section_halfwidth * scale)] * chart.q)
     ws, rem = chart.decompose(basis.bch_coords(cx, chart.section(ys)))
     twist = np.exp(-1j * (rem @ np.stack([e.flat for e in ells], axis=-1)))  # (P, L)
@@ -704,9 +706,7 @@ def trace_shifted(
 
 def d_matrix(ell: Functional, jump: JumpData | None = None) -> np.ndarray:
     """Skew pairing matrix over the jump indices, in Malcev order."""
-    if jump is None:
-        jump = jump_sets(ell.basis)
-    idx = [ell.basis.flat_index(k, i) for (k, i) in jump.S]
+    idx = [ell.basis.flat_index(k, i) for (k, i) in _checked_jump(ell.basis, jump).S]
     return ell.skew[np.ix_(idx, idx)]
 
 
@@ -720,8 +720,7 @@ def sqrt_det_d(
     case and gives a ``float``.
     """
     ells = _functionals(ell)
-    if jump is None:
-        jump = jump_sets(ells[0].basis)
+    jump = _checked_jump(ells[0].basis, jump)
     dmat = np.stack([d_matrix(e, jump) for e in ells])
     sd = np.zeros(len(ells)) if len(jump.S) % 2 else np.sqrt(np.abs(np.linalg.det(dmat)))
     return float(sd[0]) if isinstance(ell, Functional) else sd
@@ -729,9 +728,7 @@ def sqrt_det_d(
 
 def c_norm(basis: LayeredBasis, jump: JumpData | None = None) -> float:
     """Inversion normalization ``(2 pi)^-(n - |S|/2)``."""
-    if jump is None:
-        jump = jump_sets(basis)
-    return (2.0 * math.pi) ** (-(basis.dim - len(jump.S) / 2.0))
+    return (2.0 * math.pi) ** (-(basis.dim - len(_checked_jump(basis, jump).S) / 2.0))
 
 
 def _plane_nodes(
@@ -846,10 +843,13 @@ def invert(
     plane (:func:`_frequency_plane`) and applies the ``(2 pi)``
     normalization. With ``convergence_tol`` set, the frequency grid is rerun
     at doubled node count and a relative change beyond the tolerance raises
-    :class:`NonConvergence`. The point ``x`` is checked before any node runs,
-    so it is checked even when every node is skipped.
+    :class:`NonConvergence`. The point ``x`` and ``convergence_tol`` (``None``
+    or a finite number ``>= 0``, else :class:`DimensionMismatch`) are checked
+    before any node runs, so they are checked even when every node is skipped.
     """
     _point_coords(basis, x)
+    if convergence_tol is not None and not 0 <= convergence_tol < math.inf:
+        raise DimensionMismatch(f"convergence_tol must be finite and >= 0, got {convergence_tol}")
     if qspec is None:
         qspec = QuadratureSpec.reference()
     jump = jump_sets(basis)
@@ -903,10 +903,8 @@ def hs_norm_sq(
     that differ in basis or ``|ell_T|`` raise :class:`DimensionMismatch`.
     """
     ells = _functionals(ell)
-    if jump is None:
-        jump = jump_sets(chart.basis)
     q = chart.q
-    scale = _shared_section_scale(ells, jump, qspec)
+    scale = _shared_section_scale(ells, _checked_jump(chart.basis, jump), qspec)
     upts, uw = _cube_grid(qspec.section_nodes, qspec.section_halfwidth, q)
     vpts, vw = _tensor_grid(
         [(qspec.section_nodes, 2.0 * qspec.section_halfwidth * scale)] * q

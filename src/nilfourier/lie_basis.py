@@ -4,8 +4,9 @@ This module builds explicit layered bases of the Lie algebra of the group of
 level-``N`` truncated tensors over ``R^d``:
 
 * the free nilpotent flavor uses bracket words (Lyndon words with their
-  standard-factorization bracketing by default, or a user-supplied word list),
-  embedded as antisymmetrized coordinate tensors of each degree;
+  standard-factorization bracketing by default, or a user-supplied list of
+  words, each read as a left-normed bracket), embedded as antisymmetrized
+  coordinate tensors of each degree;
 * the full tensor flavor uses all coordinate tensors of each degree.
 
 Alongside the embeddings the module computes structure constants, the strong
@@ -42,6 +43,7 @@ __all__ = [
     "witt_dimension",
     "lyndon_words",
     "lyndon_bracket",
+    "left_normed_bracket",
     "build_layered_basis",
     "left_normed_degree3_words",
 ]
@@ -230,10 +232,15 @@ class BracketTree:
 
 
 def left_normed_bracket(word: Sequence[int]) -> BracketTree:
-    """Left-normed bracketing ``[x_{i1}, [x_{i2}, [... x_{ik}]]]`` of a word."""
-    if len(word) == 1:
-        return BracketTree(index=word[0])
-    return BracketTree(left=BracketTree(index=word[0]), right=left_normed_bracket(word[1:]))
+    """Left-normed bracketing ``[x_{i1}, [x_{i2}, [... x_{ik}]]]`` of a word,
+    a non-empty sequence of generator indices (else :class:`DegreeMismatch`)."""
+    indices = tuple(word) if isinstance(word, Sequence) else ()
+    if not indices or not all(isinstance(i, int) for i in indices):
+        raise DegreeMismatch(f"a word is a non-empty sequence of generator indices, got {word!r}")
+    leaf = BracketTree(index=indices[0])
+    if len(indices) == 1:
+        return leaf
+    return BracketTree(left=leaf, right=left_normed_bracket(indices[1:]))
 
 
 def left_normed_degree3_words() -> dict[int, list[Sequence[int]]]:
@@ -690,24 +697,24 @@ def _basis_from_trees(spec: GroupSpec, trees: dict[int, list[BracketTree]]) -> L
 
 
 def build_layered_basis(
-    spec: GroupSpec,
-    mode: str = "lyndon",
-    user_words: dict[int, list] | None = None,
+    spec: GroupSpec, user_words: dict[int, list[Sequence[int]]] | None = None
 ) -> LayeredBasis:
     """Build a layered basis for ``spec``.
 
-    For the free nilpotent flavor, ``mode`` selects between the Lyndon default
-    (standard-factorization bracketing of Lyndon words, lexicographic order
-    within each layer) and ``"user"`` with an explicit ``{layer: [word, ...]}``
-    dictionary, where each word is either a :class:`BracketTree`, a nested-list
-    serialization, or a flat tuple of generator indices read as a left-normed
-    bracket. The full tensor flavor ignores ``mode`` and uses coordinate
-    tensors with identity embeddings.
+    For the free nilpotent flavor the default is the standard-factorization
+    bracketing of Lyndon words, lexicographic within each layer. ``user_words``
+    replaces it with an explicit ``{layer: [word, ...]}`` dictionary, each word
+    a non-empty sequence of generator indices read as a left-normed bracket
+    (:func:`left_normed_bracket`). The full tensor flavor uses coordinate
+    tensors with identity embeddings and takes no words.
 
-    Raises :class:`DependentBasis` if a layer's elements do not span it and
-    :class:`DegreeMismatch` if a word sits in the wrong layer.
+    Raises :class:`DependentBasis` if a layer's elements do not span it or a
+    full tensor spec is given words, and :class:`DegreeMismatch` if a word is
+    not a sequence of indices or sits in the wrong layer.
     """
     if spec.flavor is Flavor.FULL_TENSOR:
+        if user_words is not None:
+            raise DependentBasis("a FullTensor basis is its coordinate tensors and takes no words")
         layers = []
         for k in range(1, spec.N + 1):
             words = _full_tensor_words(spec.d, k)
@@ -715,27 +722,9 @@ def build_layered_basis(
             layers.append(Layer(k=k, elements=tuple(words), embedding=emb))
         return LayeredBasis(spec, layers)
 
-    if mode == "lyndon":
+    if user_words is None:
         words = lyndon_words(spec.d, spec.N)
         trees = {k: [lyndon_bracket(w) for w in ws] for k, ws in words.items()}
-        return _basis_from_trees(spec, trees)
-
-    if mode == "user":
-        if user_words is None:
-            raise DependentBasis("user mode needs a {layer: [word, ...]} dictionary")
-        trees: dict[int, list[BracketTree]] = {}
-        for k, entries in user_words.items():
-            out = []
-            for entry in entries:
-                if isinstance(entry, BracketTree):
-                    out.append(entry)
-                elif isinstance(entry, tuple) or (
-                    isinstance(entry, list) and all(isinstance(x, int) for x in entry)
-                ):
-                    out.append(left_normed_bracket(tuple(entry)))
-                else:
-                    out.append(BracketTree.deserialize(entry))
-            trees[int(k)] = out
-        return _basis_from_trees(spec, trees)
-
-    raise DependentBasis(f"unknown basis mode {mode!r}")
+    else:
+        trees = {int(k): [left_normed_bracket(w) for w in ws] for k, ws in user_words.items()}
+    return _basis_from_trees(spec, trees)

@@ -13,7 +13,10 @@ layer ``N - k``. The second construction builds the canonical polarization
 from the radicals of the functional restricted to each Malcev-ordered prefix,
 which works for every functional, generic or not. On generic functionals the
 two span the same subalgebra (Corwin & Greenleaf, *Representations of
-Nilpotent Lie Groups and Their Applications I*, 1990).
+Nilpotent Lie Groups and Their Applications I*, 1990). The generic
+construction checks what it returns with :func:`polarization_check`, whose
+subordination and closure tests hold residuals to the fixed ``CLOSURE_TOL``;
+the prefix-radical one leaves the check to its caller.
 """
 
 from __future__ import annotations
@@ -115,25 +118,26 @@ class Subalgebra:
         coef = np.linalg.lstsq(v.T, w.reshape(-1, v.shape[1]).T, rcond=None)[0]
         return np.abs(w - (v.T @ coef).T.reshape(w.shape)).max(axis=-1)
 
-    def contains(self, w: np.ndarray, tol: float = CLOSURE_TOL) -> np.ndarray:
-        """Whether ``w`` lies in the span (batched over leading axes)."""
+    def contains(self, w: np.ndarray) -> np.ndarray:
+        """Whether ``w`` lies in the span, to ``CLOSURE_TOL`` (batched over
+        leading axes)."""
         w = np.asarray(w, dtype=float)
-        return self.project_residual(w) <= tol * (1.0 + np.abs(w).max(axis=-1))
+        return self.project_residual(w) <= CLOSURE_TOL * (1.0 + np.abs(w).max(axis=-1))
 
-    def is_bracket_closed(self, tol: float = CLOSURE_TOL) -> bool:
+    def is_bracket_closed(self) -> bool:
         # every ordered pair at once; [v_j, v_i] = -[v_i, v_j] decides the same
         w = self.basis.bracket_coords(self.vectors[:, None], self.vectors[None])
-        return bool(np.all(self.contains(w, tol)))
+        return bool(np.all(self.contains(w)))
 
 
-def is_subordinate(sub: Subalgebra, ell: Functional, tol: float = CLOSURE_TOL) -> bool:
-    """Whether ``ell`` kills all brackets of the subalgebra."""
+def is_subordinate(sub: Subalgebra, ell: Functional) -> bool:
+    """Whether ``ell`` kills all brackets of the subalgebra, to ``CLOSURE_TOL``."""
     if sub.basis is not ell.basis and sub.basis.spec != ell.basis.spec:
         raise DimensionMismatch("subalgebra and functional use different bases")
     pairing = sub.vectors @ ell.skew @ sub.vectors.T
     scale = 1.0 + (float(np.max(np.abs(ell.flat))) if ell.flat.size else 0.0)
     resid = float(np.max(np.abs(pairing))) if pairing.size else 0.0
-    return resid <= tol * scale
+    return resid <= CLOSURE_TOL * scale
 
 
 def generic_polarization(ell: Functional, candidate: Subalgebra | None = None) -> Subalgebra:
@@ -152,26 +156,25 @@ def generic_polarization(ell: Functional, candidate: Subalgebra | None = None) -
     functionals at once, as the frequency plane does) may hand them over as
     ``candidate``; it is then checked, not rebuilt.
     """
-    return _checked_generic_polarization(ell, candidate)[0]
-
-
-def _checked_generic_polarization(
-    ell: Functional, sub: Subalgebra | None = None
-) -> tuple[Subalgebra, dict]:
-    """:func:`generic_polarization` and the :func:`polarization_check` report
-    it passed."""
-    if sub is None:
-        if not is_generic(ell):
-            raise NotGeneric("generic_polarization needs a generic functional")
-        [(_, rows)] = _layer_rows(ell.basis, ell.skew[None])
-        sub = Subalgebra(ell.basis, rows[0])
-    report = polarization_check(sub, ell)
+    if candidate is None:
+        candidate = _layer_polarization(ell)
+    report = polarization_check(candidate, ell)
     if not report["passed"]:
         raise NotGeneric(
             "layer-built candidate failed the polarization checks "
-            f"(dim {sub.dim}, expected {report['expected_dim']})"
+            f"(dim {candidate.dim}, expected {report['expected_dim']})"
         )
-    return sub, report
+    return candidate
+
+
+def _layer_polarization(ell: Functional) -> Subalgebra:
+    """The layer-built candidate of :func:`generic_polarization` at one
+    functional, unchecked, like :func:`vergne_polarization`; a non-generic
+    functional raises :class:`NotGeneric`."""
+    if not is_generic(ell):
+        raise NotGeneric("generic_polarization needs a generic functional")
+    [(_, rows)] = _layer_rows(ell.basis, ell.skew[None])
+    return Subalgebra(ell.basis, rows[0])
 
 
 def _layer_rows(basis: LayeredBasis, skews: np.ndarray) -> list:

@@ -94,9 +94,7 @@ def test_log_of_group_product_matches_closed_depth3_series():
 
 
 def test_bracket_expansion_in_word_basis_has_unit_coefficients():
-    basis = build_layered_basis(
-        GroupSpec(3, 3), mode="user", user_words=left_normed_degree3_words()
-    )
+    basis = build_layered_basis(GroupSpec(3, 3), left_normed_degree3_words())
     x3 = BracketTree(index=3)
     x12 = BracketTree(left=BracketTree(index=1), right=BracketTree(index=2))
     tensor = BracketTree(left=x3, right=x12).embed(3)

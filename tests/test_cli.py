@@ -16,9 +16,10 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from nilfourier import cli, polarization
+from nilfourier import GroupSpec, build_layered_basis, cli, polarization, sample_generic
 from nilfourier.cli import main
 
 
@@ -66,6 +67,16 @@ def test_basis_emits_layers_and_brackets(capsys):
     rc, doc = run_cli(capsys, "basis", "--spec", "2,3")
     assert rc == 0
     assert [len(layer["elements"]) for layer in doc["layers"]] == [2, 1, 2]
+
+
+def test_basis_full_tensor_flavor(capsys):
+    rc, doc = run_cli(capsys, "basis", "--spec", "2,2", "--flavor", "FullTensor")
+    assert rc == 0
+    assert doc["spec"]["flavor"] == "FullTensor"
+    words = [[e["word"] for e in layer["elements"]] for layer in doc["layers"]]
+    assert words == [[[1], [2]], [[1, 1], [1, 2], [2, 1], [2, 2]]]
+    # [e_1, e_2] = e_12 - e_21: 1-based Malcev positions, top layer first
+    assert [5, 6, 2, 1.0] in doc["structure"] and [5, 6, 3, -1.0] in doc["structure"]
 
 
 def test_paper_basis_flag_requires_matching_spec(capsys):
@@ -250,6 +261,25 @@ def test_orbit_dims_numeric_matches_generic(capsys):
     assert doc["functional_full_dim"] == doc["full_generic_dim"] == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["polarization", "--spec", "2,3", "--method", "generic"],
+        ["polarization", "--spec", "2,3", "--method", "radical"],
+        ["orbit-dims", "--spec", "2,4", "--numeric"],
+    ],
+)
+def test_functional_file_reproduces_the_sampled_run(capsys, tmp_path, argv):
+    assert main([*argv, "--seed", "3"]) == 0
+    sampled = capsys.readouterr().out
+    basis = build_layered_basis(GroupSpec(*map(int, argv[2].split(","))))
+    ell = sample_generic(basis, np.random.default_rng(3))
+    fp = tmp_path / "ell.json"
+    fp.write_text(json.dumps(ell.to_json_dict()), encoding="utf-8")
+    assert main([*argv, "--functional", str(fp)]) == 0
+    assert capsys.readouterr().out == sampled
+
+
 def test_jump_sets_examples(capsys):
     rc, doc = run_cli(capsys, "jump-sets", "--spec", "3,3")
     assert rc == 0
@@ -321,6 +351,14 @@ def test_fourier_demo_nonconvergence_exit_code(capsys):
     assert doc["error"]["type"] == "NonConvergence"
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_fourier_demo_rejects_a_bad_convergence_tol(capsys, tol):
+    rc, doc = run_cli(capsys, "fourier-demo", "--seed", "7", "--convergence-tol", tol)
+    assert rc == 2
+    assert doc["error"]["type"] == "DimensionMismatch"
+    assert doc["error"]["message"].startswith("convergence_tol must be finite and >= 0")
+
+
 def test_fourier_demo_custom_config(capsys, tmp_path):
     cfg = {
         "h_nodes": 8,
@@ -370,6 +408,18 @@ def test_plancherel_check_small_config(capsys, tmp_path):
     assert abs(doc["ratio"] - 1.0) < 0.15
     rows = _rows(doc["convergence_csv"])
     assert rows[0] == ["h_nodes", "section_nodes", "t_nodes", "abs_ratio_error"]
+
+
+@pytest.mark.parametrize("scale", ["nan", "inf"])
+def test_plancherel_check_rejects_a_non_finite_scale(capsys, scale):
+    # the error document is strict JSON: no NaN anywhere
+    rc = main(["plancherel-check", "--scale", scale])
+    doc = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)
+    assert rc == 2
+    assert doc["error"] == {
+        "type": "DimensionMismatch",
+        "message": "decay box half-widths must be positive and finite",
+    }
 
 
 def test_out_of_memory_prints_the_error_document(capsys, monkeypatch):

@@ -31,7 +31,14 @@ from nilfourier.coadjoint import (
     _prefix_rank,
     b_matrix_ranks,
 )
-from nilfourier.errors import DimensionMismatch, IndexOutOfRange, NotGeneric
+from nilfourier import coadjoint
+from nilfourier.errors import (
+    DimensionMismatch,
+    IndexOutOfRange,
+    NotGeneric,
+    SamplingExhausted,
+    SpecMismatch,
+)
 
 from oracles import FULL_ORBIT_DIMS, JUMP_SET_EXAMPLES
 
@@ -82,6 +89,18 @@ def test_coadjoint_is_group_action():
     one_step = coadjoint_apply(_mul(g, h), ell)
     two_step = coadjoint_apply(g, coadjoint_apply(h, ell))
     np.testing.assert_allclose(one_step.flat, two_step.flat, atol=1e-10)
+
+
+def test_coadjoint_apply_takes_one_point_of_the_functional_group():
+    basis = _basis(2, 2)
+    ell = Functional(basis, [1.0, 0.5, -0.5])
+    x = basis.algebra_element([0.3, 0.2, 0.1])
+    with pytest.raises(DimensionMismatch, match="one unbatched group element"):
+        coadjoint_apply(x, ell)  # an algebra element
+    with pytest.raises(DimensionMismatch, match="one unbatched group element"):
+        coadjoint_apply(exp_t(basis.algebra_element(np.zeros((2, 3)))), ell)
+    with pytest.raises(SpecMismatch):
+        coadjoint_apply(exp_t(_basis(2, 3).algebra_element(np.zeros(5))), ell)
 
 
 def _mul(g, h):
@@ -371,6 +390,14 @@ def test_sample_generic_is_generic():
         rng = np.random.default_rng(9)
         for _ in range(3):
             assert is_generic(sample_generic(basis, rng))
+
+
+def test_sample_generic_gives_up_after_its_attempts(monkeypatch):
+    draws = []
+    monkeypatch.setattr(coadjoint, "is_generic", lambda ell: draws.append(ell) and False)
+    with pytest.raises(SamplingExhausted, match=f"in {coadjoint.SAMPLE_ATTEMPTS} attempts"):
+        sample_generic(_basis(2, 2), np.random.default_rng(0))
+    assert len(draws) == coadjoint.SAMPLE_ATTEMPTS == 1000
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from nilfourier import (
+    Flavor,
     Functional,
     GradedElement,
     GroupSpec,
@@ -197,6 +198,14 @@ def test_gaussian_decay_box_suppresses_tails():
     f = SchwartzFunction.gaussian(2, scale=1.0)
     edge = np.array([f.decay_box[0], 0.0])
     assert abs(f(edge[None, :])[0]) < 1e-10
+
+
+@pytest.mark.parametrize("box", [np.nan, np.inf, -1.0, 0.0])
+def test_schwartz_rejects_a_decay_box_that_is_not_positive_and_finite(box):
+    with pytest.raises(DimensionMismatch, match="positive and finite"):
+        SchwartzFunction(2, lambda c: np.zeros(c.shape[:-1]), np.array([1.0, box]))
+    with pytest.raises(DimensionMismatch, match="positive and finite"):
+        SchwartzFunction.gaussian(2, scale=box)
 
 
 def test_schwartz_rejects_wrong_coordinate_count():
@@ -1093,6 +1102,24 @@ def test_invert_flags_unconverged_frequency_grids():
     assert abs(v - 1.0) < 0.2
 
 
+@pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf])
+def test_invert_rejects_a_bad_convergence_tol_before_any_node_runs(monkeypatch, tol):
+    basis = _basis(2, 2)
+    f = SchwartzFunction.gaussian(basis.dim)
+    ident = GradedElement.identity(basis.spec)
+
+    def no_plane(*args):
+        raise AssertionError("a frequency node ran")
+
+    monkeypatch.setattr(fourier, "_plane_nodes", no_plane)
+    with pytest.raises(DimensionMismatch, match="convergence_tol must be finite and >= 0"):
+        invert(f, ident, basis, QuadratureSpec.demo(), convergence_tol=tol)
+    monkeypatch.undo()
+    # zero is a tolerance: the doubled grid moves the demo result
+    with pytest.raises(NonConvergence):
+        invert(f, ident, basis, QuadratureSpec.demo(), convergence_tol=0.0)
+
+
 def test_invert_certifies_the_point_on_empty_layers():
     # on one letter the level-2 layer is empty: a level-2 part left by the
     # logarithm means the point is not in the group
@@ -1116,6 +1143,33 @@ def test_transforms_reject_a_point_of_another_group():
     ell = sample_generic(basis, np.random.default_rng(0))
     with pytest.raises(SpecMismatch):
         trace_shifted(f, ell, chart_for(ell), QuadratureSpec.demo(), x)
+
+
+def test_jump_data_of_another_spec_is_refused():
+    # a FullTensor functional with the jump data of the free group of the same
+    # d and N: the jump sets S agree, but T holds one of the four top-layer
+    # coordinates, so |ell_T| and the section box would be wrong
+    basis = build_layered_basis(GroupSpec(2, 2, Flavor.FULL_TENSOR))
+    ell = sample_generic(basis, np.random.default_rng(1))
+    chart = chart_for(ell)
+    f = SchwartzFunction.gaussian(basis.dim)
+    q = QuadratureSpec.demo()
+    ident = GradedElement.identity(basis.spec)
+    calls = {
+        "build_operator": lambda jump: build_operator(f, ell, chart, q, jump).matrix,
+        "trace_shifted": lambda jump: trace_shifted(f, ell, chart, q, ident, jump),
+        "d_matrix": lambda jump: d_matrix(ell, jump),
+        "sqrt_det_d": lambda jump: sqrt_det_d(ell, jump),
+        "c_norm": lambda jump: c_norm(basis, jump),
+        "hs_norm_sq": lambda jump: hs_norm_sq(f, ell, chart, q, jump),
+    }
+    other = jump_sets(_basis(2, 2))
+    assert other.S == jump_sets(basis).S
+    for name, call in calls.items():
+        with pytest.raises(SpecMismatch, match="jump data over"):
+            call(other)
+        # the basis's own jump data is the default, bit for bit
+        assert np.array_equal(call(jump_sets(basis)), call(None)), name
 
 
 def test_invert_abelian_line_is_classical_fourier_inversion():

@@ -9,6 +9,7 @@ import pytest
 from nilfourier import (
     BracketTree,
     DegreeMismatch,
+    DependentBasis,
     DimensionMismatch,
     Flavor,
     GradedElement,
@@ -208,7 +209,7 @@ def test_level2_lyndon_bracket_embedding():
 
 def test_degree3_word_basis_expansion():
     spec = GroupSpec(3, 3)
-    basis = build_layered_basis(spec, mode="user", user_words=left_normed_degree3_words())
+    basis = build_layered_basis(spec, left_normed_degree3_words())
     words = [tuple(t.foliage()) for t in basis.layers[2].elements]
     target = words.index((3, 1, 2))if (3, 1, 2) in words else None
     assert target is None  # (3,1,2) deliberately not part of the alternative list
@@ -230,7 +231,19 @@ def test_degree3_word_basis_expansion():
 def test_wrong_degree_word_raises():
     spec = GroupSpec(2, 2)
     with pytest.raises(DegreeMismatch):
-        build_layered_basis(spec, mode="user", user_words={1: [(1,), (2,)], 2: [(1, 2, 2)]})
+        build_layered_basis(spec, {1: [(1,), (2,)], 2: [(1, 2, 2)]})
+
+
+@pytest.mark.parametrize("word", [(), 2, [[1, 2]], "12", BracketTree(index=1), (1.0, 2.0)])
+def test_a_basis_word_is_a_sequence_of_generator_indices(word):
+    with pytest.raises(DegreeMismatch, match="sequence of generator indices"):
+        build_layered_basis(GroupSpec(2, 2), {1: [(1,), (2,)], 2: [word]})
+
+
+def test_full_tensor_basis_takes_no_words():
+    spec = GroupSpec(2, 2, Flavor.FULL_TENSOR)
+    with pytest.raises(DependentBasis, match="takes no words"):
+        build_layered_basis(spec, {1: [(1,), (2,)], 2: [(1, 2)]})
 
 
 def test_non_lie_tensor_rejected():
@@ -310,15 +323,18 @@ def test_flat_coords_rejects_non_finite_input(bad, k):
 
 
 def test_basis_json_round_trip():
-    basis = build_layered_basis(GroupSpec(2, 3))
-    payload = basis.to_json_dict()
-    text = json.dumps(payload)
-    restored = LayeredBasis.from_json_dict(json.loads(text))
-    assert restored.spec == basis.spec
-    for la, lb in zip(basis.layers, restored.layers):
-        assert la.elements == lb.elements
-        np.testing.assert_allclose(la.embedding, lb.embedding)
-    assert basis.structure_table() == restored.structure_table()
+    for spec in (GroupSpec(2, 3), GroupSpec(2, 2, Flavor.FULL_TENSOR)):
+        basis = build_layered_basis(spec)
+        payload = basis.to_json_dict()
+        text = json.dumps(payload)
+        restored = LayeredBasis.from_json_dict(json.loads(text))
+        assert restored.spec == basis.spec
+        for la, lb in zip(basis.layers, restored.layers):
+            assert la.elements == lb.elements
+            np.testing.assert_allclose(la.embedding, lb.embedding)
+        assert basis.structure_table() == restored.structure_table()
+    # a FullTensor layer lists its coordinate words
+    assert [e["word"] for e in payload["layers"][1]["elements"]] == [[1, 1], [1, 2], [2, 1], [2, 2]]
 
 
 def test_spec_json_round_trip():
