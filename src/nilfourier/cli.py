@@ -6,8 +6,11 @@ produce byte-identical output apart from ``elapsed_seconds`` fields. Tabular
 byproducts (rank tables, jump-set tables, log-signature coefficients,
 convergence ladders) are embedded as CSV strings and, under ``--out``, also
 written as separate ``.csv`` files ready for plotting. Timing goes to stderr.
-Exit codes: 0 on success, 2 on malformed input (with a machine-readable error
-document), 3 when an integration fails its convergence check.
+Each subcommand declares only the options it reads (``--seed`` where it
+samples, ``--paper-basis`` where it builds a basis), so any other option is a
+usage error. Exit codes: 0 on success, 2 on malformed input (with a
+machine-readable error document), 3 when an integration fails its convergence
+check.
 """
 
 from __future__ import annotations
@@ -71,7 +74,7 @@ def _parse_spec(text: str, flavor: str) -> GroupSpec:
 
 def _resolve_basis(args) -> LayeredBasis:
     spec = _parse_spec(args.spec, args.flavor)
-    if getattr(args, "paper_basis", False):
+    if args.paper_basis:
         if spec.flavor is not Flavor.FREE_NILPOTENT or spec.d != 3 or spec.N != 3:
             raise NilfourierError(
                 "--paper-basis provides the alternative degree-3 word basis and "
@@ -92,7 +95,7 @@ def _load_json(path: str) -> dict:
 
 
 def _load_quadrature(args) -> QuadratureSpec:
-    if getattr(args, "config", None):
+    if args.config:
         obj = _load_json(args.config)
         if not isinstance(obj, dict):
             raise NilfourierError("quadrature config must be a JSON object")
@@ -101,7 +104,7 @@ def _load_quadrature(args) -> QuadratureSpec:
 
 
 def _load_functional(args, basis: LayeredBasis) -> Functional:
-    if getattr(args, "functional", None):
+    if args.functional:
         obj = _load_json(args.functional)
         return Functional.from_json_dict(obj, basis=basis)
     rng = np.random.default_rng(args.seed)
@@ -110,7 +113,7 @@ def _load_functional(args, basis: LayeredBasis) -> Functional:
 
 def _emit(args, name: str, payload: dict, csvs: dict[str, str] | None = None) -> None:
     text = json.dumps(payload, sort_keys=True, indent=2)
-    if getattr(args, "out", None):
+    if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         target = out_dir / f"{name}.json"
@@ -162,10 +165,6 @@ def _cmd_signature(args) -> int:
         path = read_path_csv(args.path)
     except FileNotFoundError:
         raise NilfourierError(f"file not found: {args.path}") from None
-    if path.d != spec.d:
-        raise NilfourierError(
-            f"path has {path.d} coordinates but the spec expects {spec.d}"
-        )
     sig = path_signature(spec, path)
     payload = {
         "spec": spec.to_json_dict(),
@@ -191,16 +190,12 @@ def _cmd_signature(args) -> int:
 
 def _cmd_generic_test(args) -> int:
     basis = _resolve_basis(args)
-    if args.functional:
-        ells = [Functional.from_json_dict(_load_json(args.functional), basis=basis)]
-        sampled = False
-    else:
+    sampled = not args.functional
+    if sampled:
         rng = np.random.default_rng(args.seed)
-        ells = [
-            Functional(basis, np.asarray(rng.standard_normal(basis.dim)))
-            for _ in range(args.count)
-        ]
-        sampled = True
+        ells = [Functional(basis, rng.standard_normal(basis.dim)) for _ in range(args.count)]
+    else:
+        ells = [_load_functional(args, basis)]
     reports = []
     table_rows: list[list] = []
     for idx, ell in enumerate(ells):
@@ -288,10 +283,12 @@ def _cmd_polarization(args) -> int:
 def _convergence_ladder(
     name: str, qspec: QuadratureSpec, run, error_header: str
 ) -> tuple[str, float, object, float]:
-    """Run ``run(rung, final)`` on coarser copies of ``qspec`` (node counts
-    scaled by 0.5 and 0.75, at least 8) and then on ``qspec`` itself; ``run``
-    returns ``(error, result)``. Gives the ladder as CSV, the final error and
-    result, and the elapsed time (also reported on stderr)."""
+    """Run ``run(rung, final)`` on ``qspec`` itself and then on coarser copies
+    of it (node counts scaled by 0.5 and 0.75, at least 8); ``run`` returns
+    ``(error, result)``. The final rung runs first, so whatever it checks (or
+    fails to converge) stops the ladder before a coarse rung runs. Gives the
+    ladder as CSV in rung order, the final error and result, and the elapsed
+    time (also reported on stderr)."""
     t0 = time.perf_counter()
     rungs: list[QuadratureSpec] = []
     for factor in (0.5, 0.75, 1.0):
@@ -304,10 +301,12 @@ def _convergence_ladder(
         if not rungs or rung != rungs[-1]:
             rungs.append(rung)
     rungs[-1] = qspec
-    rows = []
-    for i, rung in enumerate(rungs):
-        err, result = run(rung, i == len(rungs) - 1)
-        rows.append([rung.h_nodes, rung.section_nodes, rung.t_nodes, repr(float(err))])
+    err, result = run(qspec, True)
+    errors = [run(rung, False)[0] for rung in rungs[:-1]] + [err]
+    rows = [
+        [rung.h_nodes, rung.section_nodes, rung.t_nodes, repr(float(e))]
+        for rung, e in zip(rungs, errors)
+    ]
     elapsed = time.perf_counter() - t0
     print(f"{name} elapsed: {elapsed:.2f}s", file=sys.stderr)
     table = _csv_text(["h_nodes", "section_nodes", "t_nodes", error_header], rows)
@@ -396,7 +395,24 @@ def _cmd_plancherel_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser, *, spec_default: str | None = None) -> None:
+#: Options that several commands read, each declared only on those commands.
+_SHARED_OPTIONS = {
+    "--seed": dict(type=int, default=DEFAULT_SEED, help="sampling seed"),
+    "--paper-basis": dict(
+        action="store_true",
+        help="use the alternative left-normed degree-3 word basis (spec 3,3 only)",
+    ),
+    "--functional": dict(default=None, help="functional JSON file"),
+    "--config": dict(default=None, help="quadrature config JSON file"),
+    "--scale": dict(type=float, default=1.0, help="Gaussian width"),
+}
+
+
+def _command(sub, name: str, func, summary: str, *shared: str, spec_default: str | None = None):
+    """Add the subcommand ``name``, run by ``func``, with the options every
+    command reads (``--spec``, ``--flavor``, ``--out``) and the ``shared``
+    ones of :data:`_SHARED_OPTIONS` that it reads too."""
+    p = sub.add_parser(name, help=summary)
     if spec_default is None:
         p.add_argument("--spec", required=True, help="group spec as 'd,N'")
     else:
@@ -406,13 +422,11 @@ def _add_common(p: argparse.ArgumentParser, *, spec_default: str | None = None) 
         default=Flavor.FREE_NILPOTENT.value,
         help="basis flavor: FreeNilpotent or FullTensor",
     )
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="sampling seed")
     p.add_argument("--out", default=None, help="directory for the JSON output file")
-    p.add_argument(
-        "--paper-basis",
-        action="store_true",
-        help="use the alternative left-normed degree-3 word basis (spec 3,3 only)",
-    )
+    for option in shared:
+        p.add_argument(option, **_SHARED_OPTIONS[option])
+    p.set_defaults(func=func)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -422,69 +436,49 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    sampled = ("--seed", "--paper-basis", "--functional")
+    transform = ("--paper-basis", "--config", "--scale")
 
-    p = sub.add_parser("dims", help="layer and group dimensions")
-    _add_common(p)
-    p.set_defaults(func=_cmd_dims)
-
-    p = sub.add_parser("basis", help="layered basis with structure constants")
-    _add_common(p)
-    p.set_defaults(func=_cmd_basis)
-
-    p = sub.add_parser("signature", help="path signature from a CSV of vertices")
-    _add_common(p)
+    _command(sub, "dims", _cmd_dims, "layer and group dimensions")
+    _command(sub, "basis", _cmd_basis, "layered basis with structure constants", "--paper-basis")
+    p = _command(
+        sub, "signature", _cmd_signature, "path signature from a CSV of vertices", "--paper-basis"
+    )
     p.add_argument("--path", required=True, help="CSV file of path vertices")
-    p.set_defaults(func=_cmd_signature)
 
-    p = sub.add_parser("generic-test", help="flat-orbit genericity test")
-    _add_common(p)
-    p.add_argument("--functional", default=None, help="functional JSON file")
+    p = _command(sub, "generic-test", _cmd_generic_test, "flat-orbit genericity test", *sampled)
     p.add_argument("--count", type=int, default=5, help="sampled functionals")
-    p.set_defaults(func=_cmd_generic_test)
-
-    p = sub.add_parser("orbit-dims", help="generic quotient orbit dimensions")
-    _add_common(p)
-    p.add_argument("--functional", default=None, help="functional JSON file")
+    p = _command(sub, "orbit-dims", _cmd_orbit_dims, "generic quotient orbit dimensions", *sampled)
     p.add_argument(
         "--numeric",
         action="store_true",
         help="also report the rank-based full orbit dimension of a functional",
     )
-    p.set_defaults(func=_cmd_orbit_dims)
-
-    p = sub.add_parser("jump-sets", help="jump and transverse index sets")
-    _add_common(p)
-    p.set_defaults(func=_cmd_jump_sets)
-
-    p = sub.add_parser("polarization", help="polarization subalgebra for a functional")
-    _add_common(p)
-    p.add_argument("--functional", default=None, help="functional JSON file")
+    _command(sub, "jump-sets", _cmd_jump_sets, "jump and transverse index sets", "--paper-basis")
+    p = _command(
+        sub, "polarization", _cmd_polarization, "polarization subalgebra for a functional", *sampled
+    )
     p.add_argument(
         "--method",
         choices=["generic", "radical"],
         default="generic",
         help="layer-built generic construction or prefix-radical construction",
     )
-    p.set_defaults(func=_cmd_polarization)
 
-    p = sub.add_parser("fourier-demo", help="invert a Gaussian through the transform")
-    _add_common(p, spec_default="2,2")
-    p.add_argument("--config", default=None, help="quadrature config JSON file")
-    p.add_argument("--scale", type=float, default=1.0, help="Gaussian width")
+    p = _command(
+        sub, "fourier-demo", _cmd_fourier_demo, "invert a Gaussian through the transform",
+        "--seed", *transform, spec_default="2,2",
+    )
     p.add_argument(
         "--convergence-tol",
         type=float,
         default=None,
         help="raise (exit 3) if doubling the frequency grid moves results more than this",
     )
-    p.set_defaults(func=_cmd_fourier_demo)
-
-    p = sub.add_parser("plancherel-check", help="compare both sides of the Plancherel identity")
-    _add_common(p, spec_default="2,2")
-    p.add_argument("--config", default=None, help="quadrature config JSON file")
-    p.add_argument("--scale", type=float, default=1.0, help="Gaussian width")
-    p.set_defaults(func=_cmd_plancherel_check)
-
+    _command(
+        sub, "plancherel-check", _cmd_plancherel_check,
+        "compare both sides of the Plancherel identity", *transform, spec_default="2,2",
+    )
     return parser
 
 

@@ -116,9 +116,8 @@ class Functional:
 
     def evaluate(self, y: GradedElement) -> np.ndarray:
         """Pair with an algebra element (batched) through its certified flat
-        coordinates (:meth:`LayeredBasis.flat_coords`)."""
-        if y.spec != self.spec:
-            raise SpecMismatch("functional and element specs differ")
+        coordinates (:meth:`LayeredBasis.flat_coords`, which also checks the
+        spec)."""
         if y.role is not Role.ALGEBRA:
             raise SpecMismatch("functionals pair with algebra elements")
         return self.basis.flat_coords(y) @ self.flat

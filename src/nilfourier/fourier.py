@@ -36,9 +36,10 @@ budget. ``hs_norm_sq`` passes one row per coset of its grid and
 ``trace_shifted`` one row in all. The frequency plane runs in mirror pairs
 ``ell``, ``-ell``, which share the chart, the section grid and the samples of
 ``f``; for real ``f`` the kernel at ``-ell`` is the conjugate of the kernel at
-``ell``. Every pair is decided in one batched pass before any pair runs.
-Functions that take jump data default it to the basis's own and refuse jump
-data of another spec.
+``ell``. Every pair is decided in one batched pass before any pair runs: it
+is skipped if it is not generic (:func:`is_generic` alone decides) or if the
+subgroup grid cannot resolve its phase rate. Functions that take jump data
+default it to the basis's own and refuse jump data of another spec.
 """
 
 from __future__ import annotations
@@ -395,8 +396,13 @@ def _checked_jump(basis: LayeredBasis, jump: JumpData | None) -> JumpData:
     return jump
 
 
-def _section_scale(ell: Functional, jump: JumpData, qspec: QuadratureSpec) -> float:
-    """Per-functional scaling of the section box.
+def _section_scale(
+    ell: Functional | tuple[Functional, ...], jump: JumpData, qspec: QuadratureSpec
+) -> float:
+    """Per-functional scaling of the section box, for one functional or a
+    tuple of them that share ``|ell_T|``, the norm of the transverse
+    coordinates, so that one section grid serves them all; members that
+    differ in ``|ell_T|`` raise :class:`DimensionMismatch`.
 
     Kernels concentrate on a ridge whose width shrinks like ``1/|ell_T|``,
     so the section box must shrink at the same rate: ``box = halfwidth /
@@ -409,17 +415,16 @@ def _section_scale(ell: Functional, jump: JumpData, qspec: QuadratureSpec) -> fl
     rate, trading smooth truncation error for wild aliasing error. At the
     reference resolution the tightening factor is one.
     """
-    norm = _transverse_norm(ell, jump)
+    ells = _functionals(ell)
+    t_idx = [ells[0].basis.flat_index(k, i) for (k, i) in jump.T]
+    norms = {float(np.linalg.norm(e.flat[t_idx])) for e in ells}
+    if len(norms) > 1:
+        raise DimensionMismatch("a tuple of functionals must share |ell_T| (one section box)")
+    [norm] = norms
     tighten = min(1.0, _resolvable_rate(qspec) / qspec.section_halfwidth)
     if norm <= 0:
         return qspec.section_scale_cap * tighten
     return float(min(tighten / norm, qspec.section_scale_cap))
-
-
-def _transverse_norm(ell: Functional, jump: JumpData) -> float:
-    """``|ell_T|``, the norm of the transverse coordinates."""
-    t_idx = [ell.basis.flat_index(k, i) for (k, i) in jump.T]
-    return float(np.linalg.norm(ell.flat[t_idx])) if t_idx else 0.0
 
 
 def _resolvable_rate(qspec: QuadratureSpec) -> float:
@@ -440,24 +445,6 @@ def _h_phase_rate(flat: np.ndarray, rows: np.ndarray) -> np.ndarray:
     orthonormal rows spanning the subalgebra, so no chart is needed.
     """
     return np.linalg.norm(rows @ flat[..., None], axis=(-2, -1))
-
-
-def _check_h_box(f: SchwartzFunction, qspec: QuadratureSpec) -> None:
-    if qspec.h_halfwidth < float(np.max(f.decay_box)):
-        raise QuadratureUnderflow(
-            f"H box half-width {qspec.h_halfwidth} is smaller than the "
-            f"function's decay box {float(np.max(f.decay_box))}"
-        )
-
-
-def _shared_section_scale(
-    ells: tuple[Functional, ...], jump: JumpData, qspec: QuadratureSpec
-) -> float:
-    """:func:`_section_scale` of functionals that must share ``|ell_T|``, so
-    that one section grid serves them all."""
-    if len({_transverse_norm(e, jump) for e in ells}) > 1:
-        raise DimensionMismatch("a tuple of functionals must share |ell_T| (one section box)")
-    return _section_scale(ells[0], jump, qspec)
 
 
 def kernel_values(
@@ -522,7 +509,11 @@ def kernel_values(
     pairs run on chunks of members that keep rows times members within the
     budget.
     """
-    _check_h_box(f, qspec)
+    if qspec.h_halfwidth < float(np.max(f.decay_box)):
+        raise QuadratureUnderflow(
+            f"H box half-width {qspec.h_halfwidth} is smaller than the "
+            f"function's decay box {float(np.max(f.decay_box))}"
+        )
     ells = _functionals(ell)
     basis = chart.basis
     n, N = basis.dim, basis.spec.N
@@ -688,7 +679,7 @@ def trace_shifted(
     ells = _functionals(ell)
     basis = chart.basis
     cx = _point_coords(basis, x)
-    scale = _shared_section_scale(ells, _checked_jump(basis, jump), qspec)
+    scale = _section_scale(ells, _checked_jump(basis, jump), qspec)
     ys, wy = _tensor_grid([(qspec.section_nodes, qspec.section_halfwidth * scale)] * chart.q)
     ws, rem = chart.decompose(basis.bch_coords(cx, chart.section(ys)))
     twist = np.exp(-1j * (rem @ np.stack([e.flat for e in ells], axis=-1)))  # (P, L)
@@ -738,17 +729,19 @@ def _plane_nodes(
     batched pass.
 
     Node ``i < (M + 1) // 2`` of the plane's ``M`` nodes stands for the pair
-    of itself and its mirror ``M - 1 - i``. A pair runs when it is generic,
-    ``sqrt(det D) > 0`` and its subgroup phase rate ``|ell_h|`` is within the
-    grid's resolvable rate. Every layer above the middle lies in the
-    layer-built polarization, so ``|ell_h|`` is at least the norm of those
-    layers of ``ell``: a pair over the rate limit by that norm alone (beyond a
-    relative ``1e-12`` of rounding) cannot run and is decided there. The rest
-    run in chunks of ``_CHUNK_BUDGET // n^2`` functionals (one skew form
-    each): one stacked :func:`is_generic` and one stacked :func:`sqrt_det_d`
-    per chunk, then the layer-built rows (:func:`_layer_rows`) and ``|ell_h|``
-    (:func:`_h_phase_rate`) of the pairs that pass both. The pairs that run
-    come back as ``(i, ell, sqrt(det D), candidate)`` in node order, with
+    of itself and its mirror ``M - 1 - i``. A pair is skipped for one of two
+    reasons: it is not generic (:func:`is_generic`, the paper's condition
+    ``Pf_S(ell) != 0``), or its subgroup phase rate ``|ell_h|`` is beyond the
+    grid's resolvable rate. Every other pair runs, with ``sqrt(det D)`` as its
+    weight. Every layer above the middle lies in the layer-built
+    polarization, so ``|ell_h|`` is at least the norm of those layers of
+    ``ell``: a pair over the rate limit by that norm alone (beyond a relative
+    ``1e-12`` of rounding) cannot run and is decided there. The rest run in
+    chunks of ``_CHUNK_BUDGET // n^2`` functionals (one skew form each): one
+    stacked :func:`is_generic` and one stacked :func:`sqrt_det_d` per chunk,
+    then the layer-built rows (:func:`_layer_rows`) and ``|ell_h|``
+    (:func:`_h_phase_rate`) of the generic pairs. The pairs that run come
+    back as ``(i, ell, sqrt(det D), candidate)`` in node order, with
     ``candidate`` holding their rows.
     """
     pts, wts = _cube_grid(t_nodes, qspec.t_halfwidth, len(jump.T))
@@ -765,7 +758,7 @@ def _plane_nodes(
         nodes = near[lo : lo + step]
         ells = [Functional(basis, flats[i]) for i in nodes]
         sds = sqrt_det_d(ells, jump)
-        live = np.flatnonzero(is_generic(ells) & (sds > 0.0))
+        live = np.flatnonzero(is_generic(ells))
         if not live.size:
             continue
         for members, rows in _layer_rows(basis, np.stack([ells[j].skew for j in live])):
@@ -793,14 +786,15 @@ def _frequency_plane(
     axis odd) is its own mirror and gets ``(ell,)``.
 
     Every pair is decided before any runs, in one batched pass
-    (:func:`_plane_nodes`). Non-generic nodes contribute zero. They are the
-    null set where ``sqrt(det D) = 0``, found by the block ranks of
-    :func:`is_generic`, so a ``det D`` that is only rounding noise does not
-    count. Nodes whose subgroup phase rate the grid cannot resolve contribute
-    zero too (see :func:`_h_phase_rate`; at the reference resolution no node
-    is dropped). The rate is read from the layer-built polarization's rows,
-    built in the same pass, so a skipped pair builds no chart, and a pair that
-    runs hands its rows to :func:`chart_for`, which checks them once.
+    (:func:`_plane_nodes`), and a node is skipped for one of two reasons.
+    Non-generic nodes contribute zero: :func:`is_generic` alone decides, by
+    block ranks, so a ``det D`` that is only rounding noise does not count
+    and ``sqrt(det D)`` is only the weight. Nodes whose subgroup phase rate
+    the grid cannot resolve contribute zero too (see :func:`_h_phase_rate`;
+    at the reference resolution no node is dropped). The rate is read from
+    the layer-built polarization's rows, built in the same pass, so a skipped
+    pair builds no chart, and a pair that runs hands its rows to
+    :func:`chart_for`, which checks them once.
     Pairs that run do so on at most NILFOURIER_THREADS workers, and never more
     than there are such pairs; the parts come back in node order either way,
     so reductions do not depend on the count.
@@ -904,7 +898,7 @@ def hs_norm_sq(
     """
     ells = _functionals(ell)
     q = chart.q
-    scale = _shared_section_scale(ells, _checked_jump(chart.basis, jump), qspec)
+    scale = _section_scale(ells, _checked_jump(chart.basis, jump), qspec)
     upts, uw = _cube_grid(qspec.section_nodes, qspec.section_halfwidth, q)
     vpts, vw = _tensor_grid(
         [(qspec.section_nodes, 2.0 * qspec.section_halfwidth * scale)] * q

@@ -592,7 +592,7 @@ class LayeredBasis:
                     rows.append([a + 1, b + 1, int(t) + 1, coeff])
         return rows
 
-    def to_json_dict(self) -> dict:
+    def _layers_json(self) -> list[dict]:
         layers = []
         for layer in self.layers:
             if self.spec.flavor is Flavor.FULL_TENSOR:
@@ -600,17 +600,26 @@ class LayeredBasis:
             else:
                 elements = [tree.serialize() for tree in layer.elements]
             layers.append({"k": layer.k, "elements": elements})
+        return layers
+
+    def to_json_dict(self) -> dict:
         return {
             "spec": self.spec.to_json_dict(),
-            "layers": layers,
+            "layers": self._layers_json(),
             "structure": self.structure_table(),
         }
 
     @staticmethod
     def from_json_dict(obj: dict) -> "LayeredBasis":
+        """Inverse of :meth:`to_json_dict`. A FullTensor document must list
+        its coordinate words, else :class:`DependentBasis`; a free nilpotent
+        one is read as in :func:`build_layered_basis`."""
         spec = GroupSpec.from_json_dict(obj["spec"])
         if spec.flavor is Flavor.FULL_TENSOR:
-            return build_layered_basis(spec)
+            basis = build_layered_basis(spec)
+            if obj["layers"] != basis._layers_json():
+                raise DependentBasis("a FullTensor document must list its coordinate words")
+            return basis
         trees = {
             int(layer["k"]): [BracketTree.deserialize(e) for e in layer["elements"]]
             for layer in obj["layers"]
@@ -680,6 +689,9 @@ def _full_tensor_words(d: int, k: int) -> list[tuple[int, ...]]:
 
 
 def _basis_from_trees(spec: GroupSpec, trees: dict[int, list[BracketTree]]) -> LayeredBasis:
+    outside = sorted(set(trees) - set(range(1, spec.N + 1)))
+    if outside:
+        raise DegreeMismatch(f"layers {outside} lie outside 1..{spec.N}")
     layers = []
     for k in range(1, spec.N + 1):
         elems = trees.get(k, [])
@@ -710,7 +722,8 @@ def build_layered_basis(
 
     Raises :class:`DependentBasis` if a layer's elements do not span it or a
     full tensor spec is given words, and :class:`DegreeMismatch` if a word is
-    not a sequence of indices or sits in the wrong layer.
+    not a sequence of indices, sits in the wrong layer or in a layer outside
+    ``1..N``.
     """
     if spec.flavor is Flavor.FULL_TENSOR:
         if user_words is not None:

@@ -110,19 +110,15 @@ class Subalgebra:
     def dim(self) -> int:
         return self.vectors.shape[0]
 
-    def project_residual(self, w: np.ndarray) -> np.ndarray:
-        """Sup-norm distance from ``w`` to the span of the rows (batched over
-        leading axes, with one least-squares solve for all vectors)."""
+    def contains(self, w: np.ndarray) -> np.ndarray:
+        """Whether ``w`` lies in the span: its sup-norm distance to the span
+        is within ``CLOSURE_TOL`` (batched over leading axes, with one
+        least-squares solve for all vectors)."""
         v = self.vectors
         w = np.asarray(w, dtype=float)
         coef = np.linalg.lstsq(v.T, w.reshape(-1, v.shape[1]).T, rcond=None)[0]
-        return np.abs(w - (v.T @ coef).T.reshape(w.shape)).max(axis=-1)
-
-    def contains(self, w: np.ndarray) -> np.ndarray:
-        """Whether ``w`` lies in the span, to ``CLOSURE_TOL`` (batched over
-        leading axes)."""
-        w = np.asarray(w, dtype=float)
-        return self.project_residual(w) <= CLOSURE_TOL * (1.0 + np.abs(w).max(axis=-1))
+        resid = np.abs(w - (v.T @ coef).T.reshape(w.shape)).max(axis=-1)
+        return resid <= CLOSURE_TOL * (1.0 + np.abs(w).max(axis=-1))
 
     def is_bracket_closed(self) -> bool:
         # every ordered pair at once; [v_j, v_i] = -[v_i, v_j] decides the same

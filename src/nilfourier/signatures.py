@@ -9,6 +9,8 @@ run on plain level arrays ``1..N`` with the tensor algebra's level product;
 the scalar level is exactly 1 throughout and stays implicit. The
 log-signature expands the logarithm of the signature in a layered Lie basis,
 certifying on the way that it actually lies in the embedded free Lie algebra.
+A path's width is checked against the spec in one place, :func:`path_signature`,
+which every signature and log-signature goes through.
 """
 
 from __future__ import annotations
@@ -152,11 +154,13 @@ def log_signature(path: PiecewiseLinearPath, basis: LayeredBasis) -> np.ndarray:
     return basis.flat_coords(log_t(path_signature(spec, path)))
 
 
-def read_path_csv(source: str | Path | io.TextIOBase, d: int | None = None) -> PiecewiseLinearPath:
-    """Read path vertices from CSV: one row per vertex, ``d`` columns.
+def read_path_csv(source: str | Path | io.TextIOBase) -> PiecewiseLinearPath:
+    """Read path vertices from CSV: one row per vertex, one column per
+    coordinate, the same count in every row.
 
-    An optional single header row (any non-numeric first row) is skipped.
-    If ``d`` is given the column count must match.
+    An optional single header row (any non-numeric first row) is skipped. The
+    width is checked against a spec where the path meets one, in
+    :func:`path_signature`.
     """
     if isinstance(source, (str, Path)):
         with open(source, newline="") as fh:
@@ -185,7 +189,4 @@ def read_path_csv(source: str | Path | io.TextIOBase, d: int | None = None) -> P
     widths = {len(r) for r in data}
     if len(widths) != 1:
         raise DimensionMismatch(f"inconsistent column counts in path CSV: {sorted(widths)}")
-    arr = np.asarray(data, dtype=float)
-    if d is not None and arr.shape[1] != d:
-        raise DimensionMismatch(f"path CSV has {arr.shape[1]} columns, expected {d}")
-    return PiecewiseLinearPath(arr)
+    return PiecewiseLinearPath(np.asarray(data, dtype=float))

@@ -7,6 +7,7 @@ success, 2 malformed input or out of memory, 3 failed convergence check.
 
 from __future__ import annotations
 
+import argparse
 import csv
 import io
 import json
@@ -19,8 +20,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nilfourier import GroupSpec, build_layered_basis, cli, polarization, sample_generic
-from nilfourier.cli import main
+from nilfourier import (
+    GroupSpec,
+    QuadratureSpec,
+    build_layered_basis,
+    cli,
+    polarization,
+    sample_generic,
+)
+from nilfourier.cli import build_parser, main
 
 
 def run_cli(capsys, *argv: str):
@@ -122,6 +130,11 @@ def test_signature_rejects_wrong_width_and_ragged(capsys, tmp_path):
     path.write_text("0,0,0\n1,0,0\n", encoding="utf-8")
     rc, doc = run_cli(capsys, "signature", "--spec", "2,2", "--path", str(path))
     assert rc == 2
+    # the path's width is checked once, where the path meets the spec
+    assert doc["error"] == {
+        "type": "DimensionMismatch",
+        "message": "path lives in R^3 but the spec says d=2",
+    }
     path.write_text("0,0\n1\n", encoding="utf-8")
     rc, doc = run_cli(capsys, "signature", "--spec", "2,2", "--path", str(path))
     assert rc == 2
@@ -351,6 +364,43 @@ def test_fourier_demo_nonconvergence_exit_code(capsys):
     assert doc["error"]["type"] == "NonConvergence"
 
 
+def _counted_inverts(monkeypatch) -> list:
+    """Patch the command's ``invert`` to record the quadrature of each call."""
+    calls = []
+    invert = cli.invert
+
+    def counted(f, x, basis, qspec, **kwargs):
+        calls.append(qspec)
+        return invert(f, x, basis, qspec, **kwargs)
+
+    monkeypatch.setattr(cli, "invert", counted)
+    return calls
+
+
+def test_fourier_demo_checks_the_tolerance_before_any_coarse_rung(capsys, monkeypatch):
+    # the final rung runs first, so invert's own check stops the ladder at once
+    calls = _counted_inverts(monkeypatch)
+    rc, doc = run_cli(capsys, "fourier-demo", "--seed", "7", "--convergence-tol", "nan")
+    assert rc == 2 and doc["error"]["type"] == "DimensionMismatch"
+    assert len(calls) == 1
+    # a failed convergence check skips the coarse rungs too
+    calls.clear()
+    rc, doc = run_cli(capsys, "fourier-demo", "--seed", "7", "--convergence-tol", "1e-4")
+    assert rc == 3
+    assert calls and all(q == QuadratureSpec.demo() for q in calls)
+
+
+def test_fourier_demo_ladder_rows_stay_in_rung_order(capsys, monkeypatch):
+    calls = _counted_inverts(monkeypatch)
+    rc, doc = run_cli(capsys, "fourier-demo", "--seed", "7")
+    assert rc == 0
+    rows = _rows(doc["convergence_csv"])[1:]
+    assert [int(r[0]) for r in rows] == [8, 9, 12]
+    # two points a rung, the final rung first
+    assert [q.h_nodes for q in calls] == [12, 12, 8, 8, 9, 9]
+    assert float(rows[-1][3]) == doc["max_abs_error"]
+
+
 @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
 def test_fourier_demo_rejects_a_bad_convergence_tol(capsys, tol):
     rc, doc = run_cli(capsys, "fourier-demo", "--seed", "7", "--convergence-tol", tol)
@@ -422,6 +472,22 @@ def test_plancherel_check_rejects_a_non_finite_scale(capsys, scale):
     }
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["dims", "--spec", "2,x"], "--spec expects integers 'd,N', got '2,x'"),
+        (["plancherel-check", "--config", "{dir}/missing.json"], "file not found: {dir}/missing.json"),
+        (["fourier-demo", "--config", "{dir}/list.json"], "quadrature config must be a JSON object"),
+    ],
+    ids=["spec-not-integer", "missing-config", "config-not-an-object"],
+)
+def test_malformed_input_exits_2_with_an_error_document(capsys, tmp_path, argv, message):
+    (tmp_path / "list.json").write_text("[12, 12, 16]", encoding="utf-8")
+    rc, doc = run_cli(capsys, *(a.format(dir=tmp_path) for a in argv))
+    assert rc == 2
+    assert doc["error"] == {"type": "NilfourierError", "message": message.format(dir=tmp_path)}
+
+
 def test_out_of_memory_prints_the_error_document(capsys, monkeypatch):
     # numpy raises its ArrayMemoryError, a MemoryError, on a grid too large to hold
     message = "Unable to allocate 11.4 GiB for an array"
@@ -480,3 +546,49 @@ def test_module_entry_point_runs_in_subprocess():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["layer_dims"] == [2, 1]
+
+
+# ---------------------------------------------------------------------------
+# options
+# ---------------------------------------------------------------------------
+
+#: The options each subcommand declares, beyond ``--help``: exactly the ones it reads.
+COMMAND_OPTIONS = {
+    "dims": set(),
+    "basis": {"--paper-basis"},
+    "signature": {"--paper-basis", "--path"},
+    "generic-test": {"--seed", "--paper-basis", "--functional", "--count"},
+    "orbit-dims": {"--seed", "--paper-basis", "--functional", "--numeric"},
+    "jump-sets": {"--paper-basis"},
+    "polarization": {"--seed", "--paper-basis", "--functional", "--method"},
+    "fourier-demo": {"--seed", "--paper-basis", "--config", "--scale", "--convergence-tol"},
+    "plancherel-check": {"--paper-basis", "--config", "--scale"},
+}
+
+
+def test_each_command_declares_only_the_options_it_reads():
+    [commands] = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    declared = {
+        name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+        for name, p in commands.choices.items()
+    }
+    common = {"--spec", "--flavor", "--out"}
+    assert declared == {name: common | own for name, own in COMMAND_OPTIONS.items()}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dims", "--spec", "2,2", "--seed", "1"],
+        ["dims", "--spec", "2,2", "--paper-basis"],
+        ["plancherel-check", "--seed", "1"],
+    ],
+)
+def test_an_option_the_command_does_not_read_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == "" and "unrecognized arguments" in captured.err

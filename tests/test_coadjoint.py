@@ -456,3 +456,40 @@ def test_bernoulli_series_is_the_differential_of_the_group_law(d, N):
     # deriv[b, j] is the image of direction j, i.e. column j of the matrix
     stencil = np.swapaxes(deriv, -1, -2)
     assert np.max(np.abs(exact - stencil)) <= 1e-12 * np.max(np.abs(stencil))
+
+
+# ---------------------------------------------------------------------------
+# input errors
+# ---------------------------------------------------------------------------
+
+_B22 = build_layered_basis(GroupSpec(2, 2))
+_ELL22 = Functional(_B22, np.array([1.0, 0.5, -0.5]))
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (lambda: Functional(_B22, np.zeros(4)), DimensionMismatch, "needs 3 coordinates"),
+        (
+            lambda: _ELL22.evaluate(GradedElement.from_level1(GroupSpec(2, 3), np.ones(2))),
+            SpecMismatch,
+            "does not match the basis",
+        ),
+        (
+            lambda: _ELL22.evaluate(exp_t(_B22.algebra_element(np.ones(3)))),
+            SpecMismatch,
+            "pair with algebra elements",
+        ),
+        (
+            lambda: Functional.from_json_dict(
+                _ELL22.to_json_dict(), basis=build_layered_basis(GroupSpec(2, 3))
+            ),
+            SpecMismatch,
+            "does not match the functional's spec",
+        ),
+    ],
+    ids=["length", "evaluate-spec", "evaluate-role", "json-basis-spec"],
+)
+def test_functional_input_errors(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

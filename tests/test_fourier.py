@@ -1053,6 +1053,12 @@ def test_section_scale_tracks_inverse_frequency():
     assert _section_scale(_heisenberg_functional(0.05), jump, qref) == pytest.approx(
         qref.section_scale_cap
     )
+    # one rule for a mirror pair, which shares |ell_T|, and none for members that do not
+    ell = _heisenberg_functional(2.0, 0.3, -0.1)
+    pair = (ell, Functional(basis, -ell.flat))
+    assert _section_scale(pair, jump, qref) == _section_scale(ell, jump, qref)
+    with pytest.raises(DimensionMismatch, match="ell_T"):
+        _section_scale((ell, _heisenberg_functional(1.0)), jump, qref)
 
 
 def test_section_scale_tightens_on_coarse_subgroup_grids():
@@ -1422,3 +1428,33 @@ def test_chart_measure_is_left_invariant_depth3():
         basis, rng=np.random.default_rng(22), n_translates=4, n_samples=100_000
     )
     assert report["passed"]
+
+
+# ---------------------------------------------------------------------------
+# input errors
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda chart: chart.gamma(np.zeros(4)), "^gamma needs 3 coordinates$"),
+        (lambda chart: chart.gamma_h(np.zeros(3)), "^gamma_h needs 2 coordinates$"),
+        (lambda chart: chart.section(np.zeros(2)), "^section needs 1 coordinates$"),
+        (
+            lambda chart: kernel_values(
+                SchwartzFunction.gaussian(3),
+                _heisenberg_functional(0.9),
+                chart,
+                _low_res(),
+                np.zeros((2, 1)),
+                np.zeros((3, 1)),
+            ),
+            "xs and ys must pair up",
+        ),
+    ],
+    ids=["gamma", "gamma_h", "section", "kernel-values-pairs"],
+)
+def test_chart_maps_reject_the_wrong_width(call, message):
+    with pytest.raises(DimensionMismatch, match=message):
+        call(chart_for(_heisenberg_functional(0.9)))

@@ -23,7 +23,7 @@ from nilfourier import (
     lyndon_words,
     witt_dimension,
 )
-from nilfourier.lie_basis import _bch_series
+from nilfourier.lie_basis import _MAX_LEVEL, _bch_series, lyndon_bracket
 from nilfourier.tensor_algebra import exp_t, log_t, mul
 
 from oracles import WITT_EXAMPLES, brute_force_lyndon
@@ -354,3 +354,78 @@ def test_spec_json_round_trip():
 def test_spec_json_rejects_non_integer_fields(blob, field):
     with pytest.raises(DimensionMismatch, match=f"^{field} must be an integer"):
         GroupSpec.from_json_dict(blob)
+
+
+# ---------------------------------------------------------------------------
+# input errors
+# ---------------------------------------------------------------------------
+
+
+#: The (2,2) words of layers 1 and 2, to extend with one more layer.
+_WORDS_22 = {1: [(1,), (2,)], 2: [(1, 2)]}
+
+
+def test_basis_words_outside_the_layers_are_refused():
+    with pytest.raises(DegreeMismatch, match=r"^layers \[5\] lie outside 1..2$"):
+        build_layered_basis(GroupSpec(2, 2), {**_WORDS_22, 5: [(1, 2, 1, 2, 1)]})
+    doc = build_layered_basis(GroupSpec(2, 2)).to_json_dict()
+    doc["layers"].append({"k": 7, "elements": [1]})
+    with pytest.raises(DegreeMismatch, match=r"^layers \[7\] lie outside 1..2$"):
+        LayeredBasis.from_json_dict(doc)
+
+
+def test_full_tensor_document_must_list_its_coordinate_words():
+    doc = build_layered_basis(GroupSpec(2, 2, Flavor.FULL_TENSOR)).to_json_dict()
+    doc["layers"] = [{"k": 1, "elements": ["garbage"]}]
+    with pytest.raises(DependentBasis, match="coordinate words"):
+        LayeredBasis.from_json_dict(doc)
+
+
+_B22 = build_layered_basis(GroupSpec(2, 2))
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (lambda: LayeredBasis(_B22.spec, _B22.layers[:1]), DimensionMismatch, "expected 2 layers"),
+        (
+            lambda: build_layered_basis(GroupSpec(2, 3), {**_WORDS_22, 3: [(1, 1, 2)]}),
+            DependentBasis,
+            "layer 3 has 1 elements but needs 2",
+        ),
+        (
+            lambda: build_layered_basis(GroupSpec(2, 3), {**_WORDS_22, 3: [(1, 1, 2)] * 2}),
+            DependentBasis,
+            "layer 3 embedding is rank deficient",
+        ),
+        (lambda: _B22.flat_index(3, 1), IndexOutOfRange, r"no basis element \(3, 1\)"),
+        (lambda: _B22.layer_of_flat(3), IndexOutOfRange, "flat index 3 outside 0..2"),
+        (lambda: _B22.expand_layer(2, np.zeros(3)), DimensionMismatch, "trailing size 4"),
+        (lambda: _B22.algebra_element(np.zeros(4)), DimensionMismatch, "trailing size 3"),
+        (lambda: _B22.bch_coords(np.zeros(3), np.zeros(2)), DimensionMismatch, "trailing size 3"),
+        (lambda: witt_dimension(0, 2), IndexOutOfRange, "d >= 1 and k >= 1"),
+        (lambda: witt_dimension(2, 0), IndexOutOfRange, "d >= 1 and k >= 1"),
+        (lambda: GroupSpec(0, 2), DimensionMismatch, "need d >= 1"),
+        (lambda: GroupSpec(2, 0), DimensionMismatch, "need 1 <= N"),
+        (lambda: GroupSpec(2, _MAX_LEVEL + 1), DimensionMismatch, "need 1 <= N"),
+        (lambda: BracketTree(), DegreeMismatch, "either a leaf or has two children"),
+        (lambda: BracketTree(left=BracketTree(index=1)), DegreeMismatch, "need both children"),
+        (lambda: BracketTree.deserialize([1, 2, 1]), DegreeMismatch, "cannot parse"),
+        (lambda: BracketTree.deserialize("1"), DegreeMismatch, "cannot parse"),
+        (
+            lambda: build_layered_basis(GroupSpec(2, 2), {1: [(1,), (3,)], 2: [(1, 2)]}),
+            IndexOutOfRange,
+            "leaf index 3 outside 1..2",
+        ),
+        (lambda: lyndon_bracket((2, 1)), DegreeMismatch, "not a Lyndon word"),
+    ],
+    ids=[
+        "layer-count", "short-layer", "rank-deficient-layer", "flat-index", "layer-of-flat",
+        "expand-layer-width", "algebra-element-width", "bch-width", "witt-d", "witt-k",
+        "spec-d", "spec-N-low", "spec-N-high", "tree-empty", "tree-one-child",
+        "deserialize-triple", "deserialize-string", "leaf-index", "non-lyndon",
+    ],
+)
+def test_basis_input_errors(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

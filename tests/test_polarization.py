@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nilfourier import (
+    DimensionMismatch,
     Functional,
     GroupSpec,
     NotGeneric,
@@ -190,3 +191,28 @@ def test_layer_rows_of_a_mixed_stack_match_one_member_stacks(d, N):
         for p, r in zip(m, rows):
             [(_, alone)] = _layer_rows(basis, skews[p : p + 1])
             assert np.array_equal(r, alone[0])
+
+
+# ---------------------------------------------------------------------------
+# input errors
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: Subalgebra(_basis(2, 2), np.zeros((1, 4))), "must have 3 coordinates"),
+        (lambda: Subalgebra(_basis(2, 2), np.zeros(3)), "must have 3 coordinates"),
+        (
+            lambda: is_subordinate(
+                Subalgebra(_basis(2, 2), np.eye(3)[:2]),
+                sample_generic(_basis(2, 3), np.random.default_rng(0)),
+            ),
+            "different bases",
+        ),
+    ],
+    ids=["width", "not-a-matrix", "subordinate-across-bases"],
+)
+def test_subalgebra_input_errors(call, message):
+    with pytest.raises(DimensionMismatch, match=message):
+        call()

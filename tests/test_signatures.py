@@ -7,9 +7,11 @@ import pytest
 
 from nilfourier import (
     DimensionMismatch,
+    Flavor,
     GradedElement,
     GroupSpec,
     PiecewiseLinearPath,
+    SpecMismatch,
     build_layered_basis,
     exp_t,
     group_inverse,
@@ -265,8 +267,43 @@ def test_non_finite_vertex_rejected():
 
 
 def test_read_path_csv_wrong_width_rejected():
-    with pytest.raises(DimensionMismatch):
-        read_path_csv(io.StringIO("1,2\n3,4\n"), d=3)
+    # the reader takes any width; the spec's width is checked where the path meets it
+    path = read_path_csv(io.StringIO("1,2\n3,4\n"))
+    with pytest.raises(DimensionMismatch, match=r"^path lives in R\^2 but the spec says d=3$"):
+        path_signature(GroupSpec(3, 2), path)
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (lambda: PiecewiseLinearPath(np.zeros((1, 2))), DimensionMismatch, "at least two vertices"),
+        (
+            lambda: PiecewiseLinearPath(np.zeros((2, 2))).concatenated(
+                PiecewiseLinearPath(np.zeros((2, 3)))
+            ),
+            DimensionMismatch,
+            "share the ambient dimension",
+        ),
+        (
+            lambda: log_signature(
+                PiecewiseLinearPath(np.eye(2)),
+                build_layered_basis(GroupSpec(2, 2, Flavor.FULL_TENSOR)),
+            ),
+            SpecMismatch,
+            "free nilpotent flavor",
+        ),
+        (lambda: read_path_csv(io.StringIO("\n , \n")), DimensionMismatch, "^empty path CSV$"),
+        (
+            lambda: read_path_csv(io.StringIO("x,y\n0,0\n1,a\n")),
+            DimensionMismatch,
+            "^non-numeric value in CSV row 3$",
+        ),
+    ],
+    ids=["one-vertex", "concatenated-widths", "log-full-tensor", "empty-csv", "non-numeric-csv"],
+)
+def test_path_input_errors(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_signatures_never_compile_the_group_law():

@@ -350,3 +350,50 @@ def test_element_json_role_is_read_off_the_data_or_checked():
     assert GradedElement.from_json_dict({**payload, "role": "raw"}).role is Role.RAW
     with pytest.raises(DimensionMismatch, match="^role must be one of"):
         GradedElement.from_json_dict({**payload, "role": "bogus"})
+
+
+# ---------------------------------------------------------------------------
+# input errors
+# ---------------------------------------------------------------------------
+
+_S22 = GroupSpec(2, 2)
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (
+            lambda: GradedElement(_S22, (np.ones(1), np.zeros(2))),
+            DimensionMismatch,
+            "^need 3 levels, got 2$",
+        ),
+        (
+            lambda: GradedElement(_S22, (np.ones(1), np.zeros(3), np.zeros(4))),
+            DimensionMismatch,
+            "^level 1 must have trailing size 2",
+        ),
+        (
+            lambda: GradedElement(_S22, (np.ones((2, 1)), np.zeros((3, 2)), np.zeros((2, 4)))),
+            DimensionMismatch,
+            "share one batch shape",
+        ),
+        (lambda: GradedElement.identity(_S22) * GradedElement.identity(_S22), TypeError, "mul"),
+        (
+            lambda: GradedElement.identity(_S22, (2,)).to_json_dict(),
+            DimensionMismatch,
+            "only unbatched elements",
+        ),
+        (
+            lambda: scaled_exponential(
+                GradedElement.from_level1(_S22, np.ones((2, 2))), np.linspace(0, 1, 3)
+            ),
+            DimensionMismatch,
+            "unbatched direction",
+        ),
+    ],
+    ids=["level-count", "level-width", "batch-mismatch", "mul-elements", "json-batched",
+         "scaled-exp-batched"],
+)
+def test_graded_element_input_errors(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
