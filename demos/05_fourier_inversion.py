@@ -63,6 +63,6 @@ print(f"Normalization constant for this group: {c_norm(basis):.8f} "
       f"(closed form (2*pi)^-2 = {(2 * np.pi) ** -2:.8f})")
 print()
 print("Tighter grids converge: QuadratureSpec.reference() reproduces the")
-print("point values and the ratio to ~1e-15 in a few minutes (see the")
+print("point values and the ratio to ~1e-15 in well under a second (see the")
 print("acceptance tests), and the fourier-demo CLI prints a convergence")
 print("table across grid refinements.")

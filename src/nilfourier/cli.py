@@ -202,7 +202,7 @@ def _cmd_generic_test(args) -> int:
         generic = is_generic(ell)
         entry = {
             "generic": bool(generic),
-            "coords": [[k, i, float(v)] for (k, i), v in sorted(ell.coords().items())],
+            "coords": ell.to_json_dict()["coords"],
             "pairing_ranks": [
                 {"k": k, "rank": r, "required": _block_rank(basis.spec, k)}
                 for k, r in sorted(b_matrix_ranks(ell).items())
@@ -318,21 +318,20 @@ def _cmd_fourier_demo(args) -> int:
     spec = basis.spec
     qspec = _load_quadrature(args)
     f = SchwartzFunction.gaussian(basis.dim, scale=args.scale)
-    points: list[tuple[str, GradedElement]] = [
-        ("identity", GradedElement.identity(spec))
-    ]
     rng = np.random.default_rng(args.seed)
     coeffs = 0.25 * rng.standard_normal(basis.dim)
     shifted = exp_t(basis.algebra_element(coeffs))
-    points.append(("random_shift", shifted))
+    # Each point's certified coordinates and direct value, once for every rung.
+    points = []
+    for label, x in (("identity", GradedElement.identity(spec)), ("random_shift", shifted)):
+        coords = basis.flat_coords(log_t(x))
+        points.append((label, x, coords, float(np.real(f(coords)))))
 
     def run_points(q: QuadratureSpec, final: bool) -> tuple[float, list[dict]]:
         rows = []
         worst = 0.0
-        for label, x in points:
+        for label, x, coords, expected in points:
             value = invert(f, x, basis, q, convergence_tol=args.convergence_tol if final else None)
-            coords = basis.flat_coords(log_t(x))
-            expected = float(np.real(f(coords)))
             err = float(abs(value - expected))
             worst = max(worst, err)
             rows.append(

@@ -103,14 +103,6 @@ class Functional:
             flat[basis.flat_index(k, i)] = float(value)
         return Functional(basis, flat)
 
-    def coords(self) -> dict[tuple[int, int], float]:
-        """Nonzero coordinates keyed by 1-based ``(layer, index)``."""
-        out = {}
-        for a, value in enumerate(self.flat):
-            if value != 0.0:
-                out[self.basis.layer_of_flat(a)] = float(value)
-        return out
-
     def coord(self, k: int, i: int) -> float:
         return float(self.flat[self.basis.flat_index(k, i)])
 
@@ -146,6 +138,8 @@ class Functional:
                 json_number(f"{name} in coordinate row {row!r}", v, cast)
                 for name, v, cast in zip(("k", "i", "value"), row, (int, int, float))
             )
+            if (k, i) in coords:
+                raise DimensionMismatch(f"coordinate ({k}, {i}) appears in more than one row")
             coords[(k, i)] = value
         return Functional.from_coords(basis, coords)
 

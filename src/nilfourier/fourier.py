@@ -33,13 +33,14 @@ is contracted first, as one matrix product, and the group law runs once per
 point of the rest of the grid, whose character is separable over its axes.
 Rows run in blocks and ``f`` on sub-chunks of a block, both sized by one
 budget. ``hs_norm_sq`` passes one row per coset of its grid and
-``trace_shifted`` one row in all. The frequency plane runs in mirror pairs
-``ell``, ``-ell``, which share the chart, the section grid and the samples of
-``f``; for real ``f`` the kernel at ``-ell`` is the conjugate of the kernel at
+``trace_shifted`` one row in all; kernels, traces and norms take one
+functional each. The frequency plane runs in mirror pairs ``ell``, ``-ell``,
+which share the node decisions and the chart, and it alone applies the mirror
+rule: for real ``f`` the value at ``-ell`` is the conjugate of the value at
 ``ell``. Every pair is decided in one batched pass before any pair runs: it
 is skipped if it is not generic (:func:`is_generic` alone decides) or if the
-subgroup grid cannot resolve its phase rate. Functions that take jump data
-default it to the basis's own and refuse jump data of another spec.
+subgroup grid cannot resolve its phase rate. Functions that take jump data default it to the basis's own and
+refuse jump data of another spec.
 """
 
 from __future__ import annotations
@@ -396,13 +397,17 @@ def _checked_jump(basis: LayeredBasis, jump: JumpData | None) -> JumpData:
     return jump
 
 
-def _section_scale(
-    ell: Functional | tuple[Functional, ...], jump: JumpData, qspec: QuadratureSpec
-) -> float:
-    """Per-functional scaling of the section box, for one functional or a
-    tuple of them that share ``|ell_T|``, the norm of the transverse
-    coordinates, so that one section grid serves them all; members that
-    differ in ``|ell_T|`` raise :class:`DimensionMismatch`.
+def _one_functional(ell: Functional) -> Functional:
+    """``ell``, which must be one :class:`Functional` (a tuple or list of them
+    raises :class:`DimensionMismatch`)."""
+    if not isinstance(ell, Functional):
+        raise DimensionMismatch(f"expected one Functional, got {type(ell).__name__}")
+    return ell
+
+
+def _section_scale(ell: Functional, jump: JumpData, qspec: QuadratureSpec) -> float:
+    """Per-functional scaling of the section box, from ``|ell_T|``, the norm
+    of the transverse coordinates.
 
     Kernels concentrate on a ridge whose width shrinks like ``1/|ell_T|``,
     so the section box must shrink at the same rate: ``box = halfwidth /
@@ -415,12 +420,8 @@ def _section_scale(
     rate, trading smooth truncation error for wild aliasing error. At the
     reference resolution the tightening factor is one.
     """
-    ells = _functionals(ell)
-    t_idx = [ells[0].basis.flat_index(k, i) for (k, i) in jump.T]
-    norms = {float(np.linalg.norm(e.flat[t_idx])) for e in ells}
-    if len(norms) > 1:
-        raise DimensionMismatch("a tuple of functionals must share |ell_T| (one section box)")
-    [norm] = norms
+    ell = _one_functional(ell)
+    norm = float(np.linalg.norm(ell.flat[[ell.basis.flat_index(k, i) for (k, i) in jump.T]]))
     tighten = min(1.0, _resolvable_rate(qspec) / qspec.section_halfwidth)
     if norm <= 0:
         return qspec.section_scale_cap * tighten
@@ -449,7 +450,7 @@ def _h_phase_rate(flat: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 def kernel_values(
     f: SchwartzFunction,
-    ell: Functional | tuple[Functional, ...],
+    ell: Functional,
     chart: MalcevChart,
     qspec: QuadratureSpec,
     xs: np.ndarray,
@@ -460,14 +461,8 @@ def kernel_values(
     ``xs`` and ``ys`` have shape ``(R, M, q)``: ``R`` rows of ``M`` pairs, the
     pairs of a row sharing one coset ``H x y^-1``; returns complex values
     ``(R, M)``. A pair list ``(P, q)`` keeps its meaning, each pair a row of
-    its own, with values ``(P,)``. ``ell`` may also be a tuple of ``L``
-    functionals on one basis that the chart's subalgebra polarizes (``ell``
-    and ``-ell``, say); the values then gain a last axis of length ``L``. The
-    samples of ``f`` do not depend on the functional, so they are evaluated
-    once for all members. For real samples and a tuple ``(ell, -ell)`` of
-    exactly negated values, ``-ell``'s values are the conjugates of ``ell``'s
-    (``pi_{-ell}(f) = conj pi_ell(f)`` for real ``f``), so only ``ell`` is
-    contracted.
+    its own, with values ``(P,)``. ``ell`` is one functional that the chart's
+    subalgebra polarizes.
 
     Coset form: every chart prefix spans an ideal, so ``H`` is normal and
     ``x h y^-1 = (x h x^-1) x y^-1``. Conjugation by ``x`` preserves Haar
@@ -502,7 +497,7 @@ def kernel_values(
 
     Rows run in blocks of ``_CHUNK_BUDGET // max(max(m_c, m_r) n, M p)``,
     ``m_c`` and ``m_r`` the point counts of the two grid blocks and ``p =
-    max(n, L m_r / h_nodes) n`` the coordinates of one pair's adjoint matrix
+    max(n, m_r / h_nodes) n`` the coordinates of one pair's adjoint matrix
     and contraction, so that a block's rows and pairs fit the budget: one pass
     of the frame and the group law per block. Within a block ``f`` is
     evaluated on sub-chunks of ``_CHUNK_BUDGET // (m_c m_r n)`` rows, and the
@@ -514,7 +509,7 @@ def kernel_values(
             f"H box half-width {qspec.h_halfwidth} is smaller than the "
             f"function's decay box {float(np.max(f.decay_box))}"
         )
-    ells = _functionals(ell)
+    flat = _one_functional(ell).flat
     basis = chart.basis
     n, N = basis.dim, basis.spec.N
     q_h, q_c = chart.q_h, chart.q_c
@@ -526,16 +521,13 @@ def kernel_values(
     if xs.shape != ys.shape or xs.ndim != 3 or xs.shape[-1] != chart.q:
         raise DimensionMismatch("xs and ys must pair up with the section dimension")
     R, M = xs.shape[:2]
-    flats = np.stack([e.flat for e in ells])  # (L, n)
-    L = len(ells)
-    mirror = L == 2 and np.array_equal(flats[1], -flats[0])
     bch = basis.bch_coords
 
-    out = np.empty((R, M, L), dtype=complex)
+    out = np.empty((R, M), dtype=complex)
     if not q_h:
         # A trivial subgroup: the kernel is f itself.
         pairs = (xs.reshape(-1, chart.q), ys.reshape(-1, chart.q))
-        out[:] = f(bch(chart.section(pairs[0]), -chart.section(pairs[1]))).reshape(R, M, 1)
+        out[:] = f(bch(chart.section(pairs[0]), -chart.section(pairs[1]))).reshape(R, M)
     else:
         nodes, weights = _axis(qspec.h_nodes, qspec.h_halfwidth)
         # The grid points b, split into the leading central block b_c, with its
@@ -546,11 +538,11 @@ def kernel_values(
         m_c, m_r = grid_c.shape[0], grid_r.shape[0]
         w_c, w_r, w_h = chart.W[:, :q_c], chart.W[:, q_c:q_h], chart.W[:, :q_h]
         # Once per call: the central shift W_c b_c, (n, m_c), and the weighted
-        # central characters w(b_c) exp(i ell_c . b_c), one column per member.
+        # central characters w(b_c) exp(i ell_c . b_c), as one column.
         shift = w_c @ grid_c.T
-        central = w_grid_c[:, None] * np.exp(1j * (grid_c @ (flats @ w_c).T))  # (m_c, L)
+        central = (w_grid_c * np.exp(1j * (grid_c @ (flat @ w_c))))[:, None]  # (m_c, 1)
         exp_coeffs, dlog_coeffs = _exp_series(N), _bernoulli_series(N)
-        pair_size = max(n, L * m_r // nodes.size) * n
+        pair_size = max(n, m_r // nodes.size) * n
         block = max(1, _CHUNK_BUDGET // max(max(m_c, m_r) * n, M * pair_size))
         chunk = max(1, _CHUNK_BUDGET // (m_c * m_r * n))
         for lo in range(0, R, block):
@@ -580,45 +572,39 @@ def kernel_values(
             # (C, n, m_r), so elementwise steps run over the grid.
             apts = np.swapaxes(astar[..., None] + cols @ grid_r.T, -1, -2)
             pts = np.swapaxes(bch(chart.gamma_h(apts), cs[:, None]), -1, -2)
-            vals, real = [], True
+            vals = []
             for s in range(0, hi - lo, chunk):
                 e = min(hi - lo, s + chunk)
                 # b_c adds W_c b_c (bch(u + z, c) = bch(u, c) + z for central z).
                 # Samples in (row, b_r, b_c) order, coordinates first; the central
                 # block of every row in one matrix product (real samples meet
-                # [Re, Im] column pairs).
+                # the [Re, Im] column pair).
                 samples = f(np.moveaxis(pts[s:e, :, :, None] + shift[:, None], 1, -1))
                 if np.iscomplexobj(samples):
-                    real = False
                     vals.append(samples.reshape(-1, m_c) @ central)
                 else:
                     vals.append((samples.reshape(-1, m_c) @ central.view(float)).view(complex))
-            vals = np.swapaxes(np.concatenate(vals).reshape(hi - lo, m_r, L), 1, 2)  # (C, L, m_r)
-            keep = 1 if mirror and real else L
+            vals = np.concatenate(vals).reshape(hi - lo, 1, m_r)  # broadcasts over pairs
             members = max(1, _CHUNK_BUDGET // ((hi - lo) * pair_size))
             for a in range(0, M, members):
                 b = min(M, a + members)
-                # lam = ell o Ad_{x^-1}, as rows (C, m, keep, n).
-                lam = flats[:keep] @ _ad_series(basis, -cx[:, a:b], exp_coeffs)
+                # lam = ell o Ad_{x^-1}, as rows (C, m, n).
+                lam = flat @ _ad_series(basis, -cx[:, a:b], exp_coeffs)
                 lam_h = lam @ w_h
                 # exp(i a . lam_h) = exp(i a* . lam_h) exp(i b_c . ell_c) prod_k
                 # exp(i b_k rate_k) over the b_r axes, one table per distinct rate;
-                # phases is (C, m, keep, q_r, nodes) (NumPy < 2 returns a flat inverse).
-                rate = lam_h @ cols[:, None]
+                # phases is (C, m, q_r, nodes) (NumPy < 2 returns a flat inverse).
+                rate = lam_h @ cols
                 rates, index = np.unique(rate, return_inverse=True)
                 phases = (weights * np.exp(1j * rates[:, None] * nodes))[index.reshape(rate.shape)]
-                arg = lam_h @ astar[:, None, :, None] - lam @ twist[:, a:b, :, None]
-                scale = np.exp(1j * arg[..., 0]) / det_r[:, None, None]  # (C, m, keep)
+                arg = (lam_h @ astar[..., None])[..., 0] - np.sum(lam * twist[:, a:b], axis=-1)
+                scale = np.exp(1j * arg) / det_r[:, None]  # (C, m)
                 # The b_r axes pair by pair, last axis first.
-                v = vals[:, None, :keep]
+                v = vals
                 for k in range(q_h - q_c - 1, -1, -1):
-                    v = v.reshape(v.shape[:3] + (-1, nodes.size)) @ phases[:, :, :, k, :, None]
-                out[lo:hi, a:b, :keep] = v.reshape(v.shape[:3]) * scale
-                if keep < L:
-                    out[lo:hi, a:b, 1] = out[lo:hi, a:b, 0].conj()
-    if not rows:
-        out = out[:, 0]
-    return out[..., 0] if isinstance(ell, Functional) else out
+                    v = v.reshape(v.shape[:2] + (-1, nodes.size)) @ phases[:, :, k, :, None]
+                out[lo:hi, a:b] = v.reshape(v.shape[:2]) * scale
+    return out if rows else out[:, 0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -646,7 +632,7 @@ def build_operator(
     jump: JumpData | None = None,
 ) -> KernelOperator:
     """Sample the kernel on the (adaptively scaled) section grid."""
-    scale = _section_scale(ell, _checked_jump(ell.basis, jump), qspec)
+    scale = _section_scale(ell, _checked_jump(chart.basis, jump), qspec)
     nodes, weights = _tensor_grid(
         [(qspec.section_nodes, qspec.section_halfwidth * scale)] * chart.q
     )
@@ -658,36 +644,29 @@ def build_operator(
 
 def trace_shifted(
     f: SchwartzFunction,
-    ell: Functional | tuple[Functional, ...],
+    ell: Functional,
     chart: MalcevChart,
     qspec: QuadratureSpec,
     x: GradedElement,
     jump: JumpData | None = None,
-) -> complex | np.ndarray:
+) -> complex:
     """Shifted trace ``integral of K_f(x section(y), section(y)) dy``.
 
     Decomposes ``x section(y) = section(w) h`` and applies the kernel's
     subgroup equivariance, so only section-to-section kernel values are
-    needed: the integrand is ``exp(-i ell(log h)) K_f(section(w), section(y))``.
-
-    ``ell`` may be a tuple of functionals that the chart polarizes and that
-    share ``|ell_T|``, hence one section grid and one decomposition; the
-    traces then come back as an array with one entry per member, from one
-    :func:`kernel_values` call. Members that differ in basis or ``|ell_T|``
-    raise :class:`DimensionMismatch`.
+    needed: the integrand is ``exp(-i ell(log h)) K_f(section(w), section(y))``,
+    all of it from one :func:`kernel_values` call.
     """
-    ells = _functionals(ell)
     basis = chart.basis
     cx = _point_coords(basis, x)
-    scale = _section_scale(ells, _checked_jump(basis, jump), qspec)
+    scale = _section_scale(ell, _checked_jump(basis, jump), qspec)
     ys, wy = _tensor_grid([(qspec.section_nodes, qspec.section_halfwidth * scale)] * chart.q)
     ws, rem = chart.decompose(basis.bch_coords(cx, chart.section(ys)))
-    twist = np.exp(-1j * (rem @ np.stack([e.flat for e in ells], axis=-1)))  # (P, L)
+    twist = np.exp(-1j * (rem @ ell.flat))
     # section(w) section(y)^-1 = x section(y) h^-1 section(y)^-1 lies in x H for
     # every node: the pairs form one row.
-    kv = kernel_values(f, ells, chart, qspec, ws[None], ys[None])[0]
-    traces = np.sum(wy * (twist * kv).T, axis=-1)
-    return complex(traces[0]) if isinstance(ell, Functional) else traces
+    kv = kernel_values(f, ell, chart, qspec, ws[None], ys[None])[0]
+    return complex(np.sum(wy * (twist * kv)))
 
 
 # ---------------------------------------------------------------------------
@@ -769,21 +748,30 @@ def _plane_nodes(
 
 
 def _frequency_plane(
-    basis: LayeredBasis, jump: JumpData, qspec: QuadratureSpec, t_nodes: int, integrand
+    f: SchwartzFunction,
+    basis: LayeredBasis,
+    jump: JumpData,
+    qspec: QuadratureSpec,
+    t_nodes: int,
+    integrand,
 ) -> list:
-    """Weighted parts ``w * sqrt(det D) * integrand`` of an integral over the
-    transverse frequency plane, in node order.
+    """Weighted parts ``w * sqrt(det D) * integrand(ell, chart)`` of an
+    integral over the transverse frequency plane, in node order.
 
     The plane carries a trapezoid grid of ``t_nodes`` per transverse axis.
     It is symmetric about 0, so node ``i`` has its mirror ``M - 1 - i`` with
-    the same weight, and the two run as one pair: ``integrand((ell, -ell),
-    chart)`` returns both values from one chart, one section grid and one set
-    of samples of ``f``. ``-ell`` is the exact negative of node ``i``'s
-    functional (the grid's mirror node agrees with it to an ulp). Genericity,
+    the same weight, and the two run as one pair on one chart. Genericity,
     ``sqrt(det D)``, the chart and the subgroup phase rate are the same at
     ``-ell`` (the skew form only changes sign, and a polarization of ``ell``
-    polarizes ``-ell``), so they run once per pair. A centre node (every
-    axis odd) is its own mirror and gets ``(ell,)``.
+    polarizes ``-ell``), so they run once per pair. The mirror's value comes
+    from the rule ``pi_{-ell}(f) = conj pi_ell(f)`` for real ``f`` (``-ell``
+    carries the contragredient representation): it is the conjugate of
+    node ``i``'s value, and ``integrand`` runs once per pair. Whether ``f``
+    is real is decided once, from the dtype of ``f`` at the origin; for
+    complex ``f`` the mirror's value is ``integrand(-ell, chart)``, with
+    ``-ell`` the exact negative of node ``i``'s functional (the grid's
+    mirror node agrees with it to an ulp). A centre node (every axis odd) is
+    its own mirror.
 
     Every pair is decided before any runs, in one batched pass
     (:func:`_plane_nodes`), and a node is skipped for one of two reasons.
@@ -801,15 +789,17 @@ def _frequency_plane(
     """
     wts, running = _plane_nodes(basis, jump, qspec, t_nodes)
     M = len(wts)
+    real = not np.iscomplexobj(f(np.zeros(basis.dim)))
 
     def pair(node: tuple) -> list:
-        """Parts of node ``i`` and its mirror."""
+        """Parts of node ``i`` and, unless it is the centre, its mirror."""
         i, ell, sd, candidate = node
         chart = chart_for(ell, candidate)
-        mirror = M - 1 - i
-        ells = (ell,) if mirror == i else (ell, Functional(basis, -ell.flat))
-        values = integrand(ells, chart)
-        return [wts[j] * sd * v for j, v in zip((i, mirror), values)]
+        value = integrand(ell, chart)
+        if M - 1 - i == i:
+            return [wts[i] * sd * value]
+        mirror = value.conjugate() if real else integrand(Functional(basis, -ell.flat), chart)
+        return [wts[i] * sd * value, wts[M - 1 - i] * sd * mirror]
 
     workers = min(thread_count(), len(running))
     if workers <= 1:
@@ -849,11 +839,11 @@ def invert(
     jump = jump_sets(basis)
     norm = c_norm(basis, jump)
 
-    def integrand(ells: tuple[Functional, ...], chart: MalcevChart) -> np.ndarray:
-        return trace_shifted(f, ells, chart, qspec, x, jump)
+    def integrand(ell: Functional, chart: MalcevChart) -> complex:
+        return trace_shifted(f, ell, chart, qspec, x, jump)
 
     def run(t_nodes: int) -> complex:
-        return norm * sum(_frequency_plane(basis, jump, qspec, t_nodes, integrand), 0j)
+        return norm * sum(_frequency_plane(f, basis, jump, qspec, t_nodes, integrand), 0j)
 
     value = run(qspec.t_nodes)
     if convergence_tol is not None:
@@ -873,11 +863,11 @@ def invert(
 
 def hs_norm_sq(
     f: SchwartzFunction,
-    ell: Functional | tuple[Functional, ...],
+    ell: Functional,
     chart: MalcevChart,
     qspec: QuadratureSpec,
     jump: JumpData | None = None,
-) -> float | np.ndarray:
+) -> float:
     """Squared Hilbert-Schmidt norm of the kernel operator.
 
     Integrates ``|K(x, y)|^2`` in rotated coordinates: ``u``, the coset
@@ -890,15 +880,9 @@ def hs_norm_sq(
     Lebesgue in the section coordinates, so ``dx dy = dx du = 2^-q du dv``.
     Each ``u`` is one row of :func:`kernel_values`: ``f`` is sampled once per
     coset.
-
-    ``ell`` may be a tuple of functionals that the chart polarizes and that
-    share ``|ell_T|``, hence one grid; the norms then come back as an array
-    with one entry per member, from one :func:`kernel_values` call. Members
-    that differ in basis or ``|ell_T|`` raise :class:`DimensionMismatch`.
     """
-    ells = _functionals(ell)
     q = chart.q
-    scale = _section_scale(ells, _checked_jump(chart.basis, jump), qspec)
+    scale = _section_scale(ell, _checked_jump(chart.basis, jump), qspec)
     upts, uw = _cube_grid(qspec.section_nodes, qspec.section_halfwidth, q)
     vpts, vw = _tensor_grid(
         [(qspec.section_nodes, 2.0 * qspec.section_halfwidth * scale)] * q
@@ -908,10 +892,8 @@ def hs_norm_sq(
     # section(u)^-1 section(x) H, which is x - u on an abelian quotient.
     cosets = chart.basis.bch_coords(-chart.section(upts)[:, None], chart.section(xs))
     ys = chart.decompose(cosets)[0]
-    kv = kernel_values(f, ells, chart, qspec, xs, ys)  # one row per u
-    dens = np.moveaxis(np.abs(kv) ** 2, -1, 0)  # (L, mu, mv)
-    norms = 2.0**-q * (uw @ dens @ vw)
-    return float(norms[0]) if isinstance(ell, Functional) else norms
+    kv = kernel_values(f, ell, chart, qspec, xs, ys)  # one row per u
+    return float(2.0**-q * (uw @ np.abs(kv) ** 2 @ vw))
 
 
 def norm_sq_direct(f: SchwartzFunction, basis: LayeredBasis, qspec: QuadratureSpec) -> float:
@@ -939,9 +921,9 @@ def plancherel(
     jump = jump_sets(basis)
     lhs = norm_sq_direct(f, basis, qspec)
 
-    def integrand(ells: tuple[Functional, ...], chart: MalcevChart) -> np.ndarray:
-        return hs_norm_sq(f, ells, chart, qspec, jump)
+    def integrand(ell: Functional, chart: MalcevChart) -> float:
+        return hs_norm_sq(f, ell, chart, qspec, jump)
 
-    parts = _frequency_plane(basis, jump, qspec, qspec.t_nodes, integrand)
+    parts = _frequency_plane(f, basis, jump, qspec, qspec.t_nodes, integrand)
     rhs = c_norm(basis, jump) * math.fsum(parts)
     return {"lhs": lhs, "rhs": rhs, "ratio": rhs / lhs if lhs else math.inf}

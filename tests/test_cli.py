@@ -324,6 +324,15 @@ def test_polarization_generic_and_radical(capsys):
     assert doc["check"]["dim"] == 4
 
 
+def test_polarization_rejects_a_repeated_functional_row(capsys, tmp_path):
+    fp = tmp_path / "ell.json"
+    fp.write_text(json.dumps({"spec": {"d": 2, "N": 2}, "coords": [[2, 1, 1.0], [2, 1, -3.0]]}))
+    rc, doc = run_cli(capsys, "polarization", "--spec", "2,2", "--functional", str(fp))
+    assert rc == 2
+    assert doc["error"]["type"] == "DimensionMismatch"
+    assert doc["error"]["message"] == "coordinate (2, 1) appears in more than one row"
+
+
 @pytest.mark.parametrize("spec,method", [("2,2", "generic"), ("3,3", "generic"), ("2,3", "radical")])
 def test_polarization_checks_the_subalgebra_once(capsys, monkeypatch, spec, method):
     checked = []

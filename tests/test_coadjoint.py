@@ -487,8 +487,15 @@ _ELL22 = Functional(_B22, np.array([1.0, 0.5, -0.5]))
             SpecMismatch,
             "does not match the functional's spec",
         ),
+        (
+            lambda: Functional.from_json_dict(
+                {"spec": {"d": 2, "N": 2}, "coords": [[2, 1, 1.0], [1, 1, 0.5], [2, 1, -3.0]]}
+            ),
+            DimensionMismatch,
+            r"^coordinate \(2, 1\) appears in more than one row$",
+        ),
     ],
-    ids=["length", "evaluate-spec", "evaluate-role", "json-basis-spec"],
+    ids=["length", "evaluate-spec", "evaluate-role", "json-basis-spec", "json-repeated-row"],
 )
 def test_functional_input_errors(call, error, message):
     with pytest.raises(error, match=message):

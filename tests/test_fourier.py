@@ -532,18 +532,13 @@ def test_kernel_values_do_not_depend_on_how_pairs_are_batched(monkeypatch, d, N,
     ell = sample_generic(basis, np.random.default_rng(7))
     chart = chart_for(ell)
     f = _complex_gaussian(basis.dim) if complex_f else SchwartzFunction.gaussian(basis.dim)
-    # with real samples the mirror tuple takes the conjugate route
-    targets = [ell] if complex_f else [ell, (ell, Functional(basis, -ell.flat))]
     q = _low_res()
     P = 60
     xs, ys = 0.8 * np.random.default_rng(12).standard_normal((2, P, chart.q))
     cuts = [0, 1, 9, 31, P]
-    parts = [
-        np.concatenate(
-            [kernel_values(f, t, chart, q, xs[a:b], ys[a:b]) for a, b in zip(cuts, cuts[1:])]
-        )
-        for t in targets
-    ]
+    part = np.concatenate(
+        [kernel_values(f, ell, chart, q, xs[a:b], ys[a:b]) for a, b in zip(cuts, cuts[1:])]
+    )
     # A pair list is a list of rows of one pair. A budget of 23 rows per block
     # splits the whole batch into uneven blocks (three section calls each: x,
     # y and the coset points), and each block into integrand sub-chunks.
@@ -557,11 +552,9 @@ def test_kernel_values_do_not_depend_on_how_pairs_are_batched(monkeypatch, d, N,
         return section(y)
 
     monkeypatch.setattr(chart, "section", counted)
-    for target, part in zip(targets, parts):
-        sections.clear()
-        whole = kernel_values(f, target, chart, q, xs, ys)
-        assert sections == [23] * 6 + [14] * 3
-        assert np.max(np.abs(whole - part)) <= 1e-14 * np.max(np.abs(part))
+    whole = kernel_values(f, ell, chart, q, xs, ys)
+    assert sections == [23] * 6 + [14] * 3
+    assert np.max(np.abs(whole - part)) <= 1e-14 * np.max(np.abs(part))
 
 
 @pytest.mark.parametrize("d,N", [(2, 2), (3, 2), (2, 3)])
@@ -572,11 +565,10 @@ def test_kernel_values_do_not_depend_on_how_rows_are_batched(monkeypatch, d, N, 
     ell = sample_generic(basis, np.random.default_rng(7))
     chart = chart_for(ell)
     f = _complex_gaussian(n) if complex_f else SchwartzFunction.gaussian(n)
-    targets = [ell] if complex_f else [ell, (ell, Functional(basis, -ell.flat))]
     q = _low_res()
     R, M = 12, 5
     xs, ys = _coset_rows(chart, np.random.default_rng(12), R, M)
-    expected = [kernel_values(f, t, chart, q, xs, ys) for t in targets]
+    want = kernel_values(f, ell, chart, q, xs, ys)
     m_c, m_r = (q.h_nodes**k for k in (chart.q_c, chart.q_h - chart.q_c))
     sections, pairs, sampled = [], [], []
     section, ad_matrix = chart.section, basis.ad_matrix
@@ -594,24 +586,22 @@ def test_kernel_values_do_not_depend_on_how_rows_are_batched(monkeypatch, d, N, 
     counted_f = SchwartzFunction(n, lambda c: sampled.append(len(c)) or gauss(c), f.decay_box)
     monkeypatch.setattr(chart, "section", counted_section)
     monkeypatch.setattr(basis, "ad_matrix", counted_ad)
-    for target, want in zip(targets, expected):
-        L = 1 if isinstance(target, Functional) else len(target)
-        pair = max(n, L * m_r // q.h_nodes) * n  # one pair's adjoint and contraction
-        row = max(m_c, m_r) * n
-        # Blocks of 5 rows whose pairs all fit; then a budget below one row's
-        # pairs: a row per block, its members in chunks of 2.
-        for budget, blocks in ((5 * max(row, M * pair), [5, 5, 2]), (2 * pair, [1] * R)):
-            monkeypatch.setattr(fourier, "_CHUNK_BUDGET", budget)
-            sections.clear(), pairs.clear(), sampled.clear()
-            got = kernel_values(counted_f, target, chart, q, xs, ys)
-            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-            # x, y and the coset points of each block's rows
-            assert sections == [b for b in blocks for _ in range(3)]
-            # rows times members of every per-pair pass within the budget
-            assert sum(pairs) == R * M and all(p * pair <= budget for p in pairs)
-            assert sum(sampled) == R
-            assert all(s <= max(1, budget // (m_c * m_r * n)) for s in sampled)
-        assert max(pairs) == 2
+    pair = max(n, m_r // q.h_nodes) * n  # one pair's adjoint and contraction
+    row = max(m_c, m_r) * n
+    # Blocks of 5 rows whose pairs all fit; then a budget below one row's
+    # pairs: a row per block, its members in chunks of 2.
+    for budget, blocks in ((5 * max(row, M * pair), [5, 5, 2]), (2 * pair, [1] * R)):
+        monkeypatch.setattr(fourier, "_CHUNK_BUDGET", budget)
+        sections.clear(), pairs.clear(), sampled.clear()
+        got = kernel_values(counted_f, ell, chart, q, xs, ys)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        # x, y and the coset points of each block's rows
+        assert sections == [b for b in blocks for _ in range(3)]
+        # rows times members of every per-pair pass within the budget
+        assert sum(pairs) == R * M and all(p * pair <= budget for p in pairs)
+        assert sum(sampled) == R
+        assert all(s <= max(1, budget // (m_c * m_r * n)) for s in sampled)
+    assert max(pairs) == 2
 
 
 @pytest.mark.parametrize(
@@ -629,12 +619,11 @@ def test_rows_of_pairs_match_rows_of_one_pair(spec, complex_f):
     q = _low_res()
     R, M = 4, 6
     xs, ys = _coset_rows(chart, rng, R, M)
-    for target, tail in ((ell, ()), ((ell, Functional(basis, -ell.flat)), (2,))):
-        rows = kernel_values(f, target, chart, q, xs, ys)
-        pairs = (xs.reshape(-1, chart.q), ys.reshape(-1, chart.q))
-        singles = kernel_values(f, target, chart, q, *pairs).reshape(rows.shape)
-        assert rows.shape == (R, M) + tail
-        assert np.max(np.abs(rows - singles)) <= 1e-13 * np.max(np.abs(singles))
+    rows = kernel_values(f, ell, chart, q, xs, ys)
+    pairs = (xs.reshape(-1, chart.q), ys.reshape(-1, chart.q))
+    singles = kernel_values(f, ell, chart, q, *pairs).reshape(rows.shape)
+    assert rows.shape == (R, M)
+    assert np.max(np.abs(rows - singles)) <= 1e-13 * np.max(np.abs(singles))
 
 
 @pytest.mark.parametrize("d,N", [(2, 2), (2, 3)])
@@ -654,7 +643,6 @@ def test_a_row_whose_pairs_do_not_share_a_coset_is_refused(d, N):
 def test_f_is_sampled_once_per_coset():
     basis = _basis(2, 2)
     ell = _heisenberg_functional(0.9)
-    target = (ell, Functional(basis, -ell.flat))
     chart = chart_for(ell)
     q = _low_res(h_nodes=12, section_nodes=10)
     points = []
@@ -663,12 +651,12 @@ def test_f_is_sampled_once_per_coset():
         basis.dim, lambda c: points.append(c[..., 0].size) or gauss(c), gauss.decay_box
     )
     # one row per coset u of the Hilbert-Schmidt grid, whatever the number of v
-    hs_norm_sq(f, target, chart, q)
+    hs_norm_sq(f, ell, chart, q)
     assert sum(points) == q.section_nodes**chart.q * q.h_nodes**chart.q_h
     # every node of a shifted trace lies in the coset of the point
     points.clear()
     x = exp_t(basis.algebra_element(np.array([0.1, 0.3, -0.2])))
-    trace_shifted(f, target, chart, q, x)
+    trace_shifted(f, ell, chart, q, x)
     assert sum(points) == q.h_nodes**chart.q_h
 
 
@@ -678,14 +666,13 @@ def test_quadrature_grids_are_cached_read_only_and_change_no_value(d, N):
     # and shared, so they are read-only; a cold cache gives the same bytes
     basis = _basis(d, N)
     ell = sample_generic(basis, np.random.default_rng(4))
-    target = (ell, Functional(basis, -ell.flat))
     chart = chart_for(ell)
     q = _low_res()
     f = _complex_gaussian(basis.dim)
     xs, ys = 0.8 * np.random.default_rng(6).standard_normal((2, 6, chart.q))
 
     def run():
-        return kernel_values(f, target, chart, q, xs, ys), hs_norm_sq(f, target, chart, q)
+        return kernel_values(f, ell, chart, q, xs, ys), np.float64(hs_norm_sq(f, ell, chart, q))
 
     warm = run()
     hits = fourier._cube_grid.cache_info().hits
@@ -712,8 +699,7 @@ def test_kernel_values_do_not_depend_on_the_shape_of_uniques_inverse(monkeypatch
     chart = chart_for(ell)
     f = SchwartzFunction.gaussian(basis.dim)
     xs, ys = 0.8 * np.random.default_rng(12).standard_normal((2, 5, chart.q))
-    target = (ell, Functional(basis, 0.5 * ell.flat))
-    expected = kernel_values(f, target, chart, _low_res(), xs, ys)
+    expected = kernel_values(f, ell, chart, _low_res(), xs, ys)
     unique = np.unique
 
     def flat_inverse(ar, **kwargs):
@@ -721,34 +707,7 @@ def test_kernel_values_do_not_depend_on_the_shape_of_uniques_inverse(monkeypatch
         return values, inverse.ravel()
 
     monkeypatch.setattr(np, "unique", flat_inverse)
-    assert np.array_equal(kernel_values(f, target, chart, _low_res(), xs, ys), expected)
-
-
-@pytest.mark.parametrize("d,N", [(2, 2), (3, 2), (2, 3)])
-def test_real_samples_give_the_mirror_functional_by_conjugation(d, N):
-    # pi_{-ell}(f) = conj pi_ell(f) for real f: the tuple (ell, -ell) computes
-    # ell alone and conjugates it
-    basis = _basis(d, N)
-    rng = np.random.default_rng(5)
-    ell = sample_generic(basis, rng)
-    neg = Functional(basis, -ell.flat)
-    chart = chart_for(ell)
-    f = SchwartzFunction.gaussian(basis.dim)
-    q = _low_res()
-    xs, ys = 0.8 * rng.standard_normal((2, 7, chart.q))
-    pair = kernel_values(f, (ell, neg), chart, q, xs, ys)
-    assert np.array_equal(pair[:, 1], np.conj(pair[:, 0]))
-    direct = kernel_values(f, neg, chart, q, xs, ys)
-    scale = np.max(np.abs(pair))
-    assert np.max(np.abs(pair[:, 1] - direct)) <= 1e-14 * scale
-    # complex values with zero imaginary part take the complex route
-    as_complex = SchwartzFunction(basis.dim, lambda c: f(c) + 0j, f.decay_box)
-    routed = kernel_values(as_complex, (ell, neg), chart, q, xs, ys)
-    assert np.max(np.abs(routed - pair)) <= 1e-14 * scale
-    # members that are not exactly negated are each contracted
-    other = Functional(basis, -0.5 * ell.flat)
-    both = kernel_values(f, (ell, other), chart, q, xs, ys)
-    assert np.max(np.abs(both[:, 1] - kernel_values(f, other, chart, q, xs, ys))) <= 1e-14 * scale
+    assert np.array_equal(kernel_values(f, ell, chart, _low_res(), xs, ys), expected)
 
 
 def _abelian_ideal_chart(basis: LayeredBasis) -> MalcevChart:
@@ -864,53 +823,45 @@ def test_mirror_functional_shares_the_node_set_up(d, N):
 
 
 @pytest.mark.parametrize("d,N", [(2, 2), (2, 3), (3, 2)])
-def test_tuple_calls_match_single_functional_calls(d, N):
+def test_mirror_values_do_not_depend_on_the_chart(d, N):
+    # for complex f the frequency plane integrates -ell on ell's chart: traces
+    # and norms do not depend on the chart, so that is -ell on its own chart
     basis = _basis(d, N)
     jump = jump_sets(basis)
     rng = np.random.default_rng(9)
     ell = sample_generic(basis, rng)
     neg = Functional(basis, -ell.flat)
-    chart = chart_for(ell)
+    charts = (chart_for(ell), chart_for(neg))
     f = _complex_gaussian(basis.dim)
     q = _low_res()
-    xs, ys = 0.8 * rng.standard_normal((2, 5, chart.q))
-    pair = kernel_values(f, (ell, neg), chart, q, xs, ys)
-    assert pair.shape == (5, 2)
-    # kernel values live on one chart's section points
-    singles = np.stack([kernel_values(f, e, chart, q, xs, ys) for e in (ell, neg)], axis=-1)
-    assert np.max(np.abs(pair - singles)) <= 1e-12 * np.max(np.abs(singles))
-    # traces and norms do not depend on the chart: -ell on its own chart
     x = exp_t(basis.algebra_element(0.3 * rng.standard_normal(basis.dim)))
-    own = [(ell, chart), (neg, chart_for(neg))]
-    pair = hs_norm_sq(f, (ell, neg), chart, q, jump)
-    singles = np.array([hs_norm_sq(f, e, c, q, jump) for e, c in own])
-    assert pair.shape == (2,)
-    assert np.max(np.abs(pair - singles)) <= 1e-12 * np.max(singles)
-    pair = trace_shifted(f, (ell, neg), chart, q, x, jump)
-    singles = np.array([trace_shifted(f, e, c, q, x, jump) for e, c in own])
-    assert pair.shape == (2,)
-    assert np.max(np.abs(pair - singles)) <= 1e-12 * np.max(np.abs(singles))
+    shared, own = (hs_norm_sq(f, neg, c, q, jump) for c in charts)
+    assert abs(shared - own) <= 1e-12 * own
+    shared, own = (trace_shifted(f, neg, c, q, x, jump) for c in charts)
+    assert abs(shared - own) <= 1e-12 * abs(own)
 
 
-def test_tuple_calls_reject_mismatched_functionals():
+def test_a_tuple_of_functionals_is_refused():
+    # every kernel call takes one functional; the frequency plane pairs them
     basis = _basis(2, 2)
     f = SchwartzFunction.gaussian(basis.dim)
     q = _low_res()
     ell = _heisenberg_functional(0.9)
     chart = chart_for(ell)
     xs = np.zeros((2, 1))
-    twin = Functional(build_layered_basis(GroupSpec(2, 2)), -ell.flat)  # an equal basis, not the same
-    for bad in ((), (ell, twin), (ell, sample_generic(_basis(2, 3), np.random.default_rng(0)))):
-        with pytest.raises(DimensionMismatch):
-            kernel_values(f, bad, chart, q, xs, xs)
-    # kernel values take their section points as given, so |ell_T| may differ
-    slower = _heisenberg_functional(0.7)
-    assert kernel_values(f, (ell, slower), chart, q, xs, xs).shape == (2, 2)
-    # traces and norms build one section box from |ell_T|
-    with pytest.raises(DimensionMismatch, match="ell_T"):
-        hs_norm_sq(f, (ell, slower), chart, q)
-    with pytest.raises(DimensionMismatch, match="ell_T"):
-        trace_shifted(f, (ell, slower), chart, q, GradedElement.identity(basis.spec))
+    ident = GradedElement.identity(basis.spec)
+    calls = {
+        "kernel_values": lambda e: kernel_values(f, e, chart, q, xs, xs),
+        "trace_shifted": lambda e: trace_shifted(f, e, chart, q, ident),
+        "hs_norm_sq": lambda e: hs_norm_sq(f, e, chart, q),
+        "build_operator": lambda e: build_operator(f, e, chart, q),
+        "_section_scale": lambda e: _section_scale(e, jump_sets(basis), q),
+    }
+    for name, call in calls.items():
+        for bad in ((ell, Functional(basis, -ell.flat)), [ell], ()):
+            with pytest.raises(DimensionMismatch, match="expected one Functional"):
+                call(bad)
+        call(ell)
 
 
 def test_operator_is_linear_in_the_function():
@@ -1053,12 +1004,6 @@ def test_section_scale_tracks_inverse_frequency():
     assert _section_scale(_heisenberg_functional(0.05), jump, qref) == pytest.approx(
         qref.section_scale_cap
     )
-    # one rule for a mirror pair, which shares |ell_T|, and none for members that do not
-    ell = _heisenberg_functional(2.0, 0.3, -0.1)
-    pair = (ell, Functional(basis, -ell.flat))
-    assert _section_scale(pair, jump, qref) == _section_scale(ell, jump, qref)
-    with pytest.raises(DimensionMismatch, match="ell_T"):
-        _section_scale((ell, _heisenberg_functional(1.0)), jump, qref)
 
 
 def test_section_scale_tightens_on_coarse_subgroup_grids():
@@ -1347,6 +1292,68 @@ def test_transforms_match_the_plane_integrated_node_by_node(d, N, qspec):
 
 
 @pytest.mark.parametrize(
+    "spec,qspec",
+    [
+        (GroupSpec(2, 2), _low_res(h_nodes=24, t_halfwidth=4.0)),
+        (GroupSpec(2, 3), replace(QuadratureSpec.demo(), t_nodes=8)),
+        # the demo subgroup grid; the demo plane runs 28 pairs (8 s for this
+        # test), this one 4
+        (
+            GroupSpec(2, 2, "FullTensor"),
+            replace(QuadratureSpec.demo(), section_nodes=8, t_nodes=8, t_halfwidth=4.0),
+        ),
+    ],
+    ids=["2,2", "2,3", "FullTensor-2,2"],
+)
+def test_the_plane_gives_the_mirror_node_by_conjugation(monkeypatch, spec, qspec):
+    # pi_{-ell}(f) = conj pi_ell(f) for real f: the plane integrates node i
+    # alone and conjugates its value for the mirror; f with complex values
+    # (even with zero imaginary part) integrates both on the pair's chart
+    basis = build_layered_basis(spec)
+    jump = jump_sets(basis)
+    gauss = SchwartzFunction.gaussian(basis.dim)
+    as_complex = SchwartzFunction(basis.dim, lambda c: gauss(c) + 0j, gauss.decay_box)
+    x = exp_t(basis.algebra_element(np.linspace(-0.3, 0.2, basis.dim)))
+    weights, running = fourier._plane_nodes(basis, jump, qspec, qspec.t_nodes)
+    M = weights.size
+    assert running and M % 2 == 0  # no centre node
+    calls, planes = [], []
+    plane = fourier._frequency_plane
+
+    def recorded(*args):
+        planes.append(plane(*args))
+        return planes[-1]
+
+    monkeypatch.setattr(fourier, "_frequency_plane", recorded)
+    for name in ("trace_shifted", "hs_norm_sq"):
+        original = getattr(fourier, name)
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(args[1].flat.copy())
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(fourier, name, counted)
+    results = {}
+    for f in (gauss, as_complex):
+        calls.clear(), planes.clear()
+        results[f] = (invert(f, x, basis, qspec), plancherel(f, basis, qspec)["rhs"])
+        for parts in planes:
+            for i, *_ in running:
+                node, mirror = parts[i], parts[M - 1 - i]
+                if f is gauss:
+                    # bit for bit: the weights are symmetric and conj is exact
+                    assert np.array_equal(mirror, np.conj(node))
+                else:
+                    assert abs(mirror - np.conj(node)) <= 1e-13 * abs(node)
+        # one integrand call a pair that runs for real f, two for complex f
+        ells = [ell.flat for _, ell, _, _ in running]
+        expected = ells if f is gauss else [e for ell in ells for e in (ell, -ell)]
+        assert [c.tolist() for c in calls] == [e.tolist() for e in expected] * 2
+    for real, general in zip(results[gauss], results[as_complex]):
+        assert abs(general - real) <= 1e-14 * abs(real)
+
+
+@pytest.mark.parametrize(
     "spec,qspec,sample,skips_by_rows",
     [
         (GroupSpec(2, 2), QuadratureSpec.demo(), None, False),
@@ -1396,8 +1403,9 @@ def test_plane_decisions_match_the_walk_node_by_node(spec, qspec, sample, skips_
     if qspec.t_nodes % 2:
         # the centre node is its own mirror, and it is not generic
         assert not walk[pairs - 1][1]
+        f = SchwartzFunction.gaussian(basis.dim)
         parts = fourier._frequency_plane(
-            basis, jump, qspec, qspec.t_nodes, lambda ells, chart: [1.0] * len(ells)
+            f, basis, jump, qspec, qspec.t_nodes, lambda ell, chart: 1.0
         )
         assert parts[pairs - 1] == 0.0
 
