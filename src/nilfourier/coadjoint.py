@@ -214,6 +214,17 @@ def _check_km(spec: GroupSpec, k: int, m: int) -> None:
         )
 
 
+def _check_label(spec: GroupSpec, k: int, m: int) -> None:
+    """Raise unless ``(k, m)`` is a quotient label: ``k = 0`` with ``0 <= m <=
+    m_N`` (a cut inside the top layer), else a label :func:`_check_km` accepts."""
+    if not 0 <= k <= spec.N - 1:
+        raise IndexOutOfRange(f"need 0 <= k <= {spec.N - 1}, got k={k}")
+    if k:
+        _check_km(spec, k, m)
+    elif not 0 <= m <= spec.layer_dims()[-1]:
+        raise IndexOutOfRange(f"need 0 <= m <= {spec.layer_dims()[-1]} in the top layer")
+
+
 def dim_km(spec: GroupSpec, k: int, m: int) -> int:
     """Generic rank of the pairing block between layers ``k`` and ``N-k``,
     restricted to the first ``m`` columns: the full block's generic rank
@@ -285,25 +296,16 @@ def orbit_dim_quotient_generic(spec: GroupSpec, k: int, m: int) -> int:
     ``k = 0`` (cuts inside the top layer) always gives zero; otherwise the
     dimension accumulates one generic block rank per completed layer.
     """
+    _check_label(spec, k, m)
     if k == 0:
         return 0
-    if not 1 <= k <= spec.N - 1:
-        raise IndexOutOfRange(f"need 0 <= k <= {spec.N - 1}, got k={k}")
     return sum(_block_rank(spec, s) for s in range(1, k)) + dim_km(spec, k, m)
 
 
 def quotient_prefix_len(basis: LayeredBasis, k: int, m: int) -> int:
     """Flat Malcev prefix length corresponding to the quotient label ``(k, m)``."""
-    spec = basis.spec
-    dims = spec.layer_dims()
-    if k == 0:
-        if not 0 <= m <= dims[spec.N - 1]:
-            raise IndexOutOfRange(f"need 0 <= m <= {dims[spec.N - 1]} in the top layer")
-        return m
-    if not 1 <= k <= spec.N - 1:
-        raise IndexOutOfRange(f"need 0 <= k <= {spec.N - 1}, got k={k}")
-    _check_km(spec, k, m)
-    return basis.flat_index(spec.N - k, m) + 1
+    _check_label(basis.spec, k, m)
+    return m if k == 0 else basis.flat_index(basis.spec.N - k, m) + 1
 
 
 def _prefix_rank(ell: Functional, p: int) -> int:

@@ -105,6 +105,9 @@ __all__ = [
 #: page-faults its fresh temporaries.
 _CHUNK_BUDGET = 100_000
 
+#: Largest widening of the section box by :func:`_section_scale` (as ``|ell_T| -> 0``).
+_SECTION_SCALE_CAP = 8.0
+
 
 def thread_count() -> int:
     """Worker count from NILFOURIER_THREADS, which must be an integer >= 1."""
@@ -130,8 +133,9 @@ class QuadratureSpec:
     ``h_*`` controls the polarization-subgroup integral (evaluated in a
     per-coset reframed box), ``section_*`` the section/trace integrals, and
     ``t_*`` the transverse frequency plane. The section box is rescaled per
-    functional by ``clamp(1/|ell_T|, 1, section_scale_cap)`` so that traces
-    keep uniform coverage and resolution across the frequency plane.
+    functional by ``min(1/|ell_T|, _SECTION_SCALE_CAP)``, tightened further on
+    coarse subgroup grids (:func:`_section_scale`), so that traces keep
+    uniform coverage and resolution across the frequency plane.
     """
 
     h_nodes: int = 48
@@ -140,13 +144,12 @@ class QuadratureSpec:
     section_halfwidth: float = 8.0
     t_nodes: int = 64
     t_halfwidth: float = 8.0
-    section_scale_cap: float = 8.0
 
     def __post_init__(self) -> None:
         for name in ("h_nodes", "section_nodes", "t_nodes"):
             if getattr(self, name) < 8:
                 raise DimensionMismatch(f"{name} must be at least 8")
-        for name in ("h_halfwidth", "section_halfwidth", "t_halfwidth", "section_scale_cap"):
+        for name in ("h_halfwidth", "section_halfwidth", "t_halfwidth"):
             if not 0 < getattr(self, name) < math.inf:
                 raise DimensionMismatch(f"{name} must be positive and finite")
 
@@ -261,8 +264,10 @@ class MalcevChart:
     """Orthonormal reordering of the Malcev basis adapted to a subalgebra.
 
     Columns of ``W`` list first a basis of the subalgebra (layer-descending),
-    then its orthogonal complement (layer-descending). Every prefix of the
-    ordering spans an ideal (checked at construction), so the ordered product
+    then its orthogonal complement (layer-descending), one block of each per
+    layer from the SVD of the subalgebra's rows cut to that layer; the
+    subalgebra must be layer-graded. Every prefix of the ordering spans an
+    ideal (checked at construction), so the ordered product
     ``gamma(alpha) = exp(alpha_n W_n) ... exp(alpha_1 W_1)`` is a global chart
     that pushes Lebesgue measure to Haar measure, and leading coordinates can
     be peeled off one exponential at a time.
@@ -280,23 +285,16 @@ class MalcevChart:
         s_cols: list[np.ndarray] = []
         for k in range(basis.spec.N, 0, -1):
             sl = basis.layer_slice(k)
-            if basis.layers[k - 1].dim == 0:
-                continue
-            _, s, vt = np.linalg.svd(sub.vectors[:, sl], full_matrices=True)
+            _, s, vt = np.linalg.svd(sub.vectors[:, sl])
             r = _svd_rank(s, 1e-12)
-            for v in vt[:r]:
-                e = np.zeros(n)
-                e[sl] = v
-                h_cols.append(e)
-            for v in vt[r:]:
-                e = np.zeros(n)
-                e[sl] = v
-                s_cols.append(e)
-        self.q_h = len(h_cols)
-        self.q = len(s_cols)
-        self.W = np.stack(h_cols + s_cols, axis=-1) if (h_cols or s_cols) else np.zeros((n, 0))
+            for cols, rows in ((h_cols, vt[:r]), (s_cols, vt[r:])):
+                cols.append(np.zeros((n, len(rows))))
+                cols[-1][sl] = rows.T
+        self.W = np.hstack(h_cols + s_cols)
+        self.q_h = sum(c.shape[1] for c in h_cols)
+        self.q = n - self.q_h
         # The layer ranks sum to sub.dim exactly when the span is layer-graded.
-        if self.q_h != sub.dim or self.q_h + self.q != n:
+        if self.q_h != sub.dim:
             raise NotGeneric("chart construction needs a layer-graded subalgebra")
         brackets = basis.bracket_coords(self.W.T[:, None], self.W.T[None])  # [W_i, W_j]
         # Every prefix spans an ideal exactly when no [W_i, W_j] has a chart
@@ -424,8 +422,8 @@ def _section_scale(ell: Functional, jump: JumpData, qspec: QuadratureSpec) -> fl
     norm = float(np.linalg.norm(ell.flat[[ell.basis.flat_index(k, i) for (k, i) in jump.T]]))
     tighten = min(1.0, _resolvable_rate(qspec) / qspec.section_halfwidth)
     if norm <= 0:
-        return qspec.section_scale_cap * tighten
-    return float(min(tighten / norm, qspec.section_scale_cap))
+        return _SECTION_SCALE_CAP * tighten
+    return float(min(tighten / norm, _SECTION_SCALE_CAP))
 
 
 def _resolvable_rate(qspec: QuadratureSpec) -> float:

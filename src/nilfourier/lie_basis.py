@@ -473,33 +473,26 @@ class LayeredBasis:
     def structure_tensor(self) -> np.ndarray:
         """Dense structure constants ``sc[a, b, t]`` over flat Malcev indices.
 
-        ``[X_a, X_b] = sum_t sc[a, b, t] X_t``; graded (only layers
-        ``deg a + deg b <= N`` contribute) and antisymmetric in ``(a, b)``.
-        Entries below ``1e-12`` of the largest are rounding noise of the
-        expansion where a coefficient is zero, and are stored as exact zeros.
+        ``[X_a, X_b] = sum_t sc[a, b, t] X_t``, built one block ``sc[layer
+        k1, layer k2, layer k1 + k2]`` at a time from all commutators ``u (x)
+        v - v (x) u`` of the two layers' embeddings, certified by one
+        :meth:`expand_layer`; both orders are built, so ``sc`` is exactly
+        antisymmetric. Entries below ``1e-12`` of the largest are rounding
+        noise of the expansion, stored as exact zeros.
         """
         if self._sc is None:
             n = self.dim
-            d = self.spec.d
+            N = self.spec.N
             sc = np.zeros((n, n, n))
-            embedded = {
-                (k, i): self.layers[k - 1].embedding[:, i - 1]
-                for (k, i) in self.malcev_order
-            }
-            for a, (k1, i1) in enumerate(self.malcev_order):
-                for b, (k2, i2) in enumerate(self.malcev_order):
-                    if b <= a:
-                        continue
-                    k = k1 + k2
-                    if k > self.spec.N:
-                        continue
-                    u = embedded[(k1, i1)]
-                    v = embedded[(k2, i2)]
-                    w = np.kron(u, v) - np.kron(v, u)
-                    coords = self.expand_layer(k, w)
-                    sl = self.layer_slice(k)
-                    sc[a, b, sl] = coords
-                    sc[b, a, sl] = -coords
+            for k1 in range(1, N):
+                for k2 in range(1, N - k1 + 1):
+                    u, v = self.layers[k1 - 1].embedding, self.layers[k2 - 1].embedding
+                    if not (u.size and v.size):
+                        continue  # an empty layer (d = 1) brackets to nothing
+                    uv = np.einsum("ia,jb->abij", u, v).reshape(u.shape[1], v.shape[1], -1)
+                    vu = np.einsum("ia,jb->abji", u, v).reshape(uv.shape)
+                    block = (self._slices[k1 - 1], self._slices[k2 - 1], self._slices[k1 + k2 - 1])
+                    sc[block] = self.expand_layer(k1 + k2, uv - vu)
             sc[np.abs(sc) < 1e-12 * np.abs(sc).max(initial=0.0)] = 0.0
             self._sc = sc
         return self._sc
@@ -578,18 +571,18 @@ class LayeredBasis:
         """Nonzero structure constants as ``[a, b, target, coeff]`` rows.
 
         Indices are 1-based positions in the Malcev order; only rows with
-        ``a < b`` are listed (antisymmetry supplies the rest).
+        ``a < b`` are listed, in ``(a, b, target)`` order (antisymmetry supplies
+        the rest); coefficients within ``1e-9`` of an integer are rounded to it.
         """
         sc = self.structure_tensor
+        upper = np.triu(np.ones((self.dim, self.dim), dtype=bool), 1)[..., None]
         rows = []
-        for a in range(self.dim):
-            for b in range(a + 1, self.dim):
-                for t in np.nonzero(np.abs(sc[a, b]) > 1e-12)[0]:
-                    coeff = float(sc[a, b, t])
-                    snapped = round(coeff)
-                    if abs(coeff - snapped) < 1e-9:
-                        coeff = float(snapped)
-                    rows.append([a + 1, b + 1, int(t) + 1, coeff])
+        for a, b, t in zip(*np.nonzero(upper & (np.abs(sc) > 1e-12))):
+            coeff = float(sc[a, b, t])
+            snapped = round(coeff)
+            if abs(coeff - snapped) < 1e-9:
+                coeff = float(snapped)
+            rows.append([int(a) + 1, int(b) + 1, int(t) + 1, coeff])
         return rows
 
     def _layers_json(self) -> list[dict]:

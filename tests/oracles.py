@@ -22,9 +22,13 @@ whole elements instead of the level-array power-series core; and
 :func:`frequency_plane_by_node`,
 which integrates the frequency plane through the package's public
 single-functional calls, one node and one chart at a time, instead of in
-mirror pairs; and :func:`plane_decisions_by_node`, which decides the plane's
+mirror pairs; :func:`plane_decisions_by_node`, which decides the plane's
 nodes one functional at a time from the package's skew forms, with SVDs and
-determinants of its own, instead of in stacked batches. The Monte Carlo
+determinants of its own, instead of in stacked batches; and
+:func:`kirillov_trace`, which integrates Kirillov's character formula over the
+coadjoint orbit, with the adjoint action built from tensor commutators read
+through the package's flat coordinates, not from its structure constants,
+charts or kernels. The Monte Carlo
 check :func:`haar_invariance_check` integrates through the package's chart
 map ``MalcevChart.gamma`` and group law, since the chart measure is what it
 checks.
@@ -348,6 +352,61 @@ def pfaffian(a: np.ndarray) -> float:
         rest = [k for k in range(1, m) if k != j]
         total += (-1) ** (j + 1) * a[0, j] * pfaffian(a[np.ix_(rest, rest)])
     return total
+
+
+# ---------------------------------------------------------------------------
+# Exact node traces from Kirillov's character formula.
+# ---------------------------------------------------------------------------
+
+
+def gaussian_hat(xi: np.ndarray) -> np.ndarray:
+    """``F^(xi) = integral of F(X) exp(i xi . X) dX`` for the unit Gaussian
+    ``F(X) = exp(-|X|^2 / 2)`` of the flat coordinates: ``(2 pi)^(n/2)
+    exp(-|xi|^2 / 2)``."""
+    return TWO_PI ** (xi.shape[-1] / 2) * np.exp(-0.5 * np.sum(xi * xi, axis=-1))
+
+
+def _dense_ad(basis: LayeredBasis, a: int) -> np.ndarray:
+    """Matrix of ``ad(X_a)`` on flat coordinates, column ``b`` the flat
+    coordinates of the tensor commutator ``[X_a, X_b]`` of the embedded
+    elements (no structure constants)."""
+    e = np.eye(basis.dim)
+    return basis.flat_coords(commutator(basis.algebra_element(e[a]), basis.algebra_element(e))).T
+
+
+def kirillov_trace(ell, jump, f_hat, nodes: int = 121, halfwidth: float = 12.0) -> float:
+    """``tr pi_ell(f)`` by Kirillov's character formula, ``f`` given by the
+    Fourier transform ``f_hat`` of ``F = f o exp`` in flat coordinates.
+
+    The orbit is parametrized over the jump indices ``S`` by ``t -> xi(t) =
+    exp(t_1 X_s1) ... exp(t_k X_sk) . ell``, whose Jacobian ``|det d xi_S /
+    d t|`` is ``Pf_S(ell)^2``, so the trace is ``(2 pi)^(-k/2) |Pf_S(ell)|
+    integral of f_hat(xi(t)) dt``. The integral is a trapezoid rule of
+    ``nodes`` points per axis on ``|t_j| <= halfwidth / |Pf_S(ell)|``, a box
+    that ``xi_S`` crosses at a rate of order ``Pf``. ``Ad(exp(-t X))`` is
+    the finite series of ``exp(-t ad X)``, with ``ad`` from tensor
+    commutators.
+    """
+    basis = ell.basis
+    idx = [basis.flat_index(k, i) for (k, i) in jump.S]
+    ads = [_dense_ad(basis, a) for a in idx]
+    pf = abs(pfaffian(np.array([[ell.flat @ ad[:, b] for b in idx] for ad in ads])))
+    t = np.linspace(-halfwidth / pf, halfwidth / pf, nodes)
+    w = np.full(nodes, t[1] - t[0])
+    w[[0, -1]] *= 0.5
+    # xi^T = ell^T Ad(exp(-t_k X_sk)) ... Ad(exp(-t_1 X_s1)): one grid axis per factor
+    xi = ell.flat
+    for ad in reversed(ads):
+        power = np.broadcast_to(np.eye(basis.dim), (nodes, basis.dim, basis.dim))
+        adjoint = power
+        for p in range(1, basis.spec.N):
+            power = power @ (-t[:, None, None] * ad) / p
+            adjoint = adjoint + power
+        xi = np.einsum("...a,tab->...tb", xi, adjoint)
+    values = f_hat(xi)
+    for _ in idx:
+        values = values @ w
+    return float(TWO_PI ** (-len(idx) / 2) * pf * values)
 
 
 # ---------------------------------------------------------------------------

@@ -426,7 +426,6 @@ def test_fourier_demo_custom_config(capsys, tmp_path):
         "section_halfwidth": 8.0,
         "t_nodes": 8,
         "t_halfwidth": 8.0,
-        "section_scale_cap": 8.0,
     }
     fp = tmp_path / "q.json"
     fp.write_text(json.dumps(cfg), encoding="utf-8")
@@ -434,10 +433,12 @@ def test_fourier_demo_custom_config(capsys, tmp_path):
     assert rc == 0
     assert doc["quadrature"]["h_nodes"] == 8
 
-    cfg["surprise"] = 1
-    fp.write_text(json.dumps(cfg), encoding="utf-8")
-    rc, doc = run_cli(capsys, "fourier-demo", "--seed", "7", "--config", str(fp))
-    assert rc == 2
+    # an unknown key, or the section box cap, which is not a setting
+    for key in ("surprise", "section_scale_cap"):
+        fp.write_text(json.dumps({**cfg, key: 1.0}), encoding="utf-8")
+        rc, doc = run_cli(capsys, "fourier-demo", "--seed", "7", "--config", str(fp))
+        assert rc == 2
+        assert doc["error"]["message"] == f"unknown quadrature fields: ['{key}']"
 
 
 @pytest.mark.parametrize("field,value", [("h_nodes", 12.7), ("h_halfwidth", "8")])
@@ -458,7 +459,6 @@ def test_plancherel_check_small_config(capsys, tmp_path):
         "section_halfwidth": 8.0,
         "t_nodes": 12,
         "t_halfwidth": 8.0,
-        "section_scale_cap": 8.0,
     }
     fp = tmp_path / "q.json"
     fp.write_text(json.dumps(cfg), encoding="utf-8")

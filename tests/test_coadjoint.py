@@ -336,14 +336,18 @@ def test_quotient_prefix_lengths():
     assert quotient_prefix_len(basis, 3, 2) == 8  # everything
     bad = [
         ((0, 4), "need 0 <= m <= 3 in the top layer"),
+        ((0, 999), "need 0 <= m <= 3 in the top layer"),
+        ((0, -1), "need 0 <= m <= 3 in the top layer"),
         ((4, 1), "need 0 <= k <= 3, got k=4"),
         ((-1, 1), "need 0 <= k <= 3, got k=-1"),
         ((1, 3), "need 1 <= m <= 2 for layer 3, got m=3"),
         ((3, 0), "need 1 <= m <= 2 for layer 1, got m=0"),
     ]
+    # the generic quotient dimensions check their labels the same way
     for (k, m), message in bad:
-        with pytest.raises(IndexOutOfRange, match=f"^{re.escape(message)}$"):
-            quotient_prefix_len(basis, k, m)
+        for call, first in ((quotient_prefix_len, basis), (orbit_dim_quotient_generic, basis.spec)):
+            with pytest.raises(IndexOutOfRange, match=f"^{re.escape(message)}$"):
+                call(first, k, m)
 
 
 # ---------------------------------------------------------------------------

@@ -68,10 +68,12 @@ from oracles import (
     conjugation_route_kernel,
     flat_route_kernel,
     frequency_plane_by_node,
+    gaussian_hat,
     haar_invariance_check,
     heisenberg_hs_sq,
     heisenberg_kernel,
     heisenberg_trace,
+    kirillov_trace,
     pfaffian,
     plane_decisions_by_node,
     tensor_chart_decompose,
@@ -120,7 +122,6 @@ def test_quadrature_presets_are_valid_and_distinct():
     demo = QuadratureSpec.demo()
     assert ref.h_nodes > demo.h_nodes
     assert ref.t_nodes > demo.t_nodes
-    assert ref.section_scale_cap > 0
 
 
 @pytest.mark.parametrize(
@@ -132,7 +133,7 @@ def test_quadrature_presets_are_valid_and_distinct():
         {"h_halfwidth": 0.0},
         {"section_halfwidth": -1.0},
         {"t_halfwidth": 0.0},
-        {"section_scale_cap": 0.0},
+        {"t_halfwidth": float("inf")},
         {"h_halfwidth": float("inf")},
         {"section_halfwidth": float("nan")},
     ],
@@ -166,7 +167,7 @@ def test_quadrature_spec_rejects_unknown_json_fields():
         ("t_nodes", "16"),
         ("t_nodes", True),
         ("h_halfwidth", "8"),
-        ("section_scale_cap", False),
+        ("section_halfwidth", False),
         ("t_halfwidth", None),
     ],
 )
@@ -914,6 +915,54 @@ def test_trace_matches_closed_form():
         assert abs(tr - expect) < 1e-6 * abs(expect) + 1e-12
 
 
+@pytest.mark.parametrize("lam", [0.5, 0.92, 2.0])
+def test_kirillov_trace_matches_the_closed_form_and_the_kernel_on_heisenberg(lam):
+    # measured, relative: at most 9e-15 against the closed form and 1.8e-14
+    # against the kernel at the reference grid
+    basis = _basis(2, 2)
+    ell = _heisenberg_functional(lam)
+    exact = kirillov_trace(ell, jump_sets(basis), gaussian_hat)
+    assert exact == pytest.approx(heisenberg_trace(lam), rel=1e-13)
+    f = SchwartzFunction.gaussian(basis.dim)
+    ident = GradedElement.identity(basis.spec)
+    tr = trace_shifted(f, ell, chart_for(ell), QuadratureSpec.reference(), ident)
+    assert abs(tr - exact) <= 1e-13 * exact
+
+
+def _kirillov_nodes(basis: LayeredBasis, count: int) -> list[Functional]:
+    """Seeded transverse frequency nodes: each coordinate is a random sign
+    times U(0.3, 0.9); the jump coordinates are zero."""
+    rng = np.random.default_rng(5)
+    t_idx = [basis.flat_index(k, i) for (k, i) in jump_sets(basis).T]
+    nodes = []
+    for _ in range(count):
+        flat = np.zeros(basis.dim)
+        flat[t_idx] = rng.choice([-1.0, 1.0], len(t_idx)) * rng.uniform(0.3, 0.9, len(t_idx))
+        nodes.append(Functional(basis, flat))
+    return nodes
+
+
+# The node error of trace_shifted at the reference grid, measured against the
+# oracle: 2.5e-7, 2.6e-6 and 1.2e-6; each bound is twice that. At h/s = 24/24
+# the same nodes read 3.6e-4, 1.4e-3 and 3.1e-6.
+@pytest.mark.parametrize("node,rtol", [(0, 5e-7), (1, 5.2e-6), (2, 2.4e-6)])
+def test_kernel_trace_converges_to_the_kirillov_trace_on_2_3(node, rtol):
+    basis = _basis(2, 3)
+    ell = _kirillov_nodes(basis, 3)[node]
+    assert is_generic(ell)
+    exact = kirillov_trace(ell, jump_sets(basis), gaussian_hat)
+    f = SchwartzFunction.gaussian(basis.dim)
+    ident = GradedElement.identity(basis.spec)
+    chart = chart_for(ell)
+    qref = QuadratureSpec.reference()
+    errors = [
+        abs(trace_shifted(f, ell, chart, q, ident) - exact) / exact
+        for q in (qref, replace(qref, h_nodes=24, section_nodes=24))
+    ]
+    assert errors[0] <= rtol
+    assert errors[1] > errors[0]  # the coarser grid is further from the oracle
+
+
 def test_hs_norm_matches_closed_form():
     basis = _basis(2, 2)
     f = SchwartzFunction.gaussian(basis.dim)
@@ -1002,7 +1051,7 @@ def test_section_scale_tracks_inverse_frequency():
     qref = QuadratureSpec.reference()
     assert _section_scale(_heisenberg_functional(2.0), jump, qref) == pytest.approx(0.5)
     assert _section_scale(_heisenberg_functional(0.05), jump, qref) == pytest.approx(
-        qref.section_scale_cap
+        fourier._SECTION_SCALE_CAP
     )
 
 

@@ -24,7 +24,7 @@ from nilfourier import (
     witt_dimension,
 )
 from nilfourier.lie_basis import _MAX_LEVEL, _bch_series, lyndon_bracket
-from nilfourier.tensor_algebra import exp_t, log_t, mul
+from nilfourier.tensor_algebra import commutator, exp_t, log_t, mul
 
 from oracles import WITT_EXAMPLES, brute_force_lyndon
 
@@ -120,6 +120,35 @@ def test_brackets_respect_grading():
 def test_structure_tensor_holds_exact_zeros_not_rounding_noise(d, N, flavor):
     sc = np.abs(build_layered_basis(GroupSpec(d, N, Flavor(flavor))).structure_tensor)
     assert np.all((sc == 0.0) | (sc >= 1e-12 * sc.max()))
+
+
+BRACKET_BASES = {
+    "1,3": lambda: build_layered_basis(GroupSpec(1, 3)),  # layers 2 and 3 are empty
+    "2,4": lambda: build_layered_basis(GroupSpec(2, 4)),
+    "2,5": lambda: build_layered_basis(GroupSpec(2, 5)),
+    "3,4": lambda: build_layered_basis(GroupSpec(3, 4)),
+    "FullTensor 2,3": lambda: build_layered_basis(GroupSpec(2, 3, Flavor.FULL_TENSOR)),
+    "3,3 paper": lambda: build_layered_basis(GroupSpec(3, 3), left_normed_degree3_words()),
+}
+
+
+@pytest.mark.parametrize("name", BRACKET_BASES)
+def test_structure_constants_are_the_dense_commutators(name):
+    """Every ``[X_a, X_b]`` of the structure tensor, and of the structure
+    table with antisymmetry, is the tensor commutator of the two embedded
+    elements; the tensor is exactly antisymmetric."""
+    basis = BRACKET_BASES[name]()
+    n = basis.dim
+    sc = basis.structure_tensor
+    np.testing.assert_array_equal(sc, -sc.transpose(1, 0, 2))
+    table = np.zeros_like(sc)
+    for a, b, t, coeff in basis.structure_table():
+        table[a - 1, b - 1, t - 1] = coeff
+    table -= table.transpose(1, 0, 2)
+    e = np.eye(n)
+    dense = commutator(basis.algebra_element(e[:, None]), basis.algebra_element(e[None]))
+    for brackets in (sc, table):
+        assert basis.algebra_element(brackets).max_abs_diff(dense) <= 1e-12
 
 
 @pytest.mark.parametrize("d,N", [(2, 2), (3, 2), (2, 3), (3, 3), (2, 4)])

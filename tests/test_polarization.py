@@ -10,9 +10,12 @@ from nilfourier import (
     NotGeneric,
     Subalgebra,
     build_layered_basis,
+    chart_for,
     full_orbit_dim,
     generic_polarization,
+    is_generic,
     is_subordinate,
+    jump_sets,
     polarization_check,
     sample_generic,
     vergne_polarization,
@@ -120,6 +123,28 @@ def test_generic_polarizations_random(d, N):
         assert is_subordinate(sub, ell)
         assert sub.is_bracket_closed()
         assert sub.dim == basis.dim - full_orbit_dim(ell) // 2
+
+
+@pytest.mark.parametrize("d,N,scale", [(3, 3, 1e-5), (2, 5, 1e-4)])
+def test_generic_polarization_with_a_small_top_layer(d, N, scale):
+    """A top layer far smaller than the rest keeps the functional generic, and
+    its layer-built polarization has the generic dimension ``dim g - |S|/2``
+    and gives a chart, although the numeric rank of the skew form falls
+    short there."""
+    basis = _basis(d, N)
+    half_orbit = len(jump_sets(basis).S) // 2
+    rng = np.random.default_rng(3)
+    m_top = basis.spec.layer_dims()[-1]
+    for _ in range(20):
+        flat = rng.standard_normal(basis.dim)
+        flat[:m_top] *= scale  # malcev order puts the top layer first
+        ell = Functional(basis, flat)
+        assert is_generic(ell)
+        sub = generic_polarization(ell)
+        assert is_subordinate(sub, ell)
+        assert sub.is_bracket_closed()
+        assert sub.dim == basis.dim - half_orbit
+        assert chart_for(ell).q_h == sub.dim
 
 
 @pytest.mark.parametrize("d,N", SPECS + [(2, 3)])
