@@ -345,21 +345,20 @@ class JumpData:
 
     ``S`` holds the 1-based ``(layer, index)`` positions where the generic
     orbit dimension increases as Malcev prefixes grow; ``T`` is its complement
-    and parametrizes the orbit space. ``dim_table`` records the generic block
-    ranks ``dim_km(k, m)``.
+    and parametrizes the orbit space. The JSON form adds ``dim_table``, the
+    generic block ranks ``dim_km(k, m)`` over the quotient labels.
     """
 
     spec: GroupSpec
     S: tuple[tuple[int, int], ...]
     T: tuple[tuple[int, int], ...]
-    dim_table: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
         return {
             "spec": self.spec.to_json_dict(),
             "S": [list(p) for p in self.S],
             "T": [list(p) for p in self.T],
-            "dim_table": [[k, m, v] for (k, m), v in sorted(self.dim_table.items())],
+            "dim_table": [[k, m, dim_km(self.spec, k, m)] for k, m in _quotient_labels(self.spec)],
         }
 
 
@@ -372,20 +371,13 @@ def jump_sets(basis: LayeredBasis) -> JumpData:
     functionals (:func:`is_generic`).
     """
     spec = basis.spec
-    dim_table = {(k, m): dim_km(spec, k, m) for k, m in _quotient_labels(spec)}
     in_S = [(k, i) for k in range(1, spec.N) for i in range(1, _block_rank(spec, k) + 1)]
     s_flagged = set(in_S)
     s_sorted = tuple(sorted(in_S, key=lambda ki: basis.flat_index(*ki)))
     t_sorted = tuple(
         ki for ki in basis.malcev_order if ki not in s_flagged
     )
-    data = JumpData(spec, s_sorted, t_sorted, dim_table)
-    assert len(data.S) % 2 == 0, "jump sets always pair up"
-    if spec.N % 2 == 1:
-        half = range(1, (spec.N + 1) // 2)
-        expected = 2 * sum(_block_rank(spec, k) for k in half)
-        assert len(data.S) == expected
-    return data
+    return JumpData(spec, s_sorted, t_sorted)
 
 
 def sample_generic(basis: LayeredBasis, rng: np.random.Generator) -> Functional:

@@ -105,9 +105,6 @@ __all__ = [
 #: page-faults its fresh temporaries.
 _CHUNK_BUDGET = 100_000
 
-#: Largest widening of the section box by :func:`_section_scale` (as ``|ell_T| -> 0``).
-_SECTION_SCALE_CAP = 8.0
-
 
 def thread_count() -> int:
     """Worker count from NILFOURIER_THREADS, which must be an integer >= 1."""
@@ -133,9 +130,9 @@ class QuadratureSpec:
     ``h_*`` controls the polarization-subgroup integral (evaluated in a
     per-coset reframed box), ``section_*`` the section/trace integrals, and
     ``t_*`` the transverse frequency plane. The section box is rescaled per
-    functional by ``min(1/|ell_T|, _SECTION_SCALE_CAP)``, tightened further on
-    coarse subgroup grids (:func:`_section_scale`), so that traces keep
-    uniform coverage and resolution across the frequency plane.
+    functional by ``1/|ell_T|``, tightened further on coarse subgroup grids
+    (:func:`_section_scale`), so that traces keep uniform coverage and
+    resolution across the frequency plane.
     """
 
     h_nodes: int = 48
@@ -191,13 +188,8 @@ def _tensor_grid(axes: list[tuple[int, float]]) -> tuple[np.ndarray, np.ndarray]
     if not axes:
         return np.zeros((1, 0)), np.ones(1)
     xs, ws = zip(*(_axis(n, L) for n, L in axes))
-    mesh = np.meshgrid(*xs, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    wmesh = np.meshgrid(*ws, indexing="ij")
-    w = np.ones(pts.shape[0])
-    for wm in wmesh:
-        w = w * wm.ravel()
-    return pts, w
+    pts = np.stack(np.meshgrid(*xs, indexing="ij"), axis=-1).reshape(-1, len(axes))
+    return pts, functools.reduce(np.multiply.outer, ws, np.ones(())).ravel()
 
 
 @functools.lru_cache(maxsize=8)
@@ -416,14 +408,15 @@ def _section_scale(ell: Functional, jump: JumpData, qspec: QuadratureSpec) -> fl
     ``|ell_T| * w``), so when the subgroup grid is coarser than the
     reference resolution the box is tightened further to its resolvable
     rate, trading smooth truncation error for wild aliasing error. At the
-    reference resolution the tightening factor is one.
+    reference resolution the tightening factor is one. At ``ell_T = 0``,
+    reached only at the centre node of an abelian plane (whose section grid
+    has no axes) or at a non-generic ``ell`` passed in directly, the box
+    keeps the finite scale ``tighten``.
     """
     ell = _one_functional(ell)
     norm = float(np.linalg.norm(ell.flat[[ell.basis.flat_index(k, i) for (k, i) in jump.T]]))
     tighten = min(1.0, _resolvable_rate(qspec) / qspec.section_halfwidth)
-    if norm <= 0:
-        return _SECTION_SCALE_CAP * tighten
-    return float(min(tighten / norm, _SECTION_SCALE_CAP))
+    return tighten / norm if norm > 0 else tighten
 
 
 def _resolvable_rate(qspec: QuadratureSpec) -> float:
@@ -894,7 +887,7 @@ def hs_norm_sq(
     return float(2.0**-q * (uw @ np.abs(kv) ** 2 @ vw))
 
 
-def norm_sq_direct(f: SchwartzFunction, basis: LayeredBasis, qspec: QuadratureSpec) -> float:
+def norm_sq_direct(f: SchwartzFunction, qspec: QuadratureSpec) -> float:
     """``|f|_2^2`` by tensor-grid quadrature over the decay box."""
     axes = [(qspec.section_nodes, float(b)) for b in f.decay_box]
     pts, w = _tensor_grid(axes)
@@ -917,7 +910,7 @@ def plancherel(
     if qspec is None:
         qspec = QuadratureSpec.reference()
     jump = jump_sets(basis)
-    lhs = norm_sq_direct(f, basis, qspec)
+    lhs = norm_sq_direct(f, qspec)
 
     def integrand(ell: Functional, chart: MalcevChart) -> float:
         return hs_norm_sq(f, ell, chart, qspec, jump)

@@ -14,9 +14,9 @@ from the radicals of the functional restricted to each Malcev-ordered prefix,
 which works for every functional, generic or not. On generic functionals the
 two span the same subalgebra (Corwin & Greenleaf, *Representations of
 Nilpotent Lie Groups and Their Applications I*, 1990). The generic
-construction checks what it returns with :func:`polarization_check`'s
-subordination and closure tests, whose residuals are held to the fixed
-``CLOSURE_TOL``; the prefix-radical one leaves the check to its caller.
+construction checks what it returns itself: subordination and closure, held
+to the fixed ``CLOSURE_TOL``, and the closed-form generic dimension; the
+prefix-radical one leaves the check to its caller (:func:`polarization_check`).
 """
 
 from __future__ import annotations
@@ -144,10 +144,10 @@ def generic_polarization(ell: Functional, candidate: Subalgebra | None = None) -
     ``2k > N``; the union of the kernels of the nested leading skew blocks of
     the layer if ``2k = N``; and if ``2k < N`` the rows ``v`` of the layer
     with ``ell([X, v]) = 0`` for every ``X`` in layer ``N - k`` (the whole
-    layer when that one is empty). Verifies subordination and closure
-    (:func:`polarization_check`) and the generic dimension ``dim g - |S|/2``
-    a posteriori, and raises :class:`NotGeneric` if the candidate fails to
-    polarize (it never does on the tested families).
+    layer when that one is empty). Verifies subordination, closure and the
+    generic dimension ``dim g - |S|/2`` (in closed form) a posteriori, and
+    raises :class:`NotGeneric` if the candidate fails to polarize (it never
+    does on the tested families).
 
     A caller that has already checked :func:`is_generic` and built the
     candidate's rows (with :func:`_layer_rows`, which decides a whole stack of
@@ -158,8 +158,8 @@ def generic_polarization(ell: Functional, candidate: Subalgebra | None = None) -
         candidate = _layer_polarization(ell)
     N, dims = ell.spec.N, ell.spec.layer_dims()
     expected = ell.basis.dim - orbit_dim_quotient_generic(ell.spec, N - 1, dims[0]) // 2
-    report = polarization_check(candidate, ell)
-    if not (report["subordinate"] and report["bracket_closed"] and candidate.dim == expected):
+    polarizes = is_subordinate(candidate, ell) and candidate.is_bracket_closed()
+    if not (polarizes and candidate.dim == expected):
         raise NotGeneric(
             "layer-built candidate failed the polarization checks "
             f"(dim {candidate.dim}, expected {expected})"

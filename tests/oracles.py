@@ -28,7 +28,8 @@ determinants of its own, instead of in stacked batches; and
 :func:`kirillov_trace`, which integrates Kirillov's character formula over the
 coadjoint orbit, with the adjoint action built from tensor commutators read
 through the package's flat coordinates, not from its structure constants,
-charts or kernels. The Monte Carlo
+charts or kernels; and :func:`flip_signs`, the generator sign flips read off
+the basis embeddings. The Monte Carlo
 check :func:`haar_invariance_check` integrates through the package's chart
 map ``MalcevChart.gamma`` and group law, since the chart measure is what it
 checks.
@@ -407,6 +408,23 @@ def kirillov_trace(ell, jump, f_hat, nodes: int = 121, halfwidth: float = 12.0) 
     for _ in idx:
         values = values @ w
     return float(TWO_PI ** (-len(idx) / 2) * pf * values)
+
+
+def flip_signs(basis: LayeredBasis) -> np.ndarray:
+    """The generator sign flips ``sigma_i: e_i -> -e_i`` on flat coordinates,
+    as rows ``D (d, n)`` of signs: ``D[i - 1, a] = (-1)^(number of i in the
+    word of element a)``.
+
+    Every basis element is multi-homogeneous, so its word is read off one
+    nonzero entry of its embedding (the largest), not from the basis's labels.
+    """
+    d = basis.spec.d
+    signs = np.empty((d, basis.dim))
+    for a, (k, i) in enumerate(basis.malcev_order):
+        column = basis.layers[k - 1].embedding[:, i - 1]
+        word = np.unravel_index(np.argmax(np.abs(column)), (d,) * k)
+        signs[:, a] = (-1.0) ** np.bincount(np.array(word, dtype=int), minlength=d)
+    return signs
 
 
 # ---------------------------------------------------------------------------

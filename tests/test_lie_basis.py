@@ -26,7 +26,7 @@ from nilfourier import (
 from nilfourier.lie_basis import _MAX_LEVEL, _bch_series, lyndon_bracket
 from nilfourier.tensor_algebra import commutator, exp_t, log_t, mul
 
-from oracles import WITT_EXAMPLES, brute_force_lyndon
+from oracles import WITT_EXAMPLES, brute_force_lyndon, flip_signs
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +149,29 @@ def test_structure_constants_are_the_dense_commutators(name):
     dense = commutator(basis.algebra_element(e[:, None]), basis.algebra_element(e[None]))
     for brackets in (sc, table):
         assert basis.algebra_element(brackets).max_abs_diff(dense) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [GroupSpec(2, 3), GroupSpec(3, 2), GroupSpec(2, 4), GroupSpec(2, 2, Flavor.FULL_TENSOR)],
+    ids=["2,3", "3,2", "2,4", "FullTensor-2,2"],
+)
+def test_structure_tensor_is_invariant_under_generator_sign_flips(spec):
+    """``sigma_i: e_i -> -e_i`` is an automorphism: on the dense embeddings it
+    multiplies every entry of a word by ``(-1)^(number of i)``, which is the
+    sign ``flip_signs`` reads off one entry, and on the structure tensor
+    ``sc[a, b, c] = D_a D_b D_c sc[a, b, c]`` holds exactly."""
+    basis = build_layered_basis(spec)
+    signs = flip_signs(basis)
+    for k, layer in enumerate(basis.layers, 1):
+        words = np.indices((spec.d,) * k).reshape(k, -1)
+        for i in range(spec.d):
+            dense = (-1.0) ** np.count_nonzero(words == i, axis=0)
+            flipped = dense[:, None] * layer.embedding
+            np.testing.assert_array_equal(flipped, layer.embedding * signs[i, basis.layer_slice(k)])
+    sc = basis.structure_tensor
+    for sign in signs:
+        np.testing.assert_array_equal(sign[:, None, None] * sign[None, :, None] * sign * sc, sc)
 
 
 @pytest.mark.parametrize("d,N", [(2, 2), (3, 2), (2, 3), (3, 3), (2, 4)])
