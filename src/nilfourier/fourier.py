@@ -633,6 +633,13 @@ def build_operator(
     return KernelOperator(ell, chart, nodes, weights, kv.reshape(mq, mq))
 
 
+@dataclass(frozen=True, eq=False)
+class _CertifiedPoint(GradedElement):
+    """A point with its flat coordinates, certified by :func:`invert` once for all nodes."""
+
+    coords: np.ndarray
+
+
 def trace_shifted(
     f: SchwartzFunction,
     ell: Functional,
@@ -649,7 +656,7 @@ def trace_shifted(
     all of it from one :func:`kernel_values` call.
     """
     basis = chart.basis
-    cx = _point_coords(basis, x)
+    cx = x.coords if isinstance(x, _CertifiedPoint) else _point_coords(basis, x)
     scale = _section_scale(ell, _checked_jump(basis, jump), qspec)
     ys, wy = _tensor_grid([(qspec.section_nodes, qspec.section_halfwidth * scale)] * chart.q)
     ws, rem = chart.decompose(basis.bch_coords(cx, chart.section(ys)))
@@ -822,7 +829,7 @@ def invert(
     or a finite number ``>= 0``, else :class:`DimensionMismatch`) are checked
     before any node runs, so they are checked even when every node is skipped.
     """
-    _point_coords(basis, x)
+    point = _CertifiedPoint(x.spec, x.levels, _point_coords(basis, x))
     if convergence_tol is not None and not 0 <= convergence_tol < math.inf:
         raise DimensionMismatch(f"convergence_tol must be finite and >= 0, got {convergence_tol}")
     if qspec is None:
@@ -831,7 +838,7 @@ def invert(
     norm = c_norm(basis, jump)
 
     def integrand(ell: Functional, chart: MalcevChart) -> complex:
-        return trace_shifted(f, ell, chart, qspec, x, jump)
+        return trace_shifted(f, ell, chart, qspec, point, jump)
 
     def run(t_nodes: int) -> complex:
         return norm * sum(_frequency_plane(f, basis, jump, qspec, t_nodes, integrand), 0j)

@@ -4,13 +4,12 @@ The signature of a path up to level ``N`` is the group element obtained by
 multiplying segment exponentials (each straight segment contributes
 ``exp`` of its increment placed in degree one). All segment exponentials of a
 path are formed in one batched step from their closed form, and Chen's
-product is taken in log-depth rounds of batched pairwise products. The rounds
-run on plain level arrays ``1..N`` with the tensor algebra's level product;
-the scalar level is exactly 1 throughout and stays implicit. The
-log-signature expands the logarithm of the signature in a layered Lie basis,
-certifying on the way that it actually lies in the embedded free Lie algebra.
-A path's width is checked against the spec in one place, :func:`path_signature`,
-which every signature and log-signature goes through.
+product is their left fold, taken level by level as prefix sums over the
+segments on plain level arrays ``1..N``; the scalar level is exactly 1 and
+stays implicit. The log-signature expands the logarithm of the signature in a
+layered Lie basis, certifying on the way that it actually lies in the embedded
+free Lie algebra. A path's width is checked against the spec in one place,
+:func:`path_signature`, which every signature and log-signature goes through.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, SpecMismatch
 from .lie_basis import Flavor, GroupSpec, LayeredBasis
-from .tensor_algebra import GradedElement, _product, log_t
+from .tensor_algebra import GradedElement, _outer, log_t
 
 __all__ = [
     "PiecewiseLinearPath",
@@ -34,9 +33,8 @@ __all__ = [
     "read_path_csv",
 ]
 
-#: Tensor coordinates of segment signatures per block of the Chen product.
-#: Long paths are multiplied out block by block, so the batched rounds never
-#: hold more than one block of segment signatures at a time.
+#: Tensor coordinates of segment signatures per block of the left fold: long
+#: paths are folded block by block, so the prefix sums hold one block at a time.
 _BLOCK_BUDGET = 100_000
 
 
@@ -101,44 +99,36 @@ def segment_signature(spec: GroupSpec, increments: np.ndarray) -> GradedElement:
     batch = v.shape[:-1]
     levels = [np.ones(batch + (1,)), v]
     for k in range(2, spec.N + 1):
-        outer = levels[-1][..., :, None] * v[..., None, :]
-        levels.append(outer.reshape(batch + (-1,)) * (1.0 / k))
+        levels.append(_outer(levels[-1], v) * (1.0 / k))
     return GradedElement(spec, tuple(levels))
 
 
-def _ordered_product(levels: list[np.ndarray]) -> list[np.ndarray]:
-    """Ordered product of a batch ``(m,)`` of group elements given by their
-    levels ``1..N``; the scalar levels are all exactly 1 and stay implicit.
-
-    Each round multiplies neighbouring pairs in one batched product; an odd
-    last element is carried to the next round unchanged.
-    """
-    while (m := len(levels[0])) > 1:
-        paired = _product([lv[0 : m - 1 : 2] for lv in levels], [lv[1:m:2] for lv in levels])
-        if m % 2:
-            paired = [np.concatenate((p, lv[-1:])) for p, lv in zip(paired, levels)]
-        levels = paired
-    return [lv[0] for lv in levels]
-
-
 def path_signature(spec: GroupSpec, path: PiecewiseLinearPath) -> GradedElement:
-    """Signature of the whole path: the ordered product of segment signatures.
+    """Signature of the whole path: the left fold ``((E_1 E_2) E_3) ...`` of its
+    segment signatures ``E_j``, level by level over all segments at once.
 
-    Segments are taken in blocks of about ``_BLOCK_BUDGET`` tensor
-    coordinates; each block is multiplied out by :func:`_ordered_product` and
-    the block products are folded left to right. The rounds and the fold run
-    on the level arrays ``1..N``; one element is built at the end.
+    By Chen's identity level ``k`` of the prefix ``S_j = S_{j-1} E_j`` is that
+    of ``S_{j-1}`` plus ``E_j^{(k)} + sum_{i=1}^{k-1} S_{j-1}^{(i)} (x) E_j^{(k-i)}``,
+    so it is one cumulative sum over the segments once levels ``1..k-1`` are
+    known. The terms are added in the order of ``mul``, so the result is the
+    fold by ``mul`` bit for bit. Segments go in blocks of about ``_BLOCK_BUDGET``
+    tensor coordinates, each block's sums continuing from the signature so far.
     """
     if path.d != spec.d:
-        raise DimensionMismatch(
-            f"path lives in R^{path.d} but the spec says d={spec.d}"
-        )
+        raise DimensionMismatch(f"path lives in R^{path.d} but the spec says d={spec.d}")
     increments = path.increments()
     block = max(1, _BLOCK_BUDGET // sum(spec.tensor_level_sizes()))
-    sig = None
+    sig = [np.zeros(size) for size in spec.tensor_level_sizes()[1:]]
     for lo in range(0, len(increments), block):
-        part = _ordered_product(segment_signature(spec, increments[lo : lo + block]).levels[1:])
-        sig = part if sig is None else _product(sig, part)
+        seg = segment_signature(spec, increments[lo : lo + block]).levels[1:]
+        prefix = []  # prefix[i - 1][j]: level i of the signature before segment j + 1
+        for k in range(1, spec.N + 1):
+            delta = seg[k - 1]
+            for i in range(1, k):
+                delta = delta + _outer(prefix[i - 1][:-1], seg[k - i - 1])
+            rows = np.concatenate((sig[k - 1][None], delta))
+            prefix.append(np.cumsum(rows, axis=0, out=rows))
+        sig = [lv[-1] for lv in prefix]
     return GradedElement(spec, (np.ones(1), *sig))
 
 

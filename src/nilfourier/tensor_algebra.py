@@ -193,43 +193,43 @@ def _check_spec(a: GradedElement, b: GradedElement) -> None:
         raise SpecMismatch(f"cannot combine elements over {a.spec} and {b.spec}")
 
 
-def _product(g, h, g0=None, h0=None) -> list[np.ndarray]:
-    """Levels ``1..N`` of the truncated product of two lists of levels ``1..N``.
-
-    ``g0`` and ``h0`` are the scalar levels; ``None`` stands for exactly 1, so
-    the scalar terms cost nothing. Level ``k`` sums ``g_0 h_k``, then
-    ``g_i (x) h_{k-i}`` for ``i = 1..k-1``, then ``g_k h_0``, in that order.
-    """
-    out = []
-    for k in range(1, len(g) + 1):
-        acc = h[k - 1] if g0 is None else g0 * h[k - 1]
-        for i in range(1, k):
-            a, b = g[i - 1], h[k - i - 1]
-            prod = a[..., :, None] * b[..., None, :]
-            acc = acc + prod.reshape(prod.shape[:-2] + (a.shape[-1] * b.shape[-1],))
-        out.append(acc + (g[k - 1] if h0 is None else g[k - 1] * h0))
-    return out
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Flat outer product of two batched levels, the first slot slowest."""
+    prod = a[..., :, None] * b[..., None, :]
+    return prod.reshape(prod.shape[:-2] + (a.shape[-1] * b.shape[-1],))
 
 
 def mul(g: GradedElement, h: GradedElement) -> GradedElement:
     """Truncated tensor product: levels beyond degree ``N`` are discarded.
 
-    ``p_k(g h) = sum_{i=0}^{k} p_i(g) (x) p_{k-i}(h)``, batched with
-    broadcasting over leading axes; the scalar terms ``i = 0`` and ``i = k``
-    are broadcast products with the scalar levels.
+    ``p_k(g h) = sum_{i=0}^{k} p_i(g) (x) p_{k-i}(h)``, summed in increasing
+    ``i`` and batched with broadcasting over leading axes; the scalar terms
+    ``i = 0`` and ``i = k`` are broadcast products with the scalar levels.
     """
     _check_spec(g, h)
-    g0, h0 = g.levels[0], h.levels[0]
-    return GradedElement(g.spec, (g0 * h0, *_product(g.levels[1:], h.levels[1:], g0, h0)))
+    (g0, *gl), (h0, *hl) = g.levels, h.levels
+    levels = [g0 * h0]
+    for k in range(1, len(gl) + 1):
+        acc = g0 * hl[k - 1]
+        for i in range(1, k):
+            acc = acc + _outer(gl[i - 1], hl[k - i - 1])
+        levels.append(acc + gl[k - 1] * h0)
+    return GradedElement(g.spec, tuple(levels))
 
 
 def _powers(x: list[np.ndarray], ratios: list[float]) -> list[list[np.ndarray]]:
-    """Levels ``1..N`` of ``t_1 = x`` and ``t_k = r_k t_{k-1} (x) x`` for ``r_2, r_3, ...``,
-    from levels ``1..N`` of ``x``; its scalar level counts as exactly 0."""
-    terms = [x]
-    for r in ratios:
-        terms.append([r * lv for lv in _product(terms[-1], x, 0.0, 0.0)])
-    return terms
+    """Levels of ``t_1 = x`` and ``t_j = r_j t_{j-1} (x) x`` for ``r_2, r_3, ...``,
+    from levels ``1..N`` of ``x``: entry ``k - 1`` lists level ``k`` of ``t_1..t_k``.
+    The scalar level of ``x`` counts as exactly 0, so levels below ``j`` of ``t_j``
+    vanish; they are not formed, nor the terms ``i < j - 1`` of ``t_{j-1} (x) x``."""
+    by_level = [[lv] for lv in x]
+    for j, r in enumerate(ratios, start=2):
+        for k in range(j, len(x) + 1):
+            acc = _outer(by_level[j - 2][j - 2], x[k - j])
+            for i in range(j, k):
+                acc = acc + _outer(by_level[i - 1][j - 2], x[k - i - 1])
+            by_level[k - 1].append(r * acc)
+    return by_level
 
 
 def exp_t(x: GradedElement) -> GradedElement:
@@ -237,8 +237,8 @@ def exp_t(x: GradedElement) -> GradedElement:
     The scalar level of ``x`` is read as exactly 0, also when up to ``_ROLE_TOL`` off."""
     if x.role is not Role.ALGEBRA:
         raise RoleError("exp_t needs an algebra element (scalar level 0)")
-    terms = _powers(x.levels[1:], [1.0 / k for k in range(2, x.spec.N + 1)])
-    levels = [sum(lvs) for lvs in zip(*terms)]
+    by_level = _powers(x.levels[1:], [1.0 / k for k in range(2, x.spec.N + 1)])
+    levels = [sum(lvs) for lvs in by_level]
     return GradedElement(x.spec, (np.ones(x.batch_shape + (1,)), *levels))
 
 
@@ -247,9 +247,9 @@ def log_t(g: GradedElement) -> GradedElement:
     The scalar level of ``g`` is read as exactly 1, also when up to ``_ROLE_TOL`` off."""
     if g.role is not Role.GROUP:
         raise RoleError("log_t needs a group element (scalar level 1)")
-    terms = _powers(g.levels[1:], [1.0] * (g.spec.N - 1))
+    by_level = _powers(g.levels[1:], [1.0] * (g.spec.N - 1))
     coeffs = [(-1.0) ** (k + 1) / k for k in range(1, g.spec.N + 1)]
-    levels = [sum(c * lv for c, lv in zip(coeffs, lvs)) for lvs in zip(*terms)]
+    levels = [sum(c * lv for c, lv in zip(coeffs, lvs)) for lvs in by_level]
     return GradedElement(g.spec, (np.zeros(g.batch_shape + (1,)), *levels))
 
 
@@ -296,8 +296,11 @@ def scaled_exponential(x: GradedElement, t: np.ndarray) -> GradedElement:
         raise DimensionMismatch("scaled_exponential expects an unbatched direction")
     N = x.spec.N
     t = np.asarray(t, dtype=float)
-    terms = _powers(x.levels[1:], [1.0 / j for j in range(2, N + 1)])
+    by_level = _powers(x.levels[1:], [1.0 / j for j in range(2, N + 1)])
     tj = np.stack([t**j for j in range(N + 1)], axis=-1)  # (*batch, N+1)
-    zero = [np.zeros_like(lv) for lv in terms[0]]  # j = 0 row: keeps the summation order
-    levels = [np.tensordot(tj, np.stack(lvs), axes=([-1], [0])) for lvs in zip(zero, *terms)]
+    levels = []
+    for k, lvs in enumerate(by_level, start=1):
+        rows = np.zeros((N + 1, lvs[0].size))  # zero rows j = 0 and j > k: one summation order
+        rows[1 : k + 1] = lvs
+        levels.append(np.tensordot(tj, rows, axes=([-1], [0])))
     return GradedElement(x.spec, (np.ones(t.shape + (1,)), *levels))

@@ -13,9 +13,8 @@ without the kernel's adjoint matrices or its split of the subgroup grid;
 :func:`conjugation_route_kernel`, the same on the conjugation form that the
 coset form replaced;
 :func:`left_fold_signature`, which multiplies segment exponentials one at a
-time instead of in batched rounds; :func:`pairwise_mul_signature`, which
-takes the package's pairing order through public ``mul`` on whole elements
-instead of the level-array product; :func:`series_exp_t`,
+time through public ``mul`` on whole elements instead of in prefix sums over
+the segments; :func:`series_exp_t`,
 :func:`series_log_t` and :func:`series_scaled_exponential`, which run the
 truncated series step by step through public ``mul``, ``+`` and ``scale`` on
 whole elements instead of the level-array power-series core; and
@@ -156,27 +155,6 @@ def left_fold_signature(spec, path) -> GradedElement:
     sig = GradedElement.identity(spec)
     for inc in path.increments():
         sig = mul(sig, exp_t(GradedElement.from_level1(spec, inc)))
-    return sig
-
-
-def pairwise_mul_signature(spec, path, block: int | None = None) -> GradedElement:
-    """Signature by the package's pairing order, built from public ``mul`` and
-    ``take``: segments in blocks of ``block`` (all in one when ``None``), each
-    block in rounds that multiply neighbouring pairs and carry an odd last
-    element, and the block products folded left to right."""
-    increments = path.increments()
-    block = block or len(increments)
-    sig = None
-    for lo in range(0, len(increments), block):
-        part = segment_signature(spec, increments[lo : lo + block])
-        while (m := part.batch_shape[0]) > 1:
-            paired = mul(part.take(slice(0, m - 1, 2)), part.take(slice(1, m, 2)))
-            if m % 2:
-                levels = [np.concatenate((p, lv[-1:])) for p, lv in zip(paired.levels, part.levels)]
-                paired = GradedElement(spec, tuple(levels))
-            part = paired
-        part = part.take(0)
-        sig = part if sig is None else mul(sig, part)
     return sig
 
 

@@ -1198,6 +1198,33 @@ def test_invert_certifies_the_point_on_empty_layers():
         invert(f, x, basis, QuadratureSpec.demo())
 
 
+def test_invert_certifies_its_point_once(monkeypatch):
+    # The point is certified before the plane runs; the trace at each running
+    # pair reads its coordinates and does not certify it again.
+    basis = _basis(2, 2)
+    f = SchwartzFunction.gaussian(basis.dim)
+    x = exp_t(basis.algebra_element(np.linspace(-0.3, 0.2, basis.dim)))
+    qspec = _low_res(h_nodes=24, t_halfwidth=4.0)  # 4 pairs run
+    ell = sample_generic(basis, np.random.default_rng(2))
+    chart = chart_for(ell)
+    point = fourier._CertifiedPoint(x.spec, x.levels, fourier._point_coords(basis, x))
+    assert trace_shifted(f, ell, chart, qspec, point) == trace_shifted(f, ell, chart, qspec, x)
+    counts = dict.fromkeys(("_point_coords", "trace_shifted"), 0)
+    for name in counts:
+        original = getattr(fourier, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(fourier, name, counted)
+    invert(f, x, basis, qspec)
+    assert counts == {"_point_coords": 1, "trace_shifted": 4}
+    counts.update(dict.fromkeys(counts, 0))
+    invert(f, x, basis, qspec, convergence_tol=1.0)
+    assert counts["_point_coords"] <= 2 and counts["trace_shifted"] > 4
+
+
 def test_transforms_reject_a_point_of_another_group():
     basis = _basis(2, 2)
     f = SchwartzFunction.gaussian(basis.dim)
