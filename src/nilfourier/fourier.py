@@ -18,29 +18,30 @@ kernels, characters and traces compose group elements in flat Malcev log
 coordinates with the group law :meth:`LayeredBasis.bch_coords`; Lie-membership
 is certified only where elements enter as dense tensors (the point ``x`` of a
 shifted trace). Every chart prefix spans an ideal, so ``H`` is normal and the
-kernel takes the coset form ``K_f(x, y) = exp(-i lam(log(x y^-1 s^-1)))
-integral over H of f(u s) exp(i lam(log u)) du`` with ``lam = ell o
-Ad_{x^-1}`` and ``s`` the section point of the coset ``H x y^-1``: the
-samples of ``f`` depend on the coset alone. Kernel values come in rows of
-section pairs that share a coset; ``f``, the frame and the group law run
-once per row, and each pair adds only its functional ``lam`` and a unimodular
-twist. The frame of the reframing is the exact differential ``B(ad log s)
-W_h`` with ``B(z) = z / (e^z - 1)``, a finite series because ``ad`` is
-nilpotent. ``ad`` kills the centre, so the leading central block of the
-subgroup grid shifts every row's points by the same central vector and its
-phases by the same character: both are built once per call, the central block
-is contracted first, as one matrix product, and the group law runs once per
-point of the rest of the grid, whose character is separable over its axes.
-Rows run in blocks and ``f`` on sub-chunks of a block, both sized by one
-budget. ``hs_norm_sq`` passes one row per coset of its grid and
-``trace_shifted`` one row in all; kernels, traces and norms take one
-functional each. The frequency plane runs in mirror pairs ``ell``, ``-ell``,
-which share the node decisions and the chart, and it alone applies the mirror
-rule: for real ``f`` the value at ``-ell`` is the conjugate of the value at
-``ell``. Every pair is decided in one batched pass before any pair runs: it
-is skipped if it is not generic (:func:`is_generic` alone decides) or if the
-subgroup grid cannot resolve its phase rate. Functions that take jump data default it to the basis's own and
-refuse jump data of another spec.
+kernel takes the coset form ``K_f(x, y) = exp(-i ell(log h)) integral over H
+of f(u s) exp(i lam(log u)) du`` with ``lam = ell o Ad_{x^-1}``, ``s`` the
+section point of the coset ``H x y^-1`` and ``s^-1 x = section(y) h``: the
+samples of ``f`` depend on the coset alone. A kernel row names its coset once,
+by the ``y`` of its first member ``x``; ``f``, the frame and the group law run
+once per row, and each member adds only its functional ``lam`` and its twist,
+from one :meth:`MalcevChart.decompose` of ``s^-1 x``. The frame of the
+reframing is the exact differential ``B(ad log s) W_h`` with ``B(z) = z /
+(e^z - 1)``, a finite series because ``ad`` is nilpotent. ``ad`` kills the
+centre, so the leading central block of the subgroup grid shifts every row's
+points by the same central vector and its phases by the same character: both
+are built once per call, the central block is contracted first, as one matrix
+product, and the group law runs once per point of the rest of the grid, whose
+character is separable over its axes. Rows run in blocks and ``f`` on
+sub-chunks of a block, both sized by one budget. ``hs_norm_sq`` passes one row
+per coset of its grid and ``trace_shifted`` one row in all; kernels, traces
+and norms take one functional each. The frequency plane runs in mirror pairs
+``ell``, ``-ell``, which share the node decisions and the chart, and it alone
+applies the mirror rule: for real ``f`` the value at ``-ell`` is the conjugate
+of the value at ``ell``. Every pair is decided in one batched pass before any
+pair runs: it is skipped if it is not generic (:func:`is_generic` alone
+decides) or if the subgroup grid cannot resolve its phase rate. Functions that
+take jump data default it to the basis's own and refuse jump data of another
+spec.
 """
 
 from __future__ import annotations
@@ -99,7 +100,7 @@ __all__ = [
 
 #: Coordinates (points times algebra dimension) per vectorized array in
 #: kernel evaluation. It sizes the blocks of rows that share one pass of
-#: per-row work, the chunks of their pairs, the integrand sub-chunks within
+#: per-row work, the chunks of their members, the integrand sub-chunks within
 #: a block, and the chunks of skew forms the frequency plane decides at once.
 #: Arrays much above a megabyte measured slower per point: each chunk then
 #: page-faults its fresh temporaries.
@@ -447,13 +448,14 @@ def kernel_values(
     xs: np.ndarray,
     ys: np.ndarray,
 ) -> np.ndarray:
-    """Kernel ``K_f(section(x), section(y))`` for section pairs laid out in rows.
+    """Kernel ``K_f(section(x), section(y))`` on rows that each name one coset.
 
-    ``xs`` and ``ys`` have shape ``(R, M, q)``: ``R`` rows of ``M`` pairs, the
-    pairs of a row sharing one coset ``H x y^-1``; returns complex values
-    ``(R, M)``. A pair list ``(P, q)`` keeps its meaning, each pair a row of
-    its own, with values ``(P,)``. ``ell`` is one functional that the chart's
-    subalgebra polarizes.
+    ``xs`` has shape ``(R, M, q)``, ``R`` rows of ``M`` members ``x``, and
+    ``ys`` shape ``(R, q)``: the ``y`` of each row's first member, a pair that
+    names the row's coset ``H x y^-1``. Returns complex values ``(R, M)``. A
+    pair list, ``xs`` and ``ys`` both ``(P, q)``, keeps its meaning, each pair
+    a row of its own, with values ``(P,)``. ``ell`` is one functional that the
+    chart's subalgebra polarizes.
 
     Coset form: every chart prefix spans an ideal, so ``H`` is normal and
     ``x h y^-1 = (x h x^-1) x y^-1``. Conjugation by ``x`` preserves Haar
@@ -462,9 +464,10 @@ def kernel_values(
     Ad_{x^-1}``, where ``s = section(w)`` is the section point of the coset
     and ``w`` comes from :meth:`MalcevChart.decompose` of the row's first
     ``log(x y^-1)``. The samples ``f(gamma_h(a) s)`` depend on the row alone;
-    each pair adds its functional ``lam`` (rates ``lam_h R^-1`` on the grid
-    axes) and the unimodular twist, whose argument must lie in ``h``: a row
-    whose pairs do not share the coset raises :class:`DimensionMismatch`.
+    each member adds its functional ``lam`` (rates ``lam_h R^-1`` on the grid
+    axes) and the unimodular twist: one :meth:`MalcevChart.decompose` per
+    member gives ``s^-1 x = section(y) h``, so ``x y^-1 s^-1 = x h x^-1`` and
+    the twist is ``exp(-i ell(log h))``.
 
     The subgroup integral runs over a per-row affine reframing ``a = a* + R^-1
     b`` of the chart coordinates, where ``J = QR`` is the Jacobian of ``a ->
@@ -483,17 +486,16 @@ def kernel_values(
     ``b_r`` of each row. The samples of a row are laid out as (``b_r``,
     ``b_c``); the central block is contracted first, as one matrix product
     (with real ``[Re | Im]`` columns for real samples), then the ``b_r`` axes
-    one at a time with per-pair phases, one exponential table per distinct
+    one at a time with per-member phases, one exponential table per distinct
     rate.
 
     Rows run in blocks of ``_CHUNK_BUDGET // max(max(m_c, m_r) n, M p)``,
     ``m_c`` and ``m_r`` the point counts of the two grid blocks and ``p =
-    max(n, m_r / h_nodes) n`` the coordinates of one pair's adjoint matrix
-    and contraction, so that a block's rows and pairs fit the budget: one pass
-    of the frame and the group law per block. Within a block ``f`` is
+    max(n, m_r / h_nodes) n`` the coordinates of one member's adjoint matrix
+    and contraction, so that a block's rows and members fit the budget: one
+    pass of the frame and the group law per block. Within a block ``f`` is
     evaluated on sub-chunks of ``_CHUNK_BUDGET // (m_c m_r n)`` rows, and the
-    pairs run on chunks of members that keep rows times members within the
-    budget.
+    members run in chunks that keep rows times members within the budget.
     """
     if qspec.h_halfwidth < float(np.max(f.decay_box)):
         raise QuadratureUnderflow(
@@ -505,20 +507,19 @@ def kernel_values(
     n, N = basis.dim, basis.spec.N
     q_h, q_c = chart.q_h, chart.q_c
     xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
+    ys = np.atleast_2d(np.asarray(ys, dtype=float))
     rows = xs.ndim == 3
     if not rows:
-        xs, ys = np.atleast_2d(xs)[:, None], np.atleast_2d(ys)[:, None]
-    if xs.shape != ys.shape or xs.ndim != 3 or xs.shape[-1] != chart.q:
-        raise DimensionMismatch("xs and ys must pair up with the section dimension")
+        xs = np.atleast_2d(xs)[:, None]
+    if xs.ndim != 3 or xs.shape[-1] != chart.q or ys.shape != (len(xs), chart.q):
+        raise DimensionMismatch("xs must be (R, M, q) with ys (R, q), or both (P, q)")
     R, M = xs.shape[:2]
     bch = basis.bch_coords
 
     out = np.empty((R, M), dtype=complex)
     if not q_h:
-        # A trivial subgroup: the kernel is f itself.
-        pairs = (xs.reshape(-1, chart.q), ys.reshape(-1, chart.q))
-        out[:] = f(bch(chart.section(pairs[0]), -chart.section(pairs[1]))).reshape(R, M)
+        # A trivial subgroup: the kernel is f itself, the same f(s) along a row.
+        out[:] = f(bch(chart.section(xs[:, 0]), -chart.section(ys)))[:, None]
     else:
         nodes, weights = _axis(qspec.h_nodes, qspec.h_halfwidth)
         # The grid points b, split into the leading central block b_c, with its
@@ -533,19 +534,17 @@ def kernel_values(
         shift = w_c @ grid_c.T
         central = (w_grid_c * np.exp(1j * (grid_c @ (flat @ w_c))))[:, None]  # (m_c, 1)
         exp_coeffs, dlog_coeffs = _exp_series(N), _bernoulli_series(N)
-        pair_size = max(n, m_r // nodes.size) * n
-        block = max(1, _CHUNK_BUDGET // max(max(m_c, m_r) * n, M * pair_size))
+        member_size = max(n, m_r // nodes.size) * n
+        block = max(1, _CHUNK_BUDGET // max(max(m_c, m_r) * n, M * member_size))
         chunk = max(1, _CHUNK_BUDGET // (m_c * m_r * n))
         for lo in range(0, R, block):
             hi = min(R, lo + block)
-            cx = chart.section(xs[lo:hi])
-            c0 = bch(cx, -chart.section(ys[lo:hi]))  # log(x y^-1), (C, M, n)
-            cs = chart.section(chart.decompose(c0[:, 0])[0])  # log s, (C, n)
-            # Every pair's twist argument log(x y^-1 s^-1) lies in h.
-            twist = bch(c0, -cs[:, None])
-            size = (1.0 + np.abs(c0).max(axis=-1) + np.abs(cs).max(axis=-1)[:, None]) ** N
-            if np.any(np.abs(twist @ chart.W[:, q_h:]).max(axis=-1, initial=0.0) > 1e-9 * size):
-                raise DimensionMismatch("the pairs of a row must share one coset H x y^-1")
+            cx = chart.section(xs[lo:hi])  # (C, M, n)
+            # log s from each row's first pair: x y^-1 = s h.
+            c0 = bch(cx[:, 0], -chart.section(ys[lo:hi]))
+            cs = chart.section(chart.decompose(c0)[0])  # (C, n)
+            # The twist argument ell(log h) of every member, s^-1 x = section(y) h.
+            twist = chart.decompose(bch(-cs[:, None], cx))[1] @ flat  # (C, M)
             # ad kills the centre, so J = B(ad log s) W_h = [W_c | J_r] = [W_c | Q_r] R
             # with T = W_c^T J_r, J_r - W_c T = Q_r R_rr and R = [[I, T], [0, R_rr]],
             # invertible because B(ad log s) is unipotent.
@@ -575,8 +574,8 @@ def kernel_values(
                     vals.append(samples.reshape(-1, m_c) @ central)
                 else:
                     vals.append((samples.reshape(-1, m_c) @ central.view(float)).view(complex))
-            vals = np.concatenate(vals).reshape(hi - lo, 1, m_r)  # broadcasts over pairs
-            members = max(1, _CHUNK_BUDGET // ((hi - lo) * pair_size))
+            vals = np.concatenate(vals).reshape(hi - lo, 1, m_r)  # broadcasts over members
+            members = max(1, _CHUNK_BUDGET // ((hi - lo) * member_size))
             for a in range(0, M, members):
                 b = min(M, a + members)
                 # lam = ell o Ad_{x^-1}, as rows (C, m, n).
@@ -585,10 +584,11 @@ def kernel_values(
                 # exp(i a . lam_h) = exp(i a* . lam_h) exp(i b_c . ell_c) prod_k
                 # exp(i b_k rate_k) over the b_r axes, one table per distinct rate;
                 # phases is (C, m, q_r, nodes) (NumPy < 2 returns a flat inverse).
+                # It pays: rates repeat across members, a third distinct on the (2,2) bench grid.
                 rate = lam_h @ cols
                 rates, index = np.unique(rate, return_inverse=True)
                 phases = (weights * np.exp(1j * rates[:, None] * nodes))[index.reshape(rate.shape)]
-                arg = (lam_h @ astar[..., None])[..., 0] - np.sum(lam * twist[:, a:b], axis=-1)
+                arg = (lam_h @ astar[..., None])[..., 0] - twist[:, a:b]
                 scale = np.exp(1j * arg) / det_r[:, None]  # (C, m)
                 # The b_r axes pair by pair, last axis first.
                 v = vals
@@ -653,7 +653,7 @@ def trace_shifted(
     Decomposes ``x section(y) = section(w) h`` and applies the kernel's
     subgroup equivariance, so only section-to-section kernel values are
     needed: the integrand is ``exp(-i ell(log h)) K_f(section(w), section(y))``,
-    all of it from one :func:`kernel_values` call.
+    all of it from one :func:`kernel_values` row.
     """
     basis = chart.basis
     cx = x.coords if isinstance(x, _CertifiedPoint) else _point_coords(basis, x)
@@ -662,8 +662,8 @@ def trace_shifted(
     ws, rem = chart.decompose(basis.bch_coords(cx, chart.section(ys)))
     twist = np.exp(-1j * (rem @ ell.flat))
     # section(w) section(y)^-1 = x section(y) h^-1 section(y)^-1 lies in x H for
-    # every node: the pairs form one row.
-    kv = kernel_values(f, ell, chart, qspec, ws[None], ys[None])[0]
+    # every node: the nodes form one row, named by the first node's pair.
+    kv = kernel_values(f, ell, chart, qspec, ws[None], ys[:1])[0]
     return complex(np.sum(wy * (twist * kv)))
 
 
@@ -872,12 +872,11 @@ def hs_norm_sq(
     ``H section(x) section(y)^-1 = H section(u)`` (fixed box: the kernel
     decays like the function there), and ``v = 2x - u`` (adaptively scaled
     box), which stays uniformly resolved over the frequency plane where a
-    plain product grid would alias the diagonal ridge. ``y`` follows from
-    ``(u, x)`` through :meth:`MalcevChart.decompose`; on an abelian quotient
+    plain product grid would alias the diagonal ridge. On an abelian quotient
     ``G/H`` that is ``u = x - y``, ``v = x + y``. Haar measure on ``G/H`` is
     Lebesgue in the section coordinates, so ``dx dy = dx du = 2^-q du dv``.
-    Each ``u`` is one row of :func:`kernel_values`: ``f`` is sampled once per
-    coset.
+    Each ``u`` is one row of :func:`kernel_values`, named by the ``y`` of its
+    first ``x``: ``f`` is sampled once per coset.
     """
     q = chart.q
     scale = _section_scale(ell, _checked_jump(chart.basis, jump), qspec)
@@ -886,9 +885,9 @@ def hs_norm_sq(
         [(qspec.section_nodes, 2.0 * qspec.section_halfwidth * scale)] * q
     )
     xs = 0.5 * (vpts[None] + upts[:, None])  # (mu, mv, q)
-    # y with section(x) section(y)^-1 in H section(u): section(y) H =
-    # section(u)^-1 section(x) H, which is x - u on an abelian quotient.
-    cosets = chart.basis.bch_coords(-chart.section(upts)[:, None], chart.section(xs))
+    # The y of each row's first x, section(y) H = section(u)^-1 section(x) H,
+    # which is x - u on an abelian quotient.
+    cosets = chart.basis.bch_coords(-chart.section(upts), chart.section(xs[:, 0]))
     ys = chart.decompose(cosets)[0]
     kv = kernel_values(f, ell, chart, qspec, xs, ys)  # one row per u
     return float(2.0**-q * (uw @ np.abs(kv) ** 2 @ vw))
